@@ -14,10 +14,11 @@ multiplication, with a Lie algebra as quotient.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     Matrix,
@@ -31,7 +32,6 @@ from .exactlin import (
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_sub,
 )
 
 TableEntry = tuple[int, Fraction]
@@ -241,21 +241,28 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     """Violating basis triples (i, j, k, residual) of the right Leibniz identity.
 
     Empty means the identity holds; by trilinearity checking basis triples
-    is exhaustive.
+    is exhaustive.  The residual [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
+    + [[e_i, e_k], e_j] is contracted from the table's nonzero entries.
     """
     n = alg.dim
+    table = alg._table
     violations = []
-    brackets = [[alg.bracket_basis(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
-        ei = alg.basis_vector(i)
         for j in range(n):
-            bij = brackets[i][j]
+            cij = table.get((i, j), ())
             for k in range(n):
-                lhs = alg.product(ei, brackets[j][k])
-                rhs = vec_sub(alg.product(bij, alg.basis_vector(k)),
-                              alg.product(brackets[i][k], alg.basis_vector(j)))
-                residual = vec_sub(lhs, rhs)
-                if not vec_is_zero(residual):
+                acc: dict[int, Fraction] = {}
+                for l, a in table.get((j, k), ()):
+                    for t, b in table.get((i, l), ()):
+                        acc[t] = acc.get(t, ZERO) + a * b
+                for l, a in cij:
+                    for t, b in table.get((l, k), ()):
+                        acc[t] = acc.get(t, ZERO) - a * b
+                for l, a in table.get((i, k), ()):
+                    for t, b in table.get((l, j), ()):
+                        acc[t] = acc.get(t, ZERO) + a * b
+                if any(acc.values()):
+                    residual = tuple(acc.get(t, ZERO) for t in range(n))
                     violations.append((i, j, k, residual))
     return tuple(violations)
 
@@ -466,17 +473,20 @@ def is_semisimple(alg: Algebra) -> bool:
     return solvable_radical(alg) == squares_ideal(alg)
 
 
-# ---------------------------------------------------------------- centroid
+# ------------------------------------------------ identity rows, centroid
 
 def _action_tables(alg: Algebra):
-    """Sparse views of the table used to assemble linear constraint systems.
+    """The table's nonzero entries regrouped by one factor and the result.
 
-    Returns (pair_table, right_by, left_by) where right_by[j][k] lists
-    (l, c) with c the coefficient of basis k in the product of basis l and
-    basis j, and left_by[i][k] lists (l, c) from the product of i and l.
+    Returns (right_by, left_by).  right_by[j][k] lists (l, c) with c the
+    nonzero coefficient of basis k in [e_l, e_j], i.e. the nonzero entries
+    (k, l) of the matrix of right multiplication by e_j.  left_by[i][k]
+    lists (l, c) with c the nonzero coefficient of basis k in [e_i, e_l],
+    the entries (k, l) of left multiplication by e_i.  Missing keys mean
+    no such entries.
     """
-    right_by: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
-    left_by: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
+    right_by: dict[int, dict[int, list[TableEntry]]] = {}
+    left_by: dict[int, dict[int, list[TableEntry]]] = {}
     for (i, j), entries in alg.table_items():
         for k, coeff in entries:
             right_by.setdefault(j, {}).setdefault(k, []).append((i, coeff))
@@ -484,30 +494,46 @@ def _action_tables(alg: Algebra):
     return right_by, left_by
 
 
+def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
+                  right: bool = True, left: bool = True,
+                  ) -> Iterator[tuple[int, int, list[dict[int, Fraction]]]]:
+    """Linear constraints on a map d at each basis pair (i, j).
+
+    Yields (i, j, rows) for the given pairs (default: all, row-major).
+    Row k, dotted with d flattened row-major, is coordinate k of
+    d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)]; rows come by increasing
+    k, empty ones left out.  right=False or left=False drops that side's
+    term: both terms give derivations, the right term alone module maps,
+    and each term alone one half of the centroid.
+    """
+    n = alg.dim
+    right_by, left_by = _action_tables(alg)
+    if pairs is None:
+        pairs = itertools.product(range(n), repeat=2)
+    for i, j in pairs:
+        rows: dict[int, dict[int, Fraction]] = {}
+        cij = alg.c(i, j)
+        if cij:
+            for k in range(n):
+                rows[k] = {k * n + l: coeff for l, coeff in cij}
+        sides = [(right_by.get(j, {}), i)] if right else []
+        if left:
+            sides.append((left_by.get(i, {}), j))
+        for by_result, moved in sides:
+            for k, entries in by_result.items():
+                row = rows.setdefault(k, {})
+                for l, coeff in entries:
+                    col = l * n + moved
+                    row[col] = row[col] - coeff if col in row else -coeff
+        yield i, j, [rows[k] for k in sorted(rows)]
+
+
 def centroid(alg: Algebra) -> tuple[Matrix, ...]:
     """Canonical basis of the maps commuting with all multiplications."""
     n = alg.dim
-    right_by, left_by = _action_tables(alg)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = alg.c(i, j)
-            right_j = right_by.get(j, {})
-            left_i = left_by.get(i, {})
-            for k in range(n):
-                base = {k * n + l: coeff for l, coeff in cij}
-                row1 = dict(base)
-                for l, coeff in right_j.get(k, ()):
-                    col = l * n + i
-                    row1[col] = row1.get(col, ZERO) - coeff
-                if row1:
-                    rows.append(row1)
-                row2 = base
-                for l, coeff in left_i.get(k, ()):
-                    col = l * n + j
-                    row2[col] = row2.get(col, ZERO) - coeff
-                if row2:
-                    rows.append(row2)
+    rows = [row for right in (True, False)
+            for _, _, pair_rows in identity_rows(alg, right=right, left=not right)
+            for row in pair_rows]
     kernel = kernel_of_constraints(rows, n * n)
     return tuple(Matrix.from_flat(v, n, n) for v in kernel.basis.data)
 

@@ -11,11 +11,12 @@ exact: splits reconstruct their input matrix entry for entry.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Algebra, LeviDatum, StructureError, _action_tables, squares_ideal
+from .core import Algebra, LeviDatum, StructureError, identity_rows, squares_ideal
 from .exactlin import (
     Matrix,
     Subspace,
@@ -23,7 +24,6 @@ from .exactlin import (
     ZERO,
     kernel_of_constraints,
     solve,
-    vec_add,
 )
 
 
@@ -61,42 +61,32 @@ class DerivationBasis:
 def derivation_algebra(alg: Algebra) -> DerivationBasis:
     """Solve the derivation identity d([x,y]) = [d(x),y] + [x,d(y)] exactly."""
     n = alg.dim
-    right_by, left_by = _action_tables(alg)
-    rows = []
-    for i in range(n):
-        left_i = left_by.get(i, {})
-        for j in range(n):
-            cij = alg.c(i, j)
-            right_j = right_by.get(j, {})
-            for k in range(n):
-                row = {k * n + l: coeff for l, coeff in cij}
-                for l, coeff in right_j.get(k, ()):
-                    col = l * n + i
-                    row[col] = row.get(col, ZERO) - coeff
-                for l, coeff in left_i.get(k, ()):
-                    col = l * n + j
-                    row[col] = row.get(col, ZERO) - coeff
-                if row:
-                    rows.append(row)
+    rows = [row for _, _, pair_rows in identity_rows(alg) for row in pair_rows]
     span = kernel_of_constraints(rows, n * n)
     maps = tuple(Matrix.from_flat(v, n, n) for v in span.basis.data)
     return DerivationBasis(alg, maps, span)
 
 
-def is_derivation(alg: Algebra, m: Matrix) -> bool:
-    """Exact check of the derivation identity on all basis pairs."""
+def _failing_pairs(alg: Algebra, m: Matrix, left: bool,
+                   pairs: Iterable[tuple[int, int]] | None = None,
+                   ) -> Iterator[tuple[int, int]]:
+    """Basis pairs (default: all, row-major) where m fails the identity:
+    some row of ``identity_rows`` dotted with the nonzero entries of m is
+    not zero.  left=False checks m([x,y]) = [m(x), y] alone."""
     if m.rows != alg.dim or m.cols != alg.dim:
         raise ValueError("matrix shape does not match the algebra dimension")
-    images = [m.apply(alg.basis_vector(i)) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        for j in range(alg.dim):
-            lhs = m.apply(alg.bracket_basis(i, j))
-            rhs = vec_add(alg.product(images[i], alg.basis_vector(j)),
-                          alg.product(ei, images[j]))
-            if lhs != rhs:
-                return False
-    return True
+    nonzero = {col: v for col, v in enumerate(m.flatten()) if v}
+    if not nonzero:
+        return  # every row is linear, so the zero map satisfies all of them
+    for i, j, rows in identity_rows(alg, pairs, left=left):
+        if any(sum((c * nonzero[col] for col, c in row.items() if col in nonzero),
+                   ZERO) for row in rows):
+            yield i, j
+
+
+def is_derivation(alg: Algebra, m: Matrix) -> bool:
+    """Exact check of the derivation identity on all basis pairs."""
+    return next(_failing_pairs(alg, m, left=True), None) is None
 
 
 def inner_derivation_span(alg: Algebra) -> Subspace:
@@ -238,7 +228,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
             if endo.data[r][c] != 0:
                 raise StructureError(
                     "leftover diagonal part does not vanish on the complement")
-    if not _is_module_endomorphism(alg, endo):
+    if not check_module_endomorphism(alg, endo):
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
     reconstructed = alg.right_mult(inner_element) + endo + parts.raising
@@ -247,21 +237,9 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     return DerivationSplit(inner_element, endo, parts.raising, m)
 
 
-def _is_module_endomorphism(alg: Algebra, endo: Matrix) -> bool:
-    for i in range(alg.dim):
-        fi = endo.apply(alg.basis_vector(i))
-        for j in range(alg.dim):
-            if endo.apply(alg.bracket_basis(i, j)) \
-                    != alg.product(fi, alg.basis_vector(j)):
-                return False
-    return True
-
-
 def check_module_endomorphism(alg: Algebra, endo: Matrix) -> bool:
     """Does endo satisfy endo([x,y]) = [endo(x), y] on all basis pairs?"""
-    if endo.rows != alg.dim or endo.cols != alg.dim:
-        raise ValueError("matrix shape does not match the algebra dimension")
-    return _is_module_endomorphism(alg, endo)
+    return next(_failing_pairs(alg, endo, left=False), None) is None
 
 
 # ---------------------------------------------------------- block analyses
@@ -360,23 +338,17 @@ class RaisingReport:
 
 
 def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> RaisingReport:
-    n = alg.dim
+    bad = tuple(_failing_pairs(
+        alg, raising, False, itertools.product(levi.g_indices, repeat=2)))
     image = Subspace.from_vectors(
-        n, [raising.apply(alg.basis_vector(c)) for c in levi.g_indices])
-    bad = []
-    for i in levi.g_indices:
-        ri = raising.apply(alg.basis_vector(i))
-        for j in levi.g_indices:
-            lhs = raising.apply(alg.bracket_basis(i, j))
-            if lhs != alg.product(ri, alg.basis_vector(j)):
-                bad.append((i, j))
+        alg.dim, [raising.col(c) for c in levi.g_indices])
     if image.dim == 0:
         kind = "zero"
     elif image == squares_ideal(alg):
         kind = "equals_squares_ideal"
     else:
         kind = "other"
-    return RaisingReport(image, tuple(bad), kind)
+    return RaisingReport(image, bad, kind)
 
 
 # ------------------------------------------------------------ survey sweep
@@ -393,7 +365,5 @@ class SplitSurvey:
 def split_all(alg: Algebra, levi: LeviDatum) -> SplitSurvey:
     der = derivation_algebra(alg)
     splits = tuple(split_derivation(alg, levi, m) for m in der.maps)
-    vectors = [
-        s.raising_map.apply(alg.basis_vector(c))
-        for s in splits for c in levi.g_indices]
+    vectors = [s.raising_map.col(c) for s in splits for c in levi.g_indices]
     return SplitSurvey(der, splits, Subspace.from_vectors(alg.dim, vectors))

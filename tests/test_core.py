@@ -99,12 +99,44 @@ def test_leibniz_check_accepts_catalog():
         assert leibniz_check(alg) == ()
 
 
+def dense_leibniz_violations(alg):
+    """Reference for leibniz_check: every basis triple (i, j, k) with the
+    residual [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j], computed
+    from dense products."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    out = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                lhs = alg.product(e[i], alg.product(e[j], e[k]))
+                rhs = [a - b for a, b in zip(alg.product(alg.product(e[i], e[j]), e[k]),
+                                             alg.product(alg.product(e[i], e[k]), e[j]))]
+                residual = tuple(a - b for a, b in zip(lhs, rhs))
+                if any(residual):
+                    out.append((i, j, k, residual))
+    return tuple(out)
+
+
 def test_leibniz_check_flags_violations():
     bad = Algebra(2, {(0, 0): [(1, F(1))], (1, 0): [(0, F(1))]})
     violations = leibniz_check(bad)
-    assert violations
+    assert violations == ((0, 1, 0, (F(0), F(1))), (1, 1, 0, (F(1), F(0))))
+    assert violations == dense_leibniz_violations(bad)
     with pytest.raises(InvalidAlgebraError):
         ensure_leibniz(bad)
+
+
+def test_leibniz_check_residuals_after_one_changed_coefficient():
+    alg, _ = semisimple_pair(1)
+    table = dict(alg.table_items())
+    assert table[(7, 0)] == ((6, F(-1)),)  # [x1_1, e1] = -x0_1
+    table[(7, 0)] = ((6, F(-2)),)
+    bad = Algebra(alg.dim, table, alg.basis_names)
+    violations = leibniz_check(bad)
+    assert [v[:3] for v in violations] == [
+        (6, 0, 1), (6, 1, 0), (7, 0, 1), (7, 0, 3),
+        (7, 1, 0), (7, 3, 0), (9, 0, 4), (9, 4, 0)]
+    assert violations == dense_leibniz_violations(bad)
 
 
 # ------------------------------------------------------------------ ideals

@@ -183,6 +183,17 @@ def test_split_reconstructs_catalog_wide():
                 assert all(c == 0 for c in split.raising_map.apply(v))
 
 
+def test_module_endomorphism_check_rejects_a_changed_entry():
+    alg, levi = semisimple_pair(1)
+    first = levi.i_indices[0]
+    for split in split_all(alg, levi).splits:
+        endo = split.ideal_endo
+        assert check_module_endomorphism(alg, endo)
+        rows = [list(r) for r in endo.data]
+        rows[first][first] += 1
+        assert not check_module_endomorphism(alg, Matrix.from_rows(rows))
+
+
 def test_split_of_inner_is_inner():
     alg, levi = simple_sl2_leibniz(3)
     g = (F(2), F(-1), F(3), F(0), F(0), F(0), F(0))
@@ -312,15 +323,15 @@ def test_raising_classifications():
 
 
 def test_raising_violation_detected():
-    # send e to x0 and nothing else: fails the one-sided identity on (f,e)
+    # send e to x0 and nothing else: the one-sided identity
+    # raising([x,y]) = [raising(x), y] fails exactly on (e,f) and (h,e)
     alg, levi = simple_sl2_leibniz(2)
     rows = [[F(0)] * 6 for _ in range(6)]
     rows[3][0] = F(1)
     fabricated = Matrix.from_rows(rows)
     rep = raising_map_report(alg, levi, fabricated)
     assert rep.classification == "other"
-    assert rep.violations
-    assert all(isinstance(p, tuple) and len(p) == 2 for p in rep.violations)
+    assert rep.violations == ((0, 1), (2, 0))
 
 
 # ----------------------------------------------------------------- outer

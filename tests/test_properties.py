@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
     Matrix,
+    Subspace,
+    centroid,
     derivation_algebra,
     dump_algebra_json,
     graded_parts,
@@ -126,6 +128,31 @@ def test_derivation_predicate_matches_span(entry, data):
     rows[0][0] += F(1, 3)
     bumped = Matrix.from_rows(rows)
     assert is_derivation(alg, bumped) == der.span.contains(bumped.flatten())
+
+
+def commutes_with_multiplications(alg, m):
+    mults = [mult(alg.basis_vector(i)) for i in range(alg.dim)
+             for mult in (alg.right_mult, alg.left_mult)]
+    return all(m.mul(x) == x.mul(m) for x in mults)
+
+
+@given(st.sampled_from(SMALL_ALGEBRAS), st.data())
+@settings(max_examples=30)
+def test_centroid_predicate_matches_span(entry, data):
+    _, maker = entry
+    alg = maker()
+    cents = centroid(alg)
+    assert all(commutes_with_multiplications(alg, c) for c in cents)
+    combo = None
+    for c in cents:
+        scaled = c.scale(data.draw(small_rationals))
+        combo = scaled if combo is None else combo + scaled
+    assert commutes_with_multiplications(alg, combo)
+    rows = [list(r) for r in combo.data]
+    rows[0][alg.dim - 1] += F(1, 3)
+    bumped = Matrix.from_rows(rows)
+    span = Subspace.from_vectors(alg.dim ** 2, [c.flatten() for c in cents])
+    assert commutes_with_multiplications(alg, bumped) == span.contains(bumped.flatten())
 
 
 @given(st.sampled_from(WITH_LEVI), st.data())
