@@ -13,6 +13,7 @@ and makes kernels of large, very sparse constraint systems cheap.  Dense
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,7 +404,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def pivot_cols(self) -> tuple[int, ...]:
+    @functools.cached_property
+    def _pivot_cols(self) -> tuple[int, ...]:
+        # kept in the instance __dict__, outside the dataclass fields, so
+        # equality and hashing still see only ambient_dim and basis
         out = []
         for r in self.basis.data:
             for c, v in enumerate(r):
@@ -411,6 +415,9 @@ class Subspace:
                     out.append(c)
                     break
         return tuple(out)
+
+    def pivot_cols(self) -> tuple[int, ...]:
+        return self._pivot_cols
 
     def coords_of(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients of v in the canonical basis, or None if v is outside."""
@@ -499,55 +506,166 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primitive_poly(p: list[int]) -> list[int]:
+    """Divide an integer polynomial by the (positive) gcd of its coefficients."""
+    g = 0
+    for v in p:
+        g = math.gcd(g, v)
+    return [v // g for v in p] if g > 1 else p
+
+
+def _strip(p: list[int]) -> list[int]:
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1)·a reduced modulo b."""
+    r, n, lb = list(a), len(b), b[0]
+    for _ in range(len(a) - n + 1):
+        c = r[0]
+        r = ([lb * x - c * y for x, y in zip(r[1:], b[1:])]
+             + [lb * x for x in r[n:]])
+    return _strip(r)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a in Z[x]."""
+    q, r, n = [], list(a), len(b)
+    for _ in range(len(a) - n + 1):
+        c, rem = divmod(r[0], b[0])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q.append(c)
+        r = [x - c * y for x, y in zip(r[1:], b[1:])] + r[n:]
+    return q
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of p as primitive integer polynomials.
+
+    Each step takes the negated pseudo-remainder times the sign that makes
+    the multiplier lc^(δ+1) positive, so every element is a positive
+    multiple of the classical Sturm remainder and sign variations agree.
+    The last element is gcd(p, p') up to a constant factor.
+    """
+    d = len(p) - 1
+    chain = [p, _primitive_poly([c * (d - i) for i, c in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            break
+        if b[0] < 0 and (len(a) - len(b)) % 2 == 0:
+            r = [-x for x in r]
+        chain.append(_primitive_poly([-x for x in r]))
+    return chain
+
+
+def _homogeneous_value(p: Sequence[int], num: int, den: int) -> int:
+    """den^deg(p) · p(num/den); for den > 0 it has the sign of p(num/den)."""
+    acc, dpow = p[0], 1
+    for c in p[1:]:
+        dpow *= den
+        acc = acc * num + c * dpow
+    return acc
+
+
+def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    count, prev = 0, 0
+    for s in chain:
+        v = _homogeneous_value(s, x.numerator, x.denominator)
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                count += 1
+            prev = v
+    return count
+
+
+def _root_bound(p: list[int]) -> int:
+    """A power of two strictly above every |root| of p (Fujiwara's bound).
+
+    Fujiwara: |z| <= 2·max_k |a_k/a_0|^(1/k) for p = a_0 x^n + ... + a_n
+    (the bound allows a_n halved; leaving it whole only enlarges it).  Bit
+    lengths give a 2^e at least every k-th root, so every root lies
+    strictly inside (-2^(e+2), 2^(e+2)).  Cauchy's 1 + max|a_k/a_0| would
+    be as large as the constant term, which is huge for products of
+    weights.
+    """
+    lead_bits = abs(p[0]).bit_length()
+    e = 0
+    for k, c in enumerate(p[1:], start=1):
+        if c:
+            excess = abs(c).bit_length() - lead_bits + 1
+            e = max(e, -(-excess // k))
+    return 1 << (e + 2)
 
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial (descending coefficients)."""
+    """All rational roots of a nonzero polynomial (descending coefficients).
+
+    Exact root isolation followed by one exact test per interval
+    (Collins & Akritas, "Polynomial real root isolation using Descarte's
+    rule of signs", SYMSAC 1976, with Sturm sequences in place of
+    Descartes' rule):
+
+    1. clear denominators, make the polynomial primitive and strip the
+       root 0 (reported when present);
+    2. take the square-free part P = p / gcd(p, p') and its Sturm chain;
+    3. bisect (-B, B], where B is a power of two above Fujiwara's root
+       bound, counting the distinct roots in each half-open interval by
+       the chain's sign variations; intervals with no root are dropped;
+    4. once an interval is narrower than 1/L², L = |lead(P)|, it holds at
+       most one rational root (whose denominator divides L), and that root
+       must be its midpoint's best approximation with denominator <= L.
+       That one candidate is kept only when P vanishes there exactly.
+
+    With n = deg P and b the coefficient bit size, B and L have O(b) bits,
+    so an interval is narrow after O(b) halvings and at most n intervals
+    per level hold a root: O(n·b) bisections, each evaluating O(n) chain
+    polynomials at a dyadic point.  The cost is polynomial in n and b; a
+    search over the divisors of the constant term is exponential in b.
+    """
     denlcm = 1
     for q in coeffs:
         denlcm = denlcm * q.denominator // math.gcd(denlcm, q.denominator)
-    ints = [int(q * denlcm) for q in coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)
+    ints = _strip([int(q * denlcm) for q in coeffs])
     if not ints:
         raise ValueError("zero polynomial")
     roots = set()
-    trailing = 0
-    while ints and ints[-1] == 0:
+    while ints[-1] == 0:
         ints.pop()
-        trailing += 1
-    if trailing:
         roots.add(ZERO)
-    if len(ints) > 1:
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        ints = [v // g for v in ints]
-        lead, const = ints[0], ints[-1]
-
-        def value_at(x: Fraction) -> Fraction:
-            acc = ZERO
-            for cf in ints:
-                acc = acc * x + cf
-            return acc
-
-        for p_div in _divisors(const):
-            for q_div in _divisors(lead):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p_div, q_div)
-                    if cand not in roots and value_at(cand) == 0:
-                        roots.add(cand)
+    if len(ints) == 1:
+        return sorted(roots)
+    p = _primitive_poly(ints)
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        p = _exact_quotient(p, _primitive_poly(chain[-1]))
+        chain = _sturm_chain(p)
+    lead = abs(p[0])
+    narrow = Fraction(1, lead * lead)
+    bound = Fraction(_root_bound(p))
+    pending = [(-bound, bound,
+                _sign_variations(chain, -bound), _sign_variations(chain, bound))]
+    while pending:
+        lo, hi, var_lo, var_hi = pending.pop()
+        if var_lo == var_hi:
+            continue
+        mid = (lo + hi) / 2
+        if hi - lo < narrow:
+            # two distinct fractions with denominators <= lead differ by at
+            # least 1/lead², so the root, within half that of mid, is the
+            # best approximation limit_denominator(lead) returns
+            cand = mid.limit_denominator(lead)
+            if _homogeneous_value(p, cand.numerator, cand.denominator) == 0:
+                roots.add(cand)
+            continue
+        var_mid = _sign_variations(chain, mid)
+        pending.append((lo, mid, var_lo, var_mid))
+        pending.append((mid, hi, var_mid, var_hi))
     return sorted(roots)
 
 

@@ -4,11 +4,12 @@ Fixed expected values were produced by hand elimination; the randomized
 properties cross-check against sympy, an independent implementation.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leibnizalg.exactlin import (
@@ -23,6 +24,7 @@ from leibnizalg.exactlin import (
     rref,
     solve,
 )
+from leibnizalg.exactlin import _rational_roots, _root_bound
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -227,6 +229,106 @@ def square_matrices(n):
     return st.lists(
         st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(Matrix.from_rows)
+
+
+def poly_from(*factors):
+    """Descending Fraction coefficients of a product of coefficient lists."""
+    out = [F(1)]
+    for f in factors:
+        prod = [F(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def linear(root):
+    """q·x - p for the root p/q."""
+    root = F(root)
+    return [F(root.denominator), F(-root.numerator)]
+
+
+def test_rational_roots_double_root():
+    # the double root 2 is a bisection midpoint; without the square-free
+    # part every Sturm polynomial vanishes there and the root 3 is lost
+    p = poly_from(linear(2), linear(2), linear(3), linear(-1))
+    assert _rational_roots(p) == [F(-1), F(2), F(3)]
+
+
+def test_rational_roots_zero_of_multiplicity_three():
+    assert _rational_roots(poly_from([1, 0, 0, 0], linear(5))) == [F(0), F(5)]
+    assert _rational_roots([F(1), F(0), F(0), F(0)]) == [F(0)]
+
+
+def test_rational_roots_none_rational():
+    assert _rational_roots([F(1), F(0), F(1)]) == []
+    assert _rational_roots([F(1), F(0), F(-2)]) == []
+    assert _rational_roots([F(7)]) == []
+
+
+def test_rational_roots_zero_polynomial_rejected():
+    with pytest.raises(ValueError):
+        _rational_roots([F(0), F(0)])
+
+
+def test_rational_roots_non_monic_lead():
+    # (7x + 3)(12x - 5)(x^2 + x + 1), scaled by 1/6: lead 14 after clearing
+    p = [c / 6 for c in poly_from(linear(F(-3, 7)), linear(F(5, 12)), [1, 1, 1])]
+    assert _rational_roots(p) == [F(-3, 7), F(5, 12)]
+
+
+def test_rational_roots_huge():
+    big = 10 ** 25
+    p = poly_from(linear(big), linear(-big), linear(F(1, 3)), [1, 0, 3])
+    assert _rational_roots(p) == [F(-big), F(1, 3), F(big)]
+
+
+def test_rational_roots_on_a_bisection_midpoint():
+    # the root bound is a power of two 2^k > 8, so bisection from
+    # (-2^k, 2^k] meets the midpoints 2^(k-1), ..., 8, 4 and -2^(k-1), ...,
+    # -8 while intervals are still wider than 1 = 1/lead^2
+    p = poly_from(linear(4), linear(-8), [1, 0, 5])
+    bound = _root_bound([int(c) for c in p])
+    assert bound > 8 and bound & (bound - 1) == 0
+    assert _rational_roots(p) == [F(-8), F(4)]
+    assert _rational_roots(linear(4)) == [F(4)]
+
+
+def test_rational_roots_next_to_an_irrational_root():
+    # 1414213/10^6 lies within 1e-6 of sqrt(2), a root of x^2 - 2
+    near = F(1414213, 10 ** 6)
+    assert abs(near ** 2 - 2) < F(2, 10 ** 6)
+    p = poly_from(linear(near), [1, 0, -2])
+    assert _rational_roots(p) == [near]
+
+
+def test_root_bound_contains_every_root():
+    for roots in ([F(3), F(-7, 2)], [F(10 ** 12)], [F(1, 50), F(-1, 50)]):
+        p = [int(c) for c in poly_from(*(linear(r) for r in roots))]
+        assert all(abs(r) < _root_bound(p) for r in roots)
+
+
+root_numerators = st.integers(10 ** 6, 10 ** 8).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+big_roots = st.builds(F, root_numerators, st.integers(1, 50))
+
+
+@given(st.lists(big_roots, min_size=5, max_size=7),
+       st.integers(0, 2),
+       st.tuples(st.integers(1, 9), st.integers(-20, 20), st.integers(-50, 50)))
+@settings(max_examples=60)
+def test_rational_roots_match_sympy(roots, repeats, quad):
+    a, b, c = quad
+    disc = b * b - 4 * a * c
+    assume(c != 0 and (disc < 0 or math.isqrt(disc) ** 2 != disc))
+    coeffs = poly_from(*(linear(r) for r in roots + roots[:repeats]), [a, b, c])
+    assert len(str(abs(coeffs[-1].numerator))) >= 30
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(q.numerator, q.denominator) for q in coeffs], x)
+    expected = sorted(F(int(r.p), int(r.q)) for r in sympy.roots(poly, filter="Q"))
+    assert expected == sorted(set(roots))
+    assert _rational_roots(coeffs) == expected
 
 
 def test_rational_eigen_diagonal():
