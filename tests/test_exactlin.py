@@ -303,12 +303,6 @@ def test_rational_roots_next_to_an_irrational_root():
     assert _rational_roots(p) == [near]
 
 
-def test_root_bound_contains_every_root():
-    for roots in ([F(3), F(-7, 2)], [F(10 ** 12)], [F(1, 50), F(-1, 50)]):
-        p = [int(c) for c in poly_from(*(linear(r) for r in roots))]
-        assert all(abs(r) < _root_bound(p) for r in roots)
-
-
 root_numerators = st.integers(10 ** 6, 10 ** 8).flatmap(
     lambda n: st.sampled_from([n, -n]))
 big_roots = st.builds(F, root_numerators, st.integers(1, 50))

@@ -6,7 +6,7 @@ sparse kernel takes 0.03 s and 0.15 s there.  On the same machine
 ``irreducible_decomposition_sl2`` of the squares ideal of
 ``simple_sl2_leibniz(m)`` ran past 60 s at m = 20 while the rational
 eigenvalues of h were found by a divisor search of the charpoly's constant
-term; with exact root isolation it takes 0.35 s at m = 20 and 0.7 s at
+term; with exact root isolation it takes about 0.3 s at m = 20 and 0.5 s at
 m = 24.  The bound is loose on purpose, because the speed of a shared
 machine varies.
 """
