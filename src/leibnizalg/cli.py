@@ -291,17 +291,8 @@ def cmd_modules(args: argparse.Namespace) -> int:
     return PASS
 
 
-_FAMILY_ALIASES = {
-    "simple": "simple",
-    "pair": "pair",
-    "sl2": "sl2",
-    "two_dim_solvable": "two_dim_solvable",
-    "direct_sum": "direct_sum",
-}
-
-
 def cmd_catalog(args: argparse.Namespace) -> int:
-    spec = CatalogSpec(_FAMILY_ALIASES[args.family], args.m)
+    spec = CatalogSpec(args.family, args.m)
     try:
         alg, levi = build(spec, allow_uncertified=args.force)
     except ValueError as exc:
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_catalog = sub.add_parser(
         "catalog", help="emit a built-in algebra as schema JSON")
-    p_catalog.add_argument("family", choices=sorted(_FAMILY_ALIASES))
+    p_catalog.add_argument("family", choices=sorted(CatalogSpec.FAMILIES))
     p_catalog.add_argument("--m", type=int, default=None,
                            help="module size parameter where applicable")
     p_catalog.add_argument("-o", "--output", default=None)

@@ -59,10 +59,11 @@ class Algebra:
     ``products`` maps a basis index pair (i, j) to the coordinates of the
     product of basis vectors i and j; absent pairs multiply to zero.  The
     table is canonicalized on construction (coefficients merged, zeros
-    dropped, entries sorted), so equal algebras compare equal.
+    dropped, entries sorted), so equal algebras compare equal.  ``_cache``
+    holds what ``per_algebra`` functions derive, so it dies with the algebra.
     """
 
-    __slots__ = ("dim", "name", "basis_names", "_table", "_by_left", "_key")
+    __slots__ = ("dim", "name", "basis_names", "_table", "_by_left", "_key", "_cache")
 
     def __init__(
         self,
@@ -100,6 +101,7 @@ class Algebra:
             by_left.setdefault(i, []).append((j, entries))
         self._by_left = by_left
         self._key = (dim, basis_names, tuple(sorted(table.items())))
+        self._cache: dict = {}
 
     # ------------------------------------------------------------ access
 
@@ -234,9 +236,20 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
             raise LeviError(f"declared triple {t} fails the sl2 relations: {bad[0]}")
 
 
+def per_algebra(fn):
+    """Compute fn(alg) once per algebra and keep it in ``alg._cache``; callers
+    only read the result.  ``__wrapped__`` is the uncached function."""
+    @functools.wraps(fn)
+    def cached(alg: Algebra):
+        if fn not in alg._cache:
+            alg._cache[fn] = fn(alg)
+        return alg._cache[fn]
+    return cached
+
+
 # -------------------------------------------------------------- identities
 
-@functools.lru_cache(maxsize=None)
+@per_algebra
 def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     """Violating basis triples (i, j, k, residual) of the right Leibniz identity.
 
@@ -279,7 +292,33 @@ def ensure_leibniz(alg: Algebra) -> None:
 
 # ------------------------------------------------------------------ ideals
 
-@functools.lru_cache(maxsize=None)
+def _basis_products(alg: Algebra, sub: Subspace) -> Iterator[tuple[Vec, Vec]]:
+    """([v, e_j], [e_j, v]) for each basis vector v of sub and each j in turn.
+
+    The one closure test behind every ideal check: sub is a two-sided ideal
+    exactly when it contains both products of every pair.  Each product is
+    contracted from the table's nonzero entries (``_action_tables``).
+    """
+    n = alg.dim
+    right_by, left_by = _action_tables(alg)
+
+    def image(by_result: dict[int, list[TableEntry]], v: Vec) -> Vec:
+        out = [ZERO] * n
+        for k, entries in by_result.items():
+            out[k] = sum((coeff * v[l] for l, coeff in entries if v[l]), ZERO)
+        return tuple(out)
+
+    for v in sub.basis.data:
+        for j in range(n):
+            yield image(right_by.get(j, {}), v), image(left_by.get(j, {}), v)
+
+
+def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
+    return all(sub.contains(right) and sub.contains(left)
+               for right, left in _basis_products(alg, sub))
+
+
+@per_algebra
 def squares_ideal(alg: Algebra) -> Subspace:
     """Span of all squares [x, x], verified to be a left-annihilated ideal."""
     ensure_leibniz(alg)
@@ -289,15 +328,13 @@ def squares_ideal(alg: Algebra) -> Subspace:
         for j in range(i, n):
             gens.append(vec_add(alg.bracket_basis(i, j), alg.bracket_basis(j, i)))
     span = Subspace.from_vectors(n, gens)
-    for v in span.basis.data:
-        for j in range(n):
-            ej = alg.basis_vector(j)
-            if not span.contains(alg.product(v, ej)):
-                raise StructureError(
-                    "span of squares is not closed under right multiplication")
-            if not vec_is_zero(alg.product(ej, v)):
-                raise StructureError(
-                    "left multiplication does not annihilate the span of squares")
+    for right, left in _basis_products(alg, span):
+        if not span.contains(right):
+            raise StructureError(
+                "span of squares is not closed under right multiplication")
+        if not vec_is_zero(left):
+            raise StructureError(
+                "left multiplication does not annihilate the span of squares")
     return span
 
 
@@ -308,11 +345,8 @@ def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
     current = seed
     while True:
         gens = list(current.basis.data)
-        for v in current.basis.data:
-            for j in range(alg.dim):
-                ej = alg.basis_vector(j)
-                gens.append(alg.product(v, ej))
-                gens.append(alg.product(ej, v))
+        for pair in _basis_products(alg, current):
+            gens.extend(pair)
         bigger = Subspace.from_vectors(alg.dim, gens)
         if bigger == current:
             return current
@@ -356,32 +390,20 @@ class Quotient:
     algebra: Algebra
     ideal: Subspace
     complement_cols: tuple[int, ...]
-    _source_dim: int
 
     def project(self, v: Sequence[Fraction]) -> Vec:
-        if len(v) != self._source_dim:
+        if len(v) != self.ideal.ambient_dim:
             raise ValueError("vector length does not match the source dimension")
-        return _reduce_mod(self.ideal, v, self.complement_cols)
+        residue = self.ideal.residue(v)
+        return tuple(residue[c] for c in self.complement_cols)
 
     def lift(self, w: Sequence[Fraction]) -> Vec:
         if len(w) != len(self.complement_cols):
             raise ValueError("vector length does not match the quotient dimension")
-        out = [ZERO] * self._source_dim
+        out = [ZERO] * self.ideal.ambient_dim
         for value, c in zip(w, self.complement_cols):
             out[c] = Fraction(value)
         return tuple(out)
-
-
-def _reduce_mod(ideal: Subspace, v: Sequence[Fraction],
-                complement: tuple[int, ...]) -> Vec:
-    residue = list(v)
-    for pivot, row in zip(ideal.pivot_cols(), ideal.basis.data):
-        t = residue[pivot]
-        if t != 0:
-            for c, entry in enumerate(row):
-                if entry != 0:
-                    residue[c] -= t * entry
-    return tuple(residue[c] for c in complement)
 
 
 def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
@@ -389,25 +411,22 @@ def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
     n = alg.dim
     if ideal.ambient_dim != n:
         raise ValueError("ideal ambient dimension mismatch")
-    for v in ideal.basis.data:
-        for j in range(n):
-            ej = alg.basis_vector(j)
-            if not ideal.contains(alg.product(v, ej)) \
-                    or not ideal.contains(alg.product(ej, v)):
-                raise StructureError("subspace is not a two-sided ideal")
+    if not _is_ideal(alg, ideal):
+        raise StructureError("subspace is not a two-sided ideal")
     pivots = set(ideal.pivot_cols())
     complement = tuple(c for c in range(n) if c not in pivots)
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for s, cs in enumerate(complement):
         for t, ct in enumerate(complement):
-            image = _reduce_mod(ideal, alg.bracket_basis(cs, ct), complement)
-            entries = [(k, coeff) for k, coeff in enumerate(image) if coeff != 0]
+            residue = ideal.residue(alg.bracket_basis(cs, ct))
+            entries = [(k, residue[c]) for k, c in enumerate(complement)
+                       if residue[c] != 0]
             if entries:
                 products[(s, t)] = entries
     names = tuple(alg.basis_names[c] for c in complement)
     quotient_alg = Algebra(len(complement), products, names,
                            name=f"{alg.name}_quotient" if alg.name else "quotient")
-    return Quotient(quotient_alg, ideal, complement, n)
+    return Quotient(quotient_alg, ideal, complement)
 
 
 # ------------------------------------------------------------ Killing form
@@ -421,10 +440,6 @@ class BilinearForm:
     def __post_init__(self):
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix is not symmetric")
-
-    def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        inner = self.gram.apply(y)
-        return sum((a * b for a, b in zip(x, inner)), ZERO)
 
 
 def killing_form(alg: Algebra) -> BilinearForm:
@@ -442,7 +457,7 @@ def killing_form(alg: Algebra) -> BilinearForm:
 
 # ---------------------------------------------------------------- radical
 
-@functools.lru_cache(maxsize=None)
+@per_algebra
 def solvable_radical(alg: Algebra) -> Subspace:
     """Largest solvable ideal: the squares ideal plus the pullback of the
     quotient Lie algebra's radical (derived-subalgebra orthogonal complement
@@ -475,6 +490,7 @@ def is_semisimple(alg: Algebra) -> bool:
 
 # ------------------------------------------------ identity rows, centroid
 
+@per_algebra
 def _action_tables(alg: Algebra):
     """The table's nonzero entries regrouped by one factor and the result.
 
@@ -483,7 +499,7 @@ def _action_tables(alg: Algebra):
     (k, l) of the matrix of right multiplication by e_j.  left_by[i][k]
     lists (l, c) with c the nonzero coefficient of basis k in [e_i, e_l],
     the entries (k, l) of left multiplication by e_i.  Missing keys mean
-    no such entries.
+    no such entries.  Built once per algebra and shared: callers only read.
     """
     right_by: dict[int, dict[int, list[TableEntry]]] = {}
     left_by: dict[int, dict[int, list[TableEntry]]] = {}
@@ -578,17 +594,6 @@ def simple_summands(alg: Algebra) -> SummandSplit:
         if all(_is_ideal(alg, s) for s in spaces):
             return SummandSplit(spaces, True)
     return SummandSplit((), False)
-
-
-def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
-    for v in sub.basis.data:
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            if not sub.contains(alg.product(v, ej)):
-                return False
-            if not sub.contains(alg.product(ej, v)):
-                return False
-    return True
 
 
 # ------------------------------------------------------- simplicity verdict
@@ -720,15 +725,6 @@ def direct_sum_many(
     combined = LeviDatum(tuple(g_idx), tuple(i_idx), tuple(triples)) \
         if have_levis else None
     return total, combined
-
-
-def direct_sum(
-    a: Algebra,
-    b: Algebra,
-    levi_a: LeviDatum | None = None,
-    levi_b: LeviDatum | None = None,
-) -> tuple[Algebra, LeviDatum | None]:
-    return direct_sum_many([(a, levi_a), (b, levi_b)])
 
 
 # ------------------------------------------------------------- file format

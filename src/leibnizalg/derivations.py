@@ -10,13 +10,13 @@ exact: splits reconstruct their input matrix entry for entry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import Algebra, LeviDatum, StructureError, identity_rows, squares_ideal
+from .core import (Algebra, LeviDatum, StructureError, identity_rows, per_algebra,
+                   squares_ideal)
 from .exactlin import (
     Matrix,
     Subspace,
@@ -57,7 +57,7 @@ class DerivationBasis:
         return len(self.maps)
 
 
-@functools.lru_cache(maxsize=None)
+@per_algebra
 def derivation_algebra(alg: Algebra) -> DerivationBasis:
     """Solve the derivation identity d([x,y]) = [d(x),y] + [x,d(y)] exactly."""
     n = alg.dim

@@ -419,24 +419,29 @@ class Subspace:
     def pivot_cols(self) -> tuple[int, ...]:
         return self._pivot_cols
 
-    def coords_of(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
+    def residue(self, v: Sequence[Fraction]) -> Vec:
+        """v reduced modulo the RREF basis: zero at every pivot column, and
+        zero everywhere exactly when v lies in the subspace."""
         v = as_vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has the wrong length")
-        coeffs = tuple(v[p] for p in self.pivot_cols())
         residue = list(v)
-        for t, row in zip(coeffs, self.basis.data):
+        for p, row in zip(self.pivot_cols(), self.basis.data):
+            t = residue[p]
             if t != 0:
                 for c, entry in enumerate(row):
                     if entry != 0:
                         residue[c] -= t * entry
-        if any(x != 0 for x in residue):
+        return tuple(residue)
+
+    def coords_of(self, v: Sequence[Fraction]) -> Vec | None:
+        """Coefficients of v in the canonical basis, or None if v is outside."""
+        if any(self.residue(v)):
             return None
-        return coeffs
+        return tuple(Fraction(v[p]) for p in self.pivot_cols())
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.coords_of(v) is not None
+        return not any(self.residue(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.data)

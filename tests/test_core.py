@@ -1,5 +1,6 @@
 """Algebra core: identities, ideals, quotients, radicals, simplicity."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,6 @@ from leibnizalg import (
     centroid,
     derived_series,
     derived_subalgebra,
-    direct_sum,
     direct_sum_many,
     dump_algebra_json,
     ensure_leibniz,
@@ -31,6 +31,7 @@ from leibnizalg import (
     quotient_algebra,
     simple_summands,
     solvable_radical,
+    split_all,
     squares_ideal,
     validate_levi,
 )
@@ -206,6 +207,18 @@ def test_quotient_rejects_non_ideal():
         quotient_algebra(alg, not_ideal)
 
 
+@pytest.mark.parametrize("seed, closure", [(0, (0, 2)), (1, (1, 2))])
+def test_ideal_checks_test_both_sides(seed, closure):
+    # only product [a, b] = c: span(a) is closed under left multiplication
+    # alone ([a, b] leaves it), span(b) under right multiplication alone
+    alg = Algebra(3, {(0, 1): [(2, 1)]}, ("a", "b", "c"))
+    assert leibniz_check(alg) == ()
+    line = Subspace.coordinate(3, (seed,))
+    with pytest.raises(StructureError, match="not a two-sided ideal"):
+        quotient_algebra(alg, line)
+    assert ideal_closure(alg, line) == Subspace.coordinate(3, closure)
+
+
 def test_quotient_by_squares_is_lie_for_catalog():
     for _, alg, _ in standard_catalog():
         quo = quotient_algebra(alg, squares_ideal(alg))
@@ -217,10 +230,10 @@ def test_quotient_by_squares_is_lie_for_catalog():
 def test_killing_form_sl2_values():
     alg, _ = sl2()
     k = killing_form(alg)
-    e, f, h = (alg.basis_vector(i) for i in range(3))
-    assert k.value(e, f) == F(-4)
-    assert k.value(f, e) == F(-4)
-    assert k.value(h, h) == F(8)
+    e, f, h = range(3)
+    assert k.gram.data[e][f] == F(-4)
+    assert k.gram.data[f][e] == F(-4)
+    assert k.gram.data[h][h] == F(8)
     assert k.gram == Matrix.from_rows(
         [[0, -4, 0], [-4, 0, 0], [0, 0, 8]])
 
@@ -235,7 +248,7 @@ def test_killing_form_matches_direct_trace():
             mj = alg.right_mult(alg.basis_vector(j))
             composed = mi.mul(mj)
             trace = sum((composed.data[t][t] for t in range(3)), F(0))
-            assert k.value(alg.basis_vector(i), alg.basis_vector(j)) == trace
+            assert k.gram.data[i][j] == trace
 
 
 def test_killing_form_requires_lie():
@@ -271,7 +284,8 @@ def test_semisimple_verdicts():
 
 
 def test_radical_of_mixed_sum():
-    total, _ = direct_sum(simple_sl2_leibniz(2)[0], two_dim_solvable())
+    total, _ = direct_sum_many(
+        [(simple_sl2_leibniz(2)[0], None), (two_dim_solvable(), None)])
     rad = solvable_radical(total)
     sq = squares_ideal(total)
     assert sq.dim == 4
@@ -280,11 +294,26 @@ def test_radical_of_mixed_sum():
     assert not is_semisimple(total)
 
 
+def test_derived_data_is_freed_with_its_algebra():
+    name = "freed_with_its_algebra"
+
+    def analyse():
+        alg, levi = semisimple_pair(1)
+        alg = alg.rename(name)
+        split_all(alg, levi)
+        solvable_radical(alg)
+
+    analyse()
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, Algebra) and obj.name == name]
+
+
 # ---------------------------------------------------------------- centroid
 
 def test_centroid_dims():
     assert len(centroid(sl2()[0])) == 1
-    two, _ = direct_sum(sl2()[0], sl2()[0])
+    two, _ = direct_sum_many([(sl2()[0], None)] * 2)
     assert len(centroid(two)) == 2
     abelian = Algebra(3, {})
     assert len(centroid(abelian)) == 9
@@ -332,7 +361,7 @@ def test_centroid_matches_dense_oracle():
 def test_simple_summands_counts():
     one = simple_summands(sl2()[0])
     assert one.determined and len(one.summands) == 1
-    two_alg, _ = direct_sum(sl2()[0], sl2()[0])
+    two_alg, _ = direct_sum_many([(sl2()[0], None)] * 2)
     two = simple_summands(two_alg)
     assert two.determined and sorted(s.dim for s in two.summands) == [3, 3]
     three_alg, _ = direct_sum_many([(sl2()[0], None)] * 3)
@@ -341,7 +370,7 @@ def test_simple_summands_counts():
 
 
 def test_simple_summands_are_ideals_and_split():
-    alg, _ = direct_sum(sl2()[0], sl2()[0])
+    alg, _ = direct_sum_many([(sl2()[0], None)] * 2)
     split = simple_summands(alg)
     total = Subspace.zero(alg.dim)
     for s in split.summands:
@@ -445,7 +474,7 @@ def test_validate_levi_rejects_bad_triple():
 def test_direct_sum_block_structure():
     a, la = simple_sl2_leibniz(2)
     b, lb = simple_sl2_leibniz(3)
-    total, levi = direct_sum(a, b, la, lb)
+    total, levi = direct_sum_many([(a, la), (b, lb)])
     assert total.dim == 13
     assert leibniz_check(total) == ()
     assert squares_ideal(total).dim == 7
@@ -462,7 +491,8 @@ def test_direct_sum_block_structure():
 
 
 def test_direct_sum_levi_none_when_missing():
-    total, levi = direct_sum(sl2()[0], two_dim_solvable(), sl2()[1], None)
+    total, levi = direct_sum_many(
+        [(sl2()[0], sl2()[1]), (two_dim_solvable(), None)])
     assert levi is None
     assert total.dim == 5
 
