@@ -23,12 +23,12 @@ from .core import (
     SchemaError,
     StructureError,
     dump_algebra_json,
+    ensure_leibniz,
     is_semisimple,
-    leibniz_check,
     load_algebra_json,
-    quotient_algebra,
     solvable_radical,
     squares_ideal,
+    squares_quotient,
     validate_levi,
 )
 from .derivations import (
@@ -72,17 +72,11 @@ def _named(alg: Algebra, v: Vec) -> str:
 def _validate(alg: Algebra, levi: LeviDatum | None) -> list[str]:
     """Run the full check battery; raises on failure, returns report lines."""
     lines = []
-    bad = leibniz_check(alg)
-    if bad:
-        i, j, k, _ = bad[0]
-        names = alg.basis_names
-        raise InvalidAlgebraError(
-            f"right Leibniz identity fails on ({names[i]}, {names[j]}, "
-            f"{names[k]}) and {len(bad) - 1} more triples")
+    ensure_leibniz(alg)
     lines.append("leibniz identity: pass")
     sq = squares_ideal(alg)
     lines.append(f"squares ideal: dimension {sq.dim}, closed, left-annihilated")
-    quo = quotient_algebra(alg, sq)
+    quo = squares_quotient(alg)
     if not quo.algebra.is_lie():
         raise StructureError("quotient by the squares ideal is not a Lie algebra")
     lines.append("quotient by squares ideal: Lie")

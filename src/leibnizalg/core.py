@@ -220,8 +220,7 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
         raise LeviError("declared index sets do not partition the basis")
     for a in levi.g_indices:
         for b in levi.g_indices:
-            prod = alg.bracket_basis(a, b)
-            if any(prod[t] != 0 for t in levi.i_indices):
+            if any(k in i_part for k, _ in alg.c(a, b)):
                 raise LeviError(
                     f"declared semisimple part is not a subalgebra: "
                     f"product of basis {a} and {b} leaves it")
@@ -281,13 +280,15 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
 
 
 def ensure_leibniz(alg: Algebra) -> None:
+    """Raise InvalidAlgebraError naming the first violating basis triple."""
     bad = leibniz_check(alg)
     if bad:
         i, j, k, res = bad[0]
+        names = alg.basis_names
         raise InvalidAlgebraError(
-            f"right Leibniz identity fails on basis triple ({i}, {j}, {k}); "
-            f"residual {tuple(format_rational(x) for x in res)}"
-            + (f" and {len(bad) - 1} more" if len(bad) > 1 else ""))
+            f"right Leibniz identity fails on ({names[i]}, {names[j]}, "
+            f"{names[k]}) with residual ({', '.join(map(format_rational, res))})"
+            + (f" and on {len(bad) - 1} more triples" if len(bad) > 1 else ""))
 
 
 # ------------------------------------------------------------------ ideals
@@ -373,10 +374,6 @@ def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace
         current = nxt
 
 
-def is_solvable(alg: Algebra, start: Subspace | None = None) -> bool:
-    return derived_series(alg, start)[-1].dim == 0
-
-
 # ---------------------------------------------------------------- quotient
 
 @dataclass(frozen=True)
@@ -408,11 +405,22 @@ class Quotient:
 
 def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
     """Quotient by a verified two-sided ideal, on a complement basis."""
-    n = alg.dim
-    if ideal.ambient_dim != n:
+    if ideal.ambient_dim != alg.dim:
         raise ValueError("ideal ambient dimension mismatch")
     if not _is_ideal(alg, ideal):
         raise StructureError("subspace is not a two-sided ideal")
+    return _quotient_by(alg, ideal)
+
+
+@per_algebra
+def squares_quotient(alg: Algebra) -> Quotient:
+    """Quotient by ``squares_ideal``, whose verified right closure and left
+    annihilation already make it two-sided, so no closure test runs here."""
+    return _quotient_by(alg, squares_ideal(alg))
+
+
+def _quotient_by(alg: Algebra, ideal: Subspace) -> Quotient:
+    n = alg.dim
     pivots = set(ideal.pivot_cols())
     complement = tuple(c for c in range(n) if c not in pivots)
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
@@ -447,12 +455,19 @@ def killing_form(alg: Algebra) -> BilinearForm:
     if not alg.is_lie():
         raise StructureError("Killing form requested on a non-Lie algebra")
     n = alg.dim
-    mults = [alg.right_mult(alg.basis_vector(i)) for i in range(n)]
-    gram = tuple(
-        tuple(mults[i].mul(mults[j]).trace() for j in range(n))
-        for i in range(n)
-    )
-    return BilinearForm(Matrix(n, n, gram))
+    right_by, _ = _action_tables(alg)
+    # mults[i][k][l] is entry (k, l) of right multiplication by e_i, so
+    # tr(R_i R_j) = sum over k, l of mults[i][k][l] * mults[j][l][k]
+    mults = [{k: dict(entries) for k, entries in right_by.get(i, {}).items()}
+             for i in range(n)]
+    gram = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mj = mults[j]
+            gram[i][j] = gram[j][i] = sum(
+                (a * mj[l].get(k, ZERO) for k, row in mults[i].items()
+                 for l, a in row.items() if l in mj), ZERO)
+    return BilinearForm(Matrix(n, n, tuple(map(tuple, gram))))
 
 
 # ---------------------------------------------------------------- radical
@@ -464,9 +479,8 @@ def solvable_radical(alg: Algebra) -> Subspace:
     with respect to the Killing form)."""
     ensure_leibniz(alg)
     n = alg.dim
-    sq = squares_ideal(alg)
-    quo = quotient_algebra(alg, sq)
-    qalg = quo.algebra
+    quo = squares_quotient(alg)
+    sq, qalg = quo.ideal, quo.algebra
     if not qalg.is_lie():
         raise StructureError("quotient by the squares ideal is not Lie")
     gram = killing_form(qalg).gram
@@ -647,7 +661,7 @@ def is_simple_certified(alg: Algebra, levi: LeviDatum) -> SimplicityCertificate:
         witness = rad if rad.dim < n else _proper_derived_witness(alg)
         return SimplicityCertificate(
             "no", witness, "solvable radical exceeds the ideal of squares")
-    quo = quotient_algebra(alg, sq)
+    quo = squares_quotient(alg)
     split = simple_summands(quo.algebra)
     if not split.determined:
         return SimplicityCertificate(

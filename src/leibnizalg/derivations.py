@@ -24,6 +24,8 @@ from .exactlin import (
     ZERO,
     kernel_of_constraints,
     solve,
+    unit_vec,
+    zero_vec,
 )
 
 
@@ -207,12 +209,13 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
         raise LoweringBlockNonZero(
             "derivation maps the squares ideal outside itself")
     g_list = list(levi.g_indices)
-    basis_mults = [alg.right_mult(alg.basis_vector(s)) for s in g_list]
     coeff_rows = []
     rhs = []
     for c in g_list:
+        # coefficient r of [e_c, e_s] is entry (r, c) of R(e_s)
+        products = [dict(alg.c(c, s)) for s in g_list]
         for r in range(n):
-            coeff_rows.append(tuple(bm.data[r][c] for bm in basis_mults))
+            coeff_rows.append(tuple(p.get(r, ZERO) for p in products))
             rhs.append(parts.diagonal.data[r][c])
     a_coords = solve(Matrix(len(rhs), len(g_list), tuple(coeff_rows)), rhs)
     if a_coords is None:
@@ -222,7 +225,8 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     for s, value in zip(g_list, a_coords):
         a_full[s] = value
     inner_element = tuple(a_full)
-    endo = parts.diagonal - alg.right_mult(inner_element)
+    inner = alg.right_mult(inner_element)
+    endo = parts.diagonal - inner
     for c in g_list:
         for r in range(n):
             if endo.data[r][c] != 0:
@@ -231,7 +235,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     if not check_module_endomorphism(alg, endo):
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
-    reconstructed = alg.right_mult(inner_element) + endo + parts.raising
+    reconstructed = inner + endo + parts.raising
     if reconstructed != m:
         raise StructureError("split does not reconstruct the derivation")
     return DerivationSplit(inner_element, endo, parts.raising, m)
@@ -276,50 +280,40 @@ def ideal_endo_blocks(
 ) -> EndoBlockReport:
     """Express an endomorphism of the ideal in component-block form.
 
-    The components must be independent; vectors of each component basis are
-    mapped by endo and re-expanded in the stacked component bases.
+    The components must be independent.  One elimination serves every
+    image: stacked component basis vector t is tagged with unit column
+    n + t, so reducing (endo(v), 0) leaves zero in the first n columns
+    exactly when endo(v) lies in the stacked span, and minus its stacked
+    coordinates in the tail.
     """
     n = alg.dim
     if not components:
         return EndoBlockReport((), (), True)
     stacked = [v for comp in components for v in comp.basis.data]
     total = len(stacked)
-    if Subspace.from_vectors(n, stacked).dim != total:
+    tagged = Subspace.from_vectors(
+        n + total, [v + unit_vec(total, t) for t, v in enumerate(stacked)])
+    if any(p >= n for p in tagged.pivot_cols()):
         raise ValueError("components are not independent")
-    expand_matrix = Matrix(n, total, tuple(
-        tuple(stacked[j][r] for j in range(total)) for r in range(n)))
-    offsets = []
-    at = 0
-    for comp in components:
-        offsets.append(at)
-        at += comp.dim
-    cells: list[list[list[list[Fraction]]]] = [
-        [[[ZERO] * components[j].dim for _ in range(components[i].dim)]
-         for j in range(len(components))]
-        for i in range(len(components))
-    ]
-    for j, comp in enumerate(components):
-        for col, v in enumerate(comp.basis.data):
-            image = endo.apply(v)
-            coords = solve(expand_matrix, image)
-            if coords is None:
-                raise ValueError(
-                    "endomorphism image leaves the span of the components")
-            for i, target in enumerate(components):
-                base = offsets[i]
-                for row in range(target.dim):
-                    cells[i][j][row][col] = coords[base + row]
+    coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
+    for v in stacked:
+        residue = tagged.residue(endo.apply(v) + zero_vec(total))
+        if any(residue[:n]):
+            raise ValueError(
+                "endomorphism image leaves the span of the components")
+        coords.append([-x for x in residue[n:]])
+    offsets = list(itertools.accumulate((c.dim for c in components), initial=0))
     blocks = tuple(
         tuple(
-            Matrix(components[i].dim, components[j].dim,
-                   tuple(tuple(r) for r in cells[i][j]))
-            for j in range(len(components)))
-        for i in range(len(components)))
-    scalars = tuple(scalar_of(blocks[i][i]) for i in range(len(components)))
+            Matrix(ci.dim, cj.dim, tuple(
+                tuple(coords[oj + col][oi + row] for col in range(cj.dim))
+                for row in range(ci.dim)))
+            for cj, oj in zip(components, offsets))
+        for ci, oi in zip(components, offsets))
+    k = len(components)
+    scalars = tuple(scalar_of(blocks[i][i]) for i in range(k))
     offdiag = all(
-        blocks[i][j].is_zero()
-        for i in range(len(components))
-        for j in range(len(components)) if i != j)
+        blocks[i][j].is_zero() for i in range(k) for j in range(k) if i != j)
     return EndoBlockReport(blocks, scalars, offdiag)
 
 

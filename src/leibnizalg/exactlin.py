@@ -155,14 +155,11 @@ class Matrix:
                       tuple(tuple(dot(r, c) for c in tcols) for r in self.data))
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
+        """m·v over the nonzero entries of v only."""
         if len(v) != self.cols:
             raise ValueError(f"cannot apply {self.shape()} to a vector of length {len(v)}")
-        return tuple(dot(r, v) for r in self.data)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
+        support = [(c, x) for c, x in enumerate(v) if x]
+        return tuple(sum((r[c] * x for c, x in support), ZERO) for r in self.data)
 
     def flatten(self) -> Vec:
         """Row-major flattening; entry (r, c) lands at index r*cols + c."""
@@ -309,26 +306,6 @@ def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: v for c, v in enumerate(row) if v != 0}
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: Matrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, preserving the input shape."""
-    eng = SparseRref(m.cols)
-    for r in m.data:
-        eng.add_row(_row_to_dict(r))
-    rows = []
-    for _, frow in eng.fraction_rows():
-        rows.append(tuple(frow.get(c, ZERO) for c in range(m.cols)))
-    while len(rows) < m.rows:
-        rows.append(zero_vec(m.cols))
-    return RrefResult(Matrix(m.rows, m.cols, tuple(rows)), eng.rank, eng.pivot_cols())
-
-
 def nullspace(m: Matrix) -> "Subspace":
     eng = SparseRref(m.cols)
     for r in m.data:
@@ -450,25 +427,6 @@ class Subspace:
         self._same_ambient(other)
         return Subspace.from_vectors(
             self.ambient_dim, list(self.basis.data) + list(other.basis.data))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        du = self.dim
-        stacked = Matrix.from_rows(
-            [tuple(self.basis.data[t][r] for t in range(du))
-             + tuple(-other.basis.data[s][r] for s in range(other.dim))
-             for r in range(self.ambient_dim)],
-            cols=du + other.dim)
-        inter = []
-        for coeffs in nullspace(stacked).basis.data:
-            v = zero_vec(self.ambient_dim)
-            for t in range(du):
-                if coeffs[t] != 0:
-                    v = vec_add(v, vec_scale(coeffs[t], self.basis.data[t]))
-            inter.append(v)
-        return Subspace.from_vectors(self.ambient_dim, inter)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Algebra, LeviDatum, quotient_algebra, squares_ideal
+from .core import Algebra, LeviDatum, squares_ideal, squares_quotient
 from .exactlin import (
     Matrix,
     Subspace,
@@ -302,7 +302,7 @@ def _check_quotient_pair(
             if not vec_is_zero(alg.product(u, v)) \
                     or not vec_is_zero(alg.product(v, u)):
                 return ConditionCheck(False, "the two sl2 blocks do not commute")
-    quo = quotient_algebra(alg, squares_ideal(alg))
+    quo = squares_quotient(alg)
     if quo.algebra.dim != 6:
         return ConditionCheck(
             False, f"quotient dimension is {quo.algebra.dim}, not 6")

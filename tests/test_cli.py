@@ -53,6 +53,19 @@ def test_corrupted_coefficient_fails_math(simple3, tmp_path, capsys):
     assert "failure" in err
 
 
+def test_leibniz_failure_names_its_only_triple(tmp_path, capsys):
+    # [u, u] = u fails the identity on exactly one triple
+    doc = {"name": "idempotent", "dim": 1, "basis": ["u"],
+           "products": [{"left": 0, "right": 0,
+                         "result": [{"k": 0, "c": "1"}]}]}
+    path = tmp_path / "idempotent.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == MATH_FAIL
+    assert "(u, u, u)" in err
+    assert "0 more" not in err
+
+
 def test_malformed_json_is_io_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -294,6 +294,57 @@ def test_column_swap_has_offdiagonal_blocks():
     assert rep.scalars == (F(0), F(0))
 
 
+def sym(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r]
+                         for r in rows])
+
+
+def test_ideal_endo_blocks_match_sympy_coordinates():
+    # a map of the ideal into itself with distinct nonzero entries, so that
+    # every block, diagonal or not, has its own values to get right
+    alg, levi = semisimple_pair(2)
+    comps = pair_components(alg, levi)
+    n, ideal = alg.dim, levi.i_indices
+    rows = [[F(0)] * n for _ in range(n)]
+    for a, r in enumerate(ideal):
+        for b, c in enumerate(ideal):
+            rows[r][c] = F(len(ideal) * a + b + 1, 2)
+    rep = ideal_endo_blocks(alg, Matrix.from_rows(rows), comps)
+    # column t of coords: coordinates of the image of stacked vector t
+    stacked = sym([v for comp in comps for v in comp.basis.data]).T
+    coords, params = stacked.gauss_jordan_solve(sym(rows) * stacked)
+    assert params.shape[0] == 0
+    offsets = [0, comps[0].dim, comps[0].dim + comps[1].dim]
+    for i in range(2):
+        for j in range(2):
+            block = rep.blocks[i][j]
+            assert block.shape() == (comps[i].dim, comps[j].dim)
+            want = coords[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
+            assert sym(block.data) == want
+            assert not block.is_zero()
+    assert not rep.offdiag_all_zero
+    assert rep.scalars == (None, None)
+
+
+def test_ideal_endo_blocks_rejects_dependent_components():
+    alg, levi = semisimple_pair(1)
+    comps = pair_components(alg, levi)
+    with pytest.raises(ValueError, match="components are not independent"):
+        ideal_endo_blocks(alg, Matrix.identity(alg.dim), [comps[0], comps[0]])
+
+
+def test_ideal_endo_blocks_rejects_image_outside_components():
+    alg, levi = semisimple_pair(1)
+    comps = pair_components(alg, levi)
+    n = alg.dim
+    rows = [[F(0)] * n for _ in range(n)]
+    for c in levi.i_indices:
+        rows[levi.g_indices[0]][c] = F(1)  # sends the ideal into the complement
+    with pytest.raises(ValueError, match="endomorphism image leaves the span "
+                                         "of the components"):
+        ideal_endo_blocks(alg, Matrix.from_rows(rows), comps)
+
+
 def test_scalar_of_recognizer():
     ident2 = Matrix.from_rows([[F(3), F(0)], [F(0), F(3)]])
     assert scalar_of(ident2) == F(3)

@@ -222,7 +222,7 @@ def test_decomposition_sums_to_subspace():
     dec = irreducible_decomposition_sl2(alg, sq, triple_of(alg, levi, 1))
     total = Subspace.zero(alg.dim)
     for comp in dec.components:
-        assert total.intersect(comp).dim == 0
+        assert total.sum(comp).dim == total.dim + comp.dim
         total = total.sum(comp)
     assert total == sq
 
