@@ -30,7 +30,6 @@ from .exactlin import (
     parse_rational,
     rational_eigen,
     unit_vec,
-    vec_add,
     vec_is_zero,
 )
 
@@ -166,14 +165,7 @@ class Algebra:
 
     def is_lie(self) -> bool:
         """Antisymmetry on basis pairs (with Leibniz this implies Jacobi)."""
-        for i in range(self.dim):
-            if self.c(i, i):
-                return False
-            for j in range(i + 1, self.dim):
-                if not vec_is_zero(vec_add(self.bracket_basis(i, j),
-                                           self.bracket_basis(j, i))):
-                    return False
-        return True
+        return next(_square_sums(self), None) is None
 
     def rename(self, name: str) -> "Algebra":
         return Algebra(self.dim, dict(self._table), self.basis_names, name)
@@ -216,7 +208,8 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
     """Raise LeviError unless the declared split holds for this algebra."""
     n = alg.dim
     g, i_part = set(levi.g_indices), set(levi.i_indices)
-    if g & i_part or g | i_part != set(range(n)) or len(g) + len(i_part) != n:
+    if (g & i_part or g | i_part != set(range(n))
+            or len(levi.g_indices) + len(levi.i_indices) != n):
         raise LeviError("declared index sets do not partition the basis")
     for a in levi.g_indices:
         for b in levi.g_indices:
@@ -314,6 +307,19 @@ def _basis_products(alg: Algebra, sub: Subspace) -> Iterator[tuple[Vec, Vec]]:
             yield image(right_by.get(j, {}), v), image(left_by.get(j, {}), v)
 
 
+def _square_sums(alg: Algebra) -> Iterator[dict[int, Fraction]]:
+    """Nonzero sums [e_i, e_j] + [e_j, e_i], i <= j, as sparse {k: coeff}
+    maps merged from the table (2·[e_i, e_i] for i = j); they span the
+    squares, and each is a difference of squares."""
+    for i, j in {(min(pair), max(pair)) for pair in alg._table}:
+        acc: dict[int, Fraction] = {}
+        for k, coeff in alg.c(i, j) + alg.c(j, i):
+            acc[k] = acc.get(k, ZERO) + coeff
+        sums = {k: v for k, v in acc.items() if v}
+        if sums:
+            yield sums
+
+
 def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
     return all(sub.contains(right) and sub.contains(left)
                for right, left in _basis_products(alg, sub))
@@ -324,11 +330,8 @@ def squares_ideal(alg: Algebra) -> Subspace:
     """Span of all squares [x, x], verified to be a left-annihilated ideal."""
     ensure_leibniz(alg)
     n = alg.dim
-    gens = []
-    for i in range(n):
-        for j in range(i, n):
-            gens.append(vec_add(alg.bracket_basis(i, j), alg.bracket_basis(j, i)))
-    span = Subspace.from_vectors(n, gens)
+    span = Subspace.from_vectors(
+        n, [tuple(s.get(k, ZERO) for k in range(n)) for s in _square_sums(alg)])
     for right, left in _basis_products(alg, span):
         if not span.contains(right):
             raise StructureError(

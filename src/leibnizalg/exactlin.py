@@ -7,8 +7,10 @@ basis, so equality of subspaces is literal equality of matrices.
 
 The elimination engine works on sparse integer rows (denominators are
 cleared, rows are kept primitive), which keeps intermediate entries small
-and makes kernels of large, very sparse constraint systems cheap.  Dense
-``Matrix`` inputs are converted on the way in.
+and makes kernels of large, very sparse constraint systems cheap.  Outside
+values become Fractions at the edge, in ``parse_rational`` and
+``Matrix.from_rows``; everything else takes entries as given (Fraction or
+int) and never re-wraps an exact vector.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -43,10 +44,6 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------- vectors
-
-def as_vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
 
 def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
@@ -76,7 +73,7 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -99,7 +96,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = tuple(as_vec(r) for r in rows)
+        data = tuple(tuple(Fraction(x) for x in r) for r in rows)
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -120,9 +117,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)
 
@@ -139,9 +133,6 @@ class Matrix:
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
                       tuple(vec_sub(a, b) for a, b in zip(self.data, other.data)))
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-ONE)
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols,
@@ -167,10 +158,11 @@ class Matrix:
 
     @staticmethod
     def from_flat(flat: Sequence[Fraction], rows: int, cols: int) -> "Matrix":
+        """Inverse of ``flatten``; the entries are taken as given."""
         if len(flat) != rows * cols:
             raise ValueError("flat length does not match the requested shape")
         return Matrix(rows, cols,
-                      tuple(as_vec(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
+                      tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.data)
@@ -189,9 +181,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.data))
-
-    def __iter__(self) -> Iterator[Vec]:
-        return iter(self.data)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -268,10 +257,6 @@ class SparseRref:
         for r in frows:
             self.add_row(r)
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(sorted(self.pivots))
 
@@ -303,7 +288,7 @@ class SparseRref:
 
 
 def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {c: v for c, v in enumerate(row) if v != 0}
+    return {c: v for c, v in enumerate(row) if v}
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -356,7 +341,6 @@ class Subspace:
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
         eng = SparseRref(ambient_dim)
         for v in vectors:
-            v = as_vec(v)
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has the wrong length")
             eng.add_row(_row_to_dict(v))
@@ -382,33 +366,32 @@ class Subspace:
         return self.basis.rows
 
     @functools.cached_property
-    def _pivot_cols(self) -> tuple[int, ...]:
+    def _pivot_rows(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        # pivot column -> nonzero (column, value) entries of its RREF row;
         # kept in the instance __dict__, outside the dataclass fields, so
         # equality and hashing still see only ambient_dim and basis
-        out = []
+        out = {}
         for r in self.basis.data:
-            for c, v in enumerate(r):
-                if v != 0:
-                    out.append(c)
-                    break
-        return tuple(out)
+            entries = tuple((c, x) for c, x in enumerate(r) if x)
+            out[entries[0][0]] = entries
+        return out
 
     def pivot_cols(self) -> tuple[int, ...]:
-        return self._pivot_cols
+        return tuple(self._pivot_rows)
 
     def residue(self, v: Sequence[Fraction]) -> Vec:
         """v reduced modulo the RREF basis: zero at every pivot column, and
-        zero everywhere exactly when v lies in the subspace."""
-        v = as_vec(v)
+        zero everywhere exactly when v lies in the subspace.  No pivot row
+        has an entry at another pivot, so only the rows at v's nonzero
+        pivot entries are read."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector has the wrong length")
         residue = list(v)
-        for p, row in zip(self.pivot_cols(), self.basis.data):
-            t = residue[p]
-            if t != 0:
-                for c, entry in enumerate(row):
-                    if entry != 0:
-                        residue[c] -= t * entry
+        for p, row in self._pivot_rows.items():
+            t = v[p]
+            if t:
+                for c, entry in row:
+                    residue[c] -= t * entry
         return tuple(residue)
 
     def coords_of(self, v: Sequence[Fraction]) -> Vec | None:

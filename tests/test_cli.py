@@ -89,6 +89,17 @@ def test_duplicate_target_index_is_io_error(simple3, tmp_path, capsys):
     assert code == IO_FAIL
 
 
+def test_duplicate_levi_index_fails_math(tmp_path, capsys):
+    path = tmp_path / "simple2.json"
+    run(capsys, "catalog", "simple", "--m", "2", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["levi"]["g"].append(doc["levi"]["g"][0])
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == MATH_FAIL
+    assert "declared index sets do not partition the basis" in err
+
+
 def test_decompose_needs_levi(tmp_path, capsys):
     path = tmp_path / "solv.json"
     code, _, _ = run(capsys, "catalog", "two_dim_solvable", "-o", str(path))

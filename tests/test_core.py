@@ -94,6 +94,12 @@ def test_is_lie():
     assert not two_dim_solvable().is_lie()
 
 
+def test_is_lie_exactly_when_squares_vanish():
+    for _, alg, _ in standard_catalog():
+        assert alg.is_lie() == (squares_ideal(alg).dim == 0)
+        assert core.squares_quotient(alg).algebra.is_lie()
+
+
 # -------------------------------------------------------------- identities
 
 def test_leibniz_check_accepts_catalog():
@@ -486,10 +492,16 @@ def test_validate_levi_accepts_catalog():
             validate_levi(alg, levi)
 
 
-def test_validate_levi_rejects_bad_partition():
+@pytest.mark.parametrize("levi", [
+    pytest.param(LeviDatum((0, 1), (2, 3, 4, 5)), id="g_too_small"),
+    # the index sets still cover the basis, but one index is listed twice
+    pytest.param(LeviDatum((0, 1, 2, 0), (3, 4, 5)), id="g_duplicate"),
+    pytest.param(LeviDatum((0, 1, 2), (3, 4, 5, 5)), id="i_duplicate"),
+])
+def test_validate_levi_rejects_bad_partition(levi):
     alg, _ = simple_sl2_leibniz(2)
     with pytest.raises(LeviError):
-        validate_levi(alg, LeviDatum((0, 1), (2, 3, 4, 5)))
+        validate_levi(alg, levi)
 
 
 def test_validate_levi_rejects_wrong_ideal_span():

@@ -198,6 +198,50 @@ def test_sum_with_self_is_identity(u):
     assert u.sum(u) == u
 
 
+def dense_residue(s: Subspace, v) -> tuple:
+    """Reference reduction: every dense RREF row in turn, read at its pivot
+    and subtracted across the whole vector."""
+    residue = [F(x) for x in v]
+    for row in s.basis.data:
+        p = next(c for c, x in enumerate(row) if x)
+        t = residue[p]
+        if t:
+            residue = [a - t * b for a, b in zip(residue, row)]
+    return tuple(residue)
+
+
+entries = st.one_of(rationals, st.integers(-9, 9))
+
+
+@given(subspaces(5), st.data())
+@settings(max_examples=60)
+def test_residue_matches_dense_reference(s, data):
+    coeffs = data.draw(st.lists(entries, min_size=s.dim, max_size=s.dim))
+    inside = tuple(sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), F(0))
+                   for k in range(5))
+    outside = tuple(data.draw(st.lists(entries, min_size=5, max_size=5)))
+    for v in (inside, outside):
+        r = s.residue(v)
+        assert r == dense_residue(s, v)
+        assert all(r[p] == 0 for p in s.pivot_cols())
+        assert s.contains(v) == (not any(r))
+        coords = s.coords_of(v)
+        if s.contains(v):
+            assert tuple(sum((c * row[k] for c, row in zip(coords, s.basis.data)), F(0))
+                         for k in range(5)) == v
+        else:
+            assert coords is None
+    assert s.coords_of(inside) == tuple(coeffs)
+
+
+def test_residue_rejects_wrong_length():
+    s = Subspace.from_vectors(3, [(1, 0, 1)])
+    with pytest.raises(ValueError):
+        s.residue((F(1), F(0)))
+    with pytest.raises(ValueError):
+        s.residue((1, 0, 1, 0))
+
+
 # ---------------------------------------------------------------- eigen
 
 def test_charpoly_companion_values():
