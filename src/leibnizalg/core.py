@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -777,6 +778,11 @@ def dump_algebra_json(alg: Algebra, levi: LeviDatum | None = None) -> str:
     return json.dumps(algebra_to_json_dict(alg, levi), indent=2) + "\n"
 
 
+# the schema's pattern for "c"; parse_rational alone would also take
+# "0.5", "1e3", " 2", "+1" and "1_0"
+_COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
@@ -824,6 +830,8 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
             _require(k not in seen_k, f"duplicate result index {k}")
             seen_k.add(k)
             _require(isinstance(term["c"], str), "coefficients must be strings")
+            _require(_COEFF_PATTERN.fullmatch(term["c"]) is not None,
+                     f"bad coefficient {term['c']!r}: not of the form p or p/q")
             try:
                 coeff = parse_rational(term["c"])
             except (ValueError, ZeroDivisionError) as exc:

@@ -637,7 +637,9 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
     pairs = []
     total = 0
     for lam in _rational_roots(charpoly(m)):
-        space = nullspace(m - Matrix.identity(n).scale(lam))
+        shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
+                        for i, row in enumerate(m.data))
+        space = nullspace(Matrix(n, n, shifted))
         pairs.append((lam, space))
         total += space.dim
     return EigenDecomposition(tuple(pairs), total == n)

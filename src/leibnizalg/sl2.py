@@ -19,7 +19,7 @@ from .exactlin import (
     Vec,
     ZERO,
     format_rational,
-    kernel_of_constraints,
+    nullspace,
     rational_eigen,
     unit_vec,
     vec_is_zero,
@@ -143,24 +143,22 @@ def highest_weight_vectors(
 ) -> tuple[HighestWeightVector, ...]:
     """Weight vectors killed by the right e-action, highest weight first.
 
-    Requires the weight decomposition to be complete, since otherwise part
-    of the module is invisible to rational weight spaces.
+    These are the h-weight vectors of ker(e|sub), one dimension per
+    irreducible component (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, §7.2).  ModuleError unless ``sub`` is invariant
+    under the right e-action and the kernel's weights are all rational.
+    Each weight space's basis is in ambient RREF, so within one weight the
+    vectors ascend by leading index, as ``ModuleDecomposition`` promises.
     """
-    spaces = weight_decomposition(alg, sub, t)
+    kernel = nullspace(_restricted_action(alg, sub, t.e))
+    top = Subspace.from_vectors(
+        sub.ambient_dim, [_to_ambient(sub, c) for c in kernel.basis.data])
+    spaces = weight_decomposition(alg, top, t)
     if not spaces.complete:
         raise ModuleError("weight decomposition is incomplete over the rationals")
-    found: list[HighestWeightVector] = []
-    for weight, space in sorted(spaces.pairs, key=lambda p: p[0], reverse=True):
-        rows = []
-        images = [alg.product(v, t.e) for v in space.basis.data]
-        for k in range(sub.ambient_dim):
-            row = {i: img[k] for i, img in enumerate(images) if img[k] != 0}
-            if row:
-                rows.append(row)
-        kernel = kernel_of_constraints(rows, space.dim)
-        for coeffs in kernel.basis.data:
-            found.append(HighestWeightVector(weight, _to_ambient(space, coeffs)))
-    return tuple(found)
+    return tuple(HighestWeightVector(weight, v)
+                 for weight, space in reversed(spaces.pairs)
+                 for v in space.basis.data)
 
 
 # ----------------------------------------------------------- decomposition
@@ -178,24 +176,15 @@ class ModuleDecomposition:
     highest_weights: tuple[int, ...]
 
 
-def _leading_index(v: Vec) -> int:
-    for i, x in enumerate(v):
-        if x != 0:
-            return i
-    return len(v)
-
-
 def irreducible_decomposition_sl2(
     alg: Algebra, sub: Subspace, t: Sl2Triple,
 ) -> ModuleDecomposition:
     """Decompose an invariant subspace by spinning highest-weight vectors
     down with the right f-action."""
-    hws = highest_weight_vectors(alg, sub, t)
-    ordered = sorted(hws, key=lambda hw: (-hw.weight, _leading_index(hw.vector)))
     components = []
     weights = []
     all_vectors: list[Vec] = []
-    for hw in ordered:
+    for hw in highest_weight_vectors(alg, sub, t):
         if hw.weight.denominator != 1 or hw.weight < 0:
             raise ModuleError(
                 f"highest weight {format_rational(hw.weight)} is not a "

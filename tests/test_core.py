@@ -1,8 +1,11 @@
 """Algebra core: identities, ideals, quotients, radicals, simplicity."""
 
 import gc
+import json
 from fractions import Fraction as F
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from leibnizalg import (
@@ -588,6 +591,33 @@ def test_json_rejects_unknown_keys_and_bad_values():
             {"left": 0, "right": 0, "result": [{"k": 0, "c": "x"}]}]})
     with pytest.raises(SchemaError):
         algebra_from_json_dict("not a dict")
+
+
+ALGEBRA_SCHEMA = json.loads(
+    (resources.files("leibnizalg") / "schemas" / "algebra.schema.json").read_text())
+
+
+@pytest.mark.parametrize("coeff, schema_ok, loads", [
+    ("0.5", False, False),
+    ("1e3", False, False),
+    (" 2", False, False),
+    ("+1", False, False),
+    ("1_0", False, False),
+    ("2/4", True, True),
+    ("-3/5", True, True),
+    ("7", True, True),
+    ("1/0", True, False),  # matches the pattern, but the denominator is zero
+])
+def test_json_coefficients_follow_the_schema(coeff, schema_ok, loads):
+    doc = {"name": "x", "dim": 1, "basis": ["a"], "products": [
+        {"left": 0, "right": 0, "result": [{"k": 0, "c": coeff}]}]}
+    assert jsonschema.Draft202012Validator(ALGEBRA_SCHEMA).is_valid(doc) == schema_ok
+    if loads:
+        alg, _ = load_algebra_json(json.dumps(doc))
+        assert alg.product(alg.basis_vector(0), alg.basis_vector(0)) == (F(coeff),)
+    else:
+        with pytest.raises(SchemaError):
+            load_algebra_json(json.dumps(doc))
 
 
 def test_json_levi_block_round_trip():

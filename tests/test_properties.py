@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
     Matrix,
+    Sl2Triple,
     Subspace,
     centroid,
     derivation_algebra,
     dump_algebra_json,
     graded_parts,
+    highest_weight_vectors,
+    irreducible_decomposition_sl2,
     is_derivation,
     leibniz_check,
     load_algebra_json,
@@ -53,14 +56,20 @@ def shear(n, i, j, c):
     return Matrix.from_rows(rows)
 
 
-def conjugate(alg, shears):
-    """Rewrite the table in the basis P e_0, ..., P e_{n-1}."""
-    n = alg.dim
+def shear_product(n, shears):
+    """P, the product of the shears in order, and its inverse."""
     p = identity_matrix(n)
     pinv = identity_matrix(n)
     for i, j, c in shears:
         p = p.mul(shear(n, i, j, c))
         pinv = shear(n, i, j, -c).mul(pinv)
+    return p, pinv
+
+
+def conjugate(alg, shears):
+    """Rewrite the table in the basis P e_0, ..., P e_{n-1}."""
+    n = alg.dim
+    p, pinv = shear_product(n, shears)
     cols = [p.apply(alg.basis_vector(i)) for i in range(n)]
     products = {}
     for i in range(n):
@@ -99,6 +108,45 @@ def test_change_of_basis_preserves_invariants(pair):
     assert squares_ideal(moved).dim == squares_ideal(alg).dim
     assert solvable_radical(moved).dim == solvable_radical(alg).dim
     assert derivation_algebra(moved).dim == derivation_algebra(alg).dim
+
+
+SL2_MODULES = [
+    ("simple_m2", lambda: simple_sl2_leibniz(2)),
+    ("simple_m3", lambda: simple_sl2_leibniz(3)),
+    ("simple_m4", lambda: simple_sl2_leibniz(4)),
+    ("pair_m1", lambda: semisimple_pair(1)),
+]
+
+
+@given(st.sampled_from(SL2_MODULES), st.data())
+@settings(max_examples=30)
+def test_highest_weights_survive_change_of_basis(entry, data):
+    # shears that mix the semisimple part into the ideal make the weight
+    # operator non-diagonal on the squares ideal
+    _, maker = entry
+    alg, levi = maker()
+    n = alg.dim
+    index = st.integers(0, n - 1)
+    shears = data.draw(st.lists(
+        st.tuples(index, index, small_rationals).filter(lambda s: s[0] != s[1]),
+        min_size=1, max_size=4))
+    moved = conjugate(alg, shears)
+    _, pinv = shear_product(n, shears)
+    sq, moved_sq = squares_ideal(alg), squares_ideal(moved)
+    for indices in levi.sl2_triples:
+        t = Sl2Triple.from_indices(n, indices)
+        moved_t = Sl2Triple(pinv.apply(t.e), pinv.apply(t.f), pinv.apply(t.h))
+        dec = irreducible_decomposition_sl2(alg, sq, t)
+        moved_dec = irreducible_decomposition_sl2(moved, moved_sq, moved_t)
+        assert moved_dec.highest_weights == dec.highest_weights
+        for hw in highest_weight_vectors(moved, moved_sq, moved_t):
+            assert not any(moved.product(hw.vector, moved_t.e))
+            assert moved.product(hw.vector, moved_t.h) == \
+                tuple(hw.weight * x for x in hw.vector)
+        for comp in moved_dec.components:
+            for v in comp.basis.data:
+                for g in (moved_t.e, moved_t.f, moved_t.h):
+                    assert comp.contains(moved.product(v, g))
 
 
 @given(st.sampled_from(SMALL_ALGEBRAS), st.data())

@@ -1,6 +1,7 @@
 """Module structure over sl2 triples: weights, highest-weight spins,
 irreducible decompositions, and the paired-column report."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from leibnizalg.catalog import (
     semisimple_pair,
     simple_sl2_leibniz,
     sl2,
+    standard_catalog,
 )
 
 
@@ -138,6 +140,16 @@ def test_two_copies_give_two_lines():
     assert [c.dim for c in dec.components] == [m + 1, m + 1]
 
 
+def test_e_non_invariant_subspace_raises():
+    # span(f) is h-invariant, but [f, e] = -h leaves it
+    alg, levi = sl2()
+    span_f = Subspace.coordinate(3, (1,))
+    t = triple_of(alg, levi)
+    assert weight_decomposition(alg, span_f, t).weights() == (F(-2),)
+    with pytest.raises(ModuleError, match="not invariant"):
+        highest_weight_vectors(alg, span_f, t)
+
+
 def test_zero_module_no_lines():
     alg, levi = sl2()
     assert highest_weight_vectors(
@@ -225,6 +237,45 @@ def test_decomposition_sums_to_subspace():
         assert total.sum(comp).dim == total.dim + comp.dim
         total = total.sum(comp)
     assert total == sq
+
+
+def sweep_subspaces(n, rng):
+    """Seeded coordinate subspaces and spans of small random vectors."""
+    yield Subspace.full(n)
+    for _ in range(12):
+        yield Subspace.coordinate(n, rng.sample(range(n), rng.randint(1, n)))
+    for _ in range(12):
+        yield Subspace.from_vectors(n, [
+            tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            for _ in range(rng.randint(1, 3))])
+
+
+WITH_TRIPLES = [entry for entry in standard_catalog() if entry[2] is not None]
+
+
+@pytest.mark.parametrize("name, alg, levi", WITH_TRIPLES,
+                         ids=[entry[0] for entry in WITH_TRIPLES])
+def test_decomposition_certified_or_refused(name, alg, levi):
+    rng = random.Random(sum(map(ord, name)))
+    successes = 0
+    for which in range(len(levi.sl2_triples)):
+        t = triple_of(alg, levi, which)
+        for sub in [squares_ideal(alg), *sweep_subspaces(alg.dim, rng)]:
+            try:
+                dec = irreducible_decomposition_sl2(alg, sub, t)
+            except ModuleError:
+                continue
+            successes += 1
+            total = Subspace.zero(alg.dim)
+            for comp, w in zip(dec.components, dec.highest_weights):
+                assert comp.dim == w + 1
+                for v in comp.basis.data:
+                    for g in (t.e, t.f, t.h):
+                        assert comp.contains(alg.product(v, g))
+                assert total.sum(comp).dim == total.dim + comp.dim
+                total = total.sum(comp)
+            assert total == sub
+    assert successes >= len(levi.sl2_triples)  # the squares ideal at least
 
 
 # ------------------------------------------------------------- pair report

@@ -6,8 +6,11 @@ sparse kernel takes 0.03 s and 0.15 s there.  On the same machine
 ``irreducible_decomposition_sl2`` of the squares ideal of
 ``simple_sl2_leibniz(m)`` ran past 60 s at m = 20 while the rational
 eigenvalues of h were found by a divisor search of the charpoly's constant
-term; with exact root isolation it takes about 0.3 s at m = 20 and 0.5 s at
-m = 24.  The bound is loose on purpose, because the speed of a shared
+term; with exact root isolation it took about 0.3 s at m = 20 and 0.5 s at
+m = 24.  It then still solved the weight eigenproblem of the whole ideal:
+7.9 s at m = 48, and 7.6 s for ``is_simple_certified``.  Taking the
+highest weights from the kernel of e brings both to about 0.01 s and 0.2 s
+at m = 48.  The bound is loose on purpose, because the speed of a shared
 machine varies.
 """
 
@@ -18,6 +21,7 @@ import pytest
 from leibnizalg import (
     Sl2Triple,
     irreducible_decomposition_sl2,
+    is_simple_certified,
     leibniz_check,
     split_all,
     squares_ideal,
@@ -48,11 +52,18 @@ def test_split_all_pair12_within_bound():
     assert seconds < BOUND_S
 
 
-@pytest.mark.parametrize("m", [20, 24])
+@pytest.mark.parametrize("m", [20, 24, 48])
 def test_sl2_decomposition_within_bound(m):
     alg, levi = simple_sl2_leibniz(m)
     sq = squares_ideal(alg)
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
     dec, seconds = timed(lambda: irreducible_decomposition_sl2(alg, sq, triple))
     assert dec.highest_weights == (m,)
+    assert seconds < BOUND_S
+
+
+def test_simple_certified_m48_within_bound():
+    alg, levi = simple_sl2_leibniz(48)
+    cert, seconds = timed(lambda: is_simple_certified(alg, levi))
+    assert cert.verdict == "yes"
     assert seconds < BOUND_S
