@@ -144,6 +144,8 @@ def direct_sum_sample(m: int = 2) -> tuple[Algebra, LeviDatum]:
 def build(spec: CatalogSpec, allow_uncertified: bool = False) -> tuple[Algebra, LeviDatum | None]:
     """Construct the requested member; the split datum is None only for
     fixtures that do not declare one."""
+    if spec.family in ("sl2", "two_dim_solvable") and spec.m is not None:
+        raise ValueError(f"family {spec.family} takes no parameter m")
     if spec.family == "sl2":
         return sl2()
     if spec.family == "two_dim_solvable":

@@ -204,14 +204,17 @@ class LeviDatum:
         object.__setattr__(self, "sl2_triples",
                            tuple(tuple(t) for t in self.sl2_triples))
 
+    def partitions(self, n: int) -> bool:
+        """Do the index lists together list 0, ..., n - 1 once each?"""
+        return sorted(self.g_indices + self.i_indices) == list(range(n))
+
 
 def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
     """Raise LeviError unless the declared split holds for this algebra."""
     n = alg.dim
-    g, i_part = set(levi.g_indices), set(levi.i_indices)
-    if (g & i_part or g | i_part != set(range(n))
-            or len(levi.g_indices) + len(levi.i_indices) != n):
+    if not levi.partitions(n):
         raise LeviError("declared index sets do not partition the basis")
+    i_part = set(levi.i_indices)
     for a in levi.g_indices:
         for b in levi.g_indices:
             if any(k in i_part for k, _ in alg.c(a, b)):
@@ -443,19 +446,9 @@ def _quotient_by(alg: Algebra, ideal: Subspace) -> Quotient:
 
 # ------------------------------------------------------------ Killing form
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """Symmetric bilinear form by its Gram matrix on the basis."""
-
-    gram: Matrix
-
-    def __post_init__(self):
-        if self.gram != self.gram.transpose():
-            raise ValueError("Gram matrix is not symmetric")
-
-
-def killing_form(alg: Algebra) -> BilinearForm:
-    """Trace form of composed multiplications; requires a Lie algebra."""
+def killing_form(alg: Algebra) -> Matrix:
+    """Gram matrix of the trace form of composed multiplications, symmetric
+    by construction; requires a Lie algebra."""
     if not alg.is_lie():
         raise StructureError("Killing form requested on a non-Lie algebra")
     n = alg.dim
@@ -471,7 +464,7 @@ def killing_form(alg: Algebra) -> BilinearForm:
             gram[i][j] = gram[j][i] = sum(
                 (a * mj[l].get(k, ZERO) for k, row in mults[i].items()
                  for l, a in row.items() if l in mj), ZERO)
-    return BilinearForm(Matrix(n, n, tuple(map(tuple, gram))))
+    return Matrix(n, n, tuple(map(tuple, gram)))
 
 
 # ---------------------------------------------------------------- radical
@@ -487,7 +480,7 @@ def solvable_radical(alg: Algebra) -> Subspace:
     sq, qalg = quo.ideal, quo.algebra
     if not qalg.is_lie():
         raise StructureError("quotient by the squares ideal is not Lie")
-    gram = killing_form(qalg).gram
+    gram = killing_form(qalg)
     derived = derived_subalgebra(qalg)
     constraint_rows = []
     for w in derived.basis.data:
@@ -600,12 +593,12 @@ def simple_summands(alg: Algebra) -> SummandSplit:
     cents = centroid(alg)
     want = len(cents)
     for t in range(1, _SWEEP_LIMIT + 1):
-        cand = Matrix.zeros(n, n)
-        weight = 1
-        for c in cents:
-            cand = cand + c.scale(Fraction(weight))
-            weight *= t
-        eigen = rational_eigen(cand)
+        flat = [ZERO] * (n * n)
+        for power, c in enumerate(cents):
+            for idx, x in enumerate(c.flatten()):
+                if x:
+                    flat[idx] += t ** power * x
+        eigen = rational_eigen(Matrix.from_flat(flat, n, n))
         if not eigen.complete or len(eigen.pairs) != want:
             continue
         spaces = tuple(space for _, space in eigen.pairs)

@@ -25,7 +25,6 @@ from .exactlin import (
     kernel_of_constraints,
     solve,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -157,10 +156,10 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
     n = m.rows
     if m.cols != n:
         raise ValueError("grading requires a square matrix")
+    if not levi.partitions(n):
+        raise ValueError("declared index sets do not partition the basis")
     g_set = set(levi.g_indices)
     i_set = set(levi.i_indices)
-    if g_set | i_set != set(range(n)):
-        raise ValueError("declared split does not cover this dimension")
     diag = [[ZERO] * n for _ in range(n)]
     raise_ = [[ZERO] * n for _ in range(n)]
     lower = [[ZERO] * n for _ in range(n)]
@@ -225,19 +224,24 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     for s, value in zip(g_list, a_coords):
         a_full[s] = value
     inner_element = tuple(a_full)
-    inner = alg.right_mult(inner_element)
-    endo = parts.diagonal - inner
+    inner = alg.right_mult(inner_element).data
+    # the diagonal part minus R(a), subtracted at R(a)'s nonzero entries only
+    endo_rows = [[d - i if i else d for d, i in zip(d_row, i_row)]
+                 for d_row, i_row in zip(parts.diagonal.data, inner)]
     for c in g_list:
         for r in range(n):
-            if endo.data[r][c] != 0:
+            if endo_rows[r][c] != 0:
                 raise StructureError(
                     "leftover diagonal part does not vanish on the complement")
+    endo = Matrix(n, n, tuple(map(tuple, endo_rows)))
     if not check_module_endomorphism(alg, endo):
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
-    reconstructed = inner + endo + parts.raising
-    if reconstructed != m:
-        raise StructureError("split does not reconstruct the derivation")
+    # entrywise inner + endo + raising == m, adding only where a term is nonzero
+    for rows in zip(m.data, inner, endo.data, parts.raising.data):
+        for w, i, e, x in zip(*rows):
+            if (w or i or e or x) and i + e + x != w:
+                raise StructureError("split does not reconstruct the derivation")
     return DerivationSplit(inner_element, endo, parts.raising, m)
 
 
@@ -297,7 +301,7 @@ def ideal_endo_blocks(
         raise ValueError("components are not independent")
     coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
     for v in stacked:
-        residue = tagged.residue(endo.apply(v) + zero_vec(total))
+        residue = tagged.residue(endo.apply(v) + (ZERO,) * total)
         if any(residue[:n]):
             raise ValueError(
                 "endomorphism image leaves the span of the components")

@@ -5,12 +5,14 @@ Everything here is deterministic and exact.  Matrices hold
 row echelon form, and a subspace is identified with its canonical RREF
 basis, so equality of subspaces is literal equality of matrices.
 
-The elimination engine works on sparse integer rows (denominators are
-cleared, rows are kept primitive), which keeps intermediate entries small
-and makes kernels of large, very sparse constraint systems cheap.  Outside
-values become Fractions at the edge, in ``parse_rational`` and
-``Matrix.from_rows``; everything else takes entries as given (Fraction or
-int) and never re-wraps an exact vector.
+The computations run on sparse integer rows.  The elimination engine
+clears denominators and keeps each row primitive, which keeps intermediate
+entries small and makes kernels of large, very sparse constraint systems
+cheap; ``charpoly`` clears one denominator for the whole matrix and runs
+Berkowitz's recursion on the nonzero entries.  ``Matrix`` is the value
+type that crosses the API.  Outside values become Fractions at the edge,
+in ``parse_rational`` and ``Matrix.from_rows``; everything else takes
+entries as given (Fraction or int) and never re-wraps an exact vector.
 """
 
 from __future__ import annotations
@@ -45,20 +47,10 @@ def format_rational(q: Fraction) -> str:
 
 # ---------------------------------------------------------------- vectors
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     if not 0 <= i < n:
         raise IndexError(f"unit vector index {i} out of range for dimension {n}")
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
@@ -85,7 +77,14 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # ---------------------------------------------------------------- matrices
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of Fractions: the API's value type for maps.
+
+    Computations read the entries and work on sparse rows; none adds,
+    scales or multiplies Matrix objects.  ``+``, ``scale``, ``mul``,
+    ``transpose`` and ``dot`` (with ``Algebra.right_mult``/``left_mult``)
+    stay as the dense reference tests compare against: acceptance tests
+    rebuild splits with ``+``, property tests conjugate with ``mul``.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -109,11 +108,6 @@ class Matrix:
         return Matrix(0, cols, ())
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        row = zero_vec(cols)
-        return Matrix(rows, cols, tuple(row for _ in range(rows)))
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
@@ -125,14 +119,11 @@ class Matrix:
                       tuple(self.col(j) for j in range(self.cols)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+        if self.shape() != other.shape():
+            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
         return Matrix(self.rows, self.cols,
-                      tuple(vec_add(a, b) for a, b in zip(self.data, other.data)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(vec_sub(a, b) for a, b in zip(self.data, other.data)))
+                      tuple(tuple(a + b for a, b in zip(r, s))
+                            for r, s in zip(self.data, other.data)))
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols,
@@ -141,7 +132,7 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        tcols = other.transpose().data
+        tcols = [other.col(j) for j in range(other.cols)]
         return Matrix(self.rows, other.cols,
                       tuple(tuple(dot(r, c) for c in tcols) for r in self.data))
 
@@ -169,10 +160,6 @@ class Matrix:
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix)
@@ -424,32 +411,42 @@ class Subspace:
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Coefficients of det(x·I - m), monic, highest degree first.
 
-    Division-free (Berkowitz) recursion, so intermediate values stay in the
-    subring generated by the entries.
+    Berkowitz's division-free recursion (Inf. Process. Lett. 18, 1984) on
+    sparse integer columns.  B = den·m, with den the lcm of every
+    denominator, is integral, and coefficient i of det(x·I - B) is den**i
+    times that of m: one common scale, not one per row.  Products skip
+    zero entries, and a step stops once its row or vector has vanished, so
+    each step of a triangular matrix is a linear factor.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    p: list[Fraction] = [ONE]
-    a_data = m.data
-    for k in range(1, n + 1):
-        a = a_data[k - 1][k - 1]
-        r = a_data[k - 1][:k - 1]
-        c = tuple(a_data[t][k - 1] for t in range(k - 1))
-        sub = tuple(a_data[t][:k - 1] for t in range(k - 1))
-        t_col: list[Fraction] = [ONE, -a]
-        v = c
-        for _ in range(k - 1):
-            t_col.append(-dot(r, v))
-            v = tuple(dot(row, v) for row in sub)
-        new_p = []
-        for i in range(k + 1):
-            acc = ZERO
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc += t_col[i - j] * p[j]
-            new_p.append(acc)
+    den = math.lcm(*(x.denominator for row in m.data for x in row if x))
+    # cols[j]: (i, entry (i, j) of B) for its nonzero entries, i ascending
+    cols = [[(i, int(row[j] * den)) for i, row in enumerate(m.data) if row[j]]
+            for j in range(m.cols)]
+    p = [1]  # det(x·I - B_k) for the leading k×k block B_k of B
+    for k, col in enumerate(cols):
+        # B_(k+1) = [[B_k, c], [r, a]]; the Toeplitz column 1, -a, -r·c,
+        # -r·B_k·c, ... is zero after -a if r = 0, and from the first
+        # vanished B_k^s·c on
+        r = {j: int(x * den) for j, x in enumerate(m.data[k][:k]) if x}
+        t_col = [1, -int(m.data[k][k] * den)]
+        v = {i: x for i, x in col if i < k}
+        while r and v and len(t_col) < k + 2:
+            t_col.append(-sum(r[i] * x for i, x in v.items() if i in r))
+            w: dict[int, int] = {}
+            for t, x in v.items():
+                for i, b in cols[t]:
+                    if i >= k:
+                        break
+                    w[i] = w.get(i, 0) + b * x
+            v = {i: x for i, x in w.items() if x}
+        new_p = [0] * (k + 2)
+        for d, td in enumerate(t_col):
+            for j, pj in enumerate(p[:k + 2 - d]):
+                new_p[d + j] += td * pj
         p = new_p
-    return tuple(p)
+    return tuple(Fraction(c, den ** i) for i, c in enumerate(p))
 
 
 def _primitive_poly(p: list[int]) -> list[int]:

@@ -128,6 +128,14 @@ def test_catalog_rejects_bad_m(capsys):
     assert code == IO_FAIL
 
 
+@pytest.mark.parametrize("family", ["sl2", "two_dim_solvable"])
+def test_catalog_rejects_m_for_fixed_families(family, capsys):
+    code, out, err = run(capsys, "catalog", family, "--m", "3")
+    assert code == IO_FAIL
+    assert out == ""
+    assert err.startswith("catalog: ") and "takes no parameter m" in err
+
+
 # ------------------------------------------------------------- text output
 
 def test_derive_dimension_line(simple3, capsys):

@@ -240,10 +240,10 @@ def test_killing_form_sl2_values():
     alg, _ = sl2()
     k = killing_form(alg)
     e, f, h = range(3)
-    assert k.gram.data[e][f] == F(-4)
-    assert k.gram.data[f][e] == F(-4)
-    assert k.gram.data[h][h] == F(8)
-    assert k.gram == Matrix.from_rows(
+    assert k.data[e][f] == F(-4)
+    assert k.data[f][e] == F(-4)
+    assert k.data[h][h] == F(8)
+    assert k == Matrix.from_rows(
         [[0, -4, 0], [-4, 0, 0], [0, 0, 8]])
 
 
@@ -272,7 +272,7 @@ def test_killing_form_matches_direct_trace(label):
         for j in range(n):
             composed = mi.mul(alg.right_mult(alg.basis_vector(j)))
             trace = sum((composed.data[t][t] for t in range(n)), F(0))
-            assert k.gram.data[i][j] == trace
+            assert k.data[i][j] == trace
 
 
 def test_killing_form_requires_lie():

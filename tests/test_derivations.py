@@ -34,7 +34,7 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
-from leibnizalg.core import Algebra
+from leibnizalg.core import Algebra, LeviDatum
 from leibnizalg.sl2 import Sl2Triple
 
 
@@ -163,6 +163,26 @@ def test_lowering_detector():
     bad = Matrix.from_rows(rows)
     with pytest.raises(LoweringBlockNonZero):
         split_derivation(alg, levi, bad)
+
+
+BAD_SPLITS = {
+    "uncovered": ((0, 1, 2), (3, 4)),
+    "overlap": ((0, 1, 2, 3), (3, 4, 5)),
+    "duplicate": ((0, 1, 2), (3, 4, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_SPLITS))
+@pytest.mark.parametrize("entry", ["graded_parts", "split_derivation"])
+def test_split_must_partition_the_basis(label, entry):
+    alg, _ = simple_sl2_leibniz(2)
+    levi = LeviDatum(*BAD_SPLITS[label])
+    d = derivation_algebra(alg).maps[0]
+    with pytest.raises(ValueError, match="declared index sets do not partition the basis"):
+        if entry == "graded_parts":
+            graded_parts(levi, d)
+        else:
+            split_derivation(alg, levi, d)
 
 
 # ------------------------------------------------------------------- split

@@ -5,6 +5,7 @@ properties cross-check against sympy, an independent implementation.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from leibnizalg.exactlin import (
     rational_eigen,
     solve,
 )
+from leibnizalg.catalog import simple_sl2_leibniz
 from leibnizalg.exactlin import _rational_roots, _root_bound
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -395,9 +397,8 @@ def test_rational_eigen_fractional_eigenvalue():
 def test_eigenvectors_are_eigenvectors(m):
     ed = rational_eigen(m)
     for lam, space in ed.pairs:
-        shifted = m - Matrix.identity(m.rows).scale(lam)
         for v in space.basis.data:
-            assert all(x == 0 for x in shifted.apply(v))
+            assert m.apply(v) == tuple(lam * x for x in v)
 
 
 @given(st.integers(2, 4).flatmap(square_matrices))
@@ -411,6 +412,126 @@ def test_eigenvalues_match_sympy_rational_roots(m):
     }
     sym = {F(int(r.p), int(r.q)) for r in sym}
     assert ours == sym
+
+
+# ------------------------------------------- Berkowitz on sparse integer rows
+# charpoly clears one denominator for the whole matrix, multiplies only
+# nonzero entries and ends a step once its vector has vanished; each case
+# below drives one of those branches and is checked against sympy.
+
+def assert_eigen_matches_sympy(m: Matrix):
+    """charpoly is sympy's, and rational_eigen has exactly sympy's rational
+    eigenvalues, ascending, with the same eigenspaces."""
+    x = sympy.Symbol("x")
+    sm = to_sympy(m)
+    poly = sympy.Poly(sm.charpoly(x), x)
+    assert [sympy.Rational(c.numerator, c.denominator)
+            for c in charpoly(m)] == poly.all_coeffs()
+    spaces = {}
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            lam = -b / a
+            vecs = (sm - lam * sympy.eye(m.rows)).nullspace()
+            spaces[F(int(lam.p), int(lam.q))] = Subspace.from_vectors(
+                m.rows, [[F(int(c.p), int(c.q)) for c in v] for v in vecs])
+    ed = rational_eigen(m)
+    assert [lam for lam, _ in ed.pairs] == sorted(spaces)
+    assert dict(ed.pairs) == spaces
+    assert ed.complete == (sum(s.dim for s in spaces.values()) == m.rows)
+
+
+def test_charpoly_clears_one_denominator_for_the_whole_matrix():
+    # (x - 1/2)(x - 3); making each row primitive on its own would turn
+    # diag(1/2, 3) into the identity, whose polynomial is (x - 1)^2
+    m = Matrix.from_rows([[F(1, 2), 0], [0, 3]])
+    assert charpoly(m) == (F(1), F(-7, 2), F(3, 2))
+    assert_eigen_matches_sympy(m)
+
+
+@given(st.lists(rationals, min_size=1, max_size=10))
+@settings(max_examples=25)
+def test_berkowitz_diagonal_matches_sympy(diag):
+    n = len(diag)
+    assert_eigen_matches_sympy(Matrix.from_rows(
+        [[d if r == c else 0 for c in range(n)] for r, d in enumerate(diag)]))
+
+
+@st.composite
+def permuted_block_triangular(draw):
+    """P·A·P^T for A block upper triangular (dense diagonal blocks of size
+    1-3, sparse blocks above) and P a permutation."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    a = [[draw(rationals) if block[r] == block[c]
+          or (block[r] < block[c] and draw(st.booleans())) else F(0)
+          for c in range(n)] for r in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return Matrix.from_rows([[a[perm[r]][perm[c]] for c in range(n)]
+                             for r in range(n)])
+
+
+@given(permuted_block_triangular())
+@settings(max_examples=25)
+def test_berkowitz_permuted_block_triangular_matches_sympy(m):
+    assert_eigen_matches_sympy(m)
+
+
+def test_berkowitz_vector_vanishing_mid_step():
+    # at the last step c = e_1 and the leading block is the nilpotent shift,
+    # so B_3·c = e_0 and B_3^2·c = 0 before the Toeplitz column is full
+    m = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [1, 2, 3, 5]])
+    assert_eigen_matches_sympy(m)
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    n = draw(st.integers(6, 10))
+    return Matrix.from_rows([[draw(rationals) if draw(st.integers(0, 4)) == 0
+                              else F(0) for _ in range(n)] for _ in range(n)])
+
+
+@given(sparse_square_matrices())
+@settings(max_examples=20)
+def test_berkowitz_sparse_matches_sympy(m):
+    assert_eigen_matches_sympy(m)
+
+
+mixed_denominators = st.builds(
+    F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 12]))
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(mixed_denominators, min_size=n, max_size=n),
+    min_size=n, max_size=n).map(Matrix.from_rows)))
+@settings(max_examples=25)
+def test_berkowitz_mixed_denominators_match_sympy(m):
+    assert_eigen_matches_sympy(m)
+
+
+@pytest.mark.parametrize("m, seed", [(2, 1), (4, 2), (6, 3)])
+def test_berkowitz_conjugated_weight_operator(m, seed):
+    # h acting on the squares ideal of simple_sl2_leibniz(m) is diagonal;
+    # a dense random change of basis P^-1·H·P leaves no zero to skip
+    alg, levi = simple_sl2_leibniz(m)
+    ideal = levi.i_indices
+    rh = alg.right_mult(alg.basis_vector(levi.sl2_triples[0][2]))
+    weight_op = to_sympy(Matrix.from_rows(
+        [[rh.data[r][c] for c in ideal] for r in ideal]))
+    rng = random.Random(seed)
+    k = len(ideal)
+    p = sympy.zeros(k, k)
+    while p.det() == 0:
+        p = sympy.Matrix(k, k, lambda r, c: sympy.Rational(
+            rng.randint(-5, 5), rng.randint(1, 3)))
+    conj = p.inv() * weight_op * p
+    dense = Matrix.from_rows([[F(int(x.p), int(x.q)) for x in conj.row(r)]
+                              for r in range(k)])
+    assert_eigen_matches_sympy(dense)
+    ed = rational_eigen(dense)
+    assert [lam for lam, _ in ed.pairs] == list(range(-m, m + 1, 2))
+    assert ed.complete
 
 
 def test_matrix_flatten_round_trip():
