@@ -25,13 +25,13 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    ONE,
     ZERO,
     format_rational,
     kernel_of_constraints,
     parse_rational,
     rational_eigen,
     unit_vec,
-    vec_is_zero,
 )
 
 TableEntry = tuple[int, Fraction]
@@ -63,7 +63,8 @@ class Algebra:
     holds what ``per_algebra`` functions derive, so it dies with the algebra.
     """
 
-    __slots__ = ("dim", "name", "basis_names", "_table", "_by_left", "_key", "_cache")
+    __slots__ = ("dim", "name", "basis_names", "_table", "_by_left", "_by_right",
+                 "_key", "_cache")
 
     def __init__(
         self,
@@ -96,10 +97,15 @@ class Algebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self._table = table
+        # _by_left[i] lists (j, entries of [e_i, e_j]), _by_right[j] lists
+        # (i, entries of [e_i, e_j]), each by ascending other index
         by_left: dict[int, list[tuple[int, tuple[TableEntry, ...]]]] = {}
+        by_right: dict[int, list[tuple[int, tuple[TableEntry, ...]]]] = {}
         for (i, j), entries in sorted(table.items()):
             by_left.setdefault(i, []).append((j, entries))
+            by_right.setdefault(j, []).append((i, entries))
         self._by_left = by_left
+        self._by_right = by_right
         self._key = (dim, basis_names, tuple(sorted(table.items())))
         self._cache: dict = {}
 
@@ -115,28 +121,12 @@ class Algebra:
     def basis_vector(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        out = [ZERO] * self.dim
-        for k, coeff in self.c(i, j):
-            out[k] = coeff
-        return tuple(out)
-
     def product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the dimension")
-        out = [ZERO] * self.dim
-        for i, row in self._by_left.items():
-            xi = x[i]
-            if xi == 0:
-                continue
-            for j, entries in row:
-                a = xi * y[j]
-                if a == 0:
-                    continue
-                for k, coeff in entries:
-                    out[k] += a * coeff
-        return tuple(out)
+        out = _product(self, {i: a for i, a in enumerate(x) if a}, dict(enumerate(y)))
+        return tuple(out.get(k, ZERO) for k in range(self.dim))
 
     def right_mult(self, z: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> [x, z] in the given basis."""
@@ -226,6 +216,8 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
         raise LeviError("declared ideal indices do not span the ideal of squares")
     from .sl2 import Sl2Triple, check_sl2_triple
     for t in levi.sl2_triples:
+        if len(t) != 3 or not all(0 <= i < n for i in t):
+            raise LeviError(f"declared triple {t} is not three basis indices")
         triple = Sl2Triple.from_indices(n, t)
         bad = check_sl2_triple(alg, levi, triple)
         if bad:
@@ -290,25 +282,47 @@ def ensure_leibniz(alg: Algebra) -> None:
 
 # ------------------------------------------------------------------ ideals
 
-def _basis_products(alg: Algebra, sub: Subspace) -> Iterator[tuple[Vec, Vec]]:
-    """([v, e_j], [e_j, v]) for each basis vector v of sub and each j in turn.
+def _accumulate(acc: dict[int, Fraction], x: Fraction,
+                entries: Iterable[TableEntry]) -> None:
+    """acc += x·entries, entries being (index, coefficient) pairs; sums that
+    cancel stay as explicit zeros, which ``Subspace.span`` and
+    ``Subspace.reduce`` accept."""
+    for k, coeff in entries:
+        acc[k] = acc.get(k, ZERO) + x * coeff
+
+
+def _product(alg: Algebra, u: Mapping[int, Fraction],
+             v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """[u, v] for sparse rows, contracted from the table's nonzero entries."""
+    out: dict[int, Fraction] = {}
+    for i, x in u.items():
+        for j, entries in alg._by_left.get(i, ()):
+            y = v.get(j)
+            if y:
+                _accumulate(out, x * y, entries)
+    return out
+
+
+def _basis_products(alg: Algebra, sub: Subspace
+                    ) -> Iterator[tuple[dict[int, Fraction], dict[int, Fraction]]]:
+    """([v, e_j], [e_j, v]) as sparse rows for each basis vector v of sub and
+    each j in turn.
 
     The one closure test behind every ideal check: sub is a two-sided ideal
-    exactly when it contains both products of every pair.  Each product is
-    contracted from the table's nonzero entries (``_action_tables``).
+    exactly when it contains both products of every pair.  Both images, for
+    every j, come from one pass over v's nonzero coordinates l, reading the
+    table entries [e_l, e_j] and [e_j, e_l].
     """
-    n = alg.dim
-    right_by, left_by = _action_tables(alg)
-
-    def image(by_result: dict[int, list[TableEntry]], v: Vec) -> Vec:
-        out = [ZERO] * n
-        for k, entries in by_result.items():
-            out[k] = sum((coeff * v[l] for l, coeff in entries if v[l]), ZERO)
-        return tuple(out)
-
-    for v in sub.basis.data:
-        for j in range(n):
-            yield image(right_by.get(j, {}), v), image(left_by.get(j, {}), v)
+    for v in sub.pivot_rows.values():
+        right: dict[int, dict[int, Fraction]] = {}
+        left: dict[int, dict[int, Fraction]] = {}
+        for l, x in v.items():
+            for j, entries in alg._by_left.get(l, ()):
+                _accumulate(right.setdefault(j, {}), x, entries)
+            for j, entries in alg._by_right.get(l, ()):
+                _accumulate(left.setdefault(j, {}), x, entries)
+        for j in range(alg.dim):
+            yield right.get(j, {}), left.get(j, {})
 
 
 def _square_sums(alg: Algebra) -> Iterator[dict[int, Fraction]]:
@@ -317,15 +331,14 @@ def _square_sums(alg: Algebra) -> Iterator[dict[int, Fraction]]:
     squares, and each is a difference of squares."""
     for i, j in {(min(pair), max(pair)) for pair in alg._table}:
         acc: dict[int, Fraction] = {}
-        for k, coeff in alg.c(i, j) + alg.c(j, i):
-            acc[k] = acc.get(k, ZERO) + coeff
+        _accumulate(acc, ONE, alg.c(i, j) + alg.c(j, i))
         sums = {k: v for k, v in acc.items() if v}
         if sums:
             yield sums
 
 
 def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
-    return all(sub.contains(right) and sub.contains(left)
+    return all(not sub.reduce(right) and not sub.reduce(left)
                for right, left in _basis_products(alg, sub))
 
 
@@ -333,40 +346,22 @@ def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
 def squares_ideal(alg: Algebra) -> Subspace:
     """Span of all squares [x, x], verified to be a left-annihilated ideal."""
     ensure_leibniz(alg)
-    n = alg.dim
-    span = Subspace.from_vectors(
-        n, [tuple(s.get(k, ZERO) for k in range(n)) for s in _square_sums(alg)])
+    span = Subspace.span(alg.dim, _square_sums(alg))
     for right, left in _basis_products(alg, span):
-        if not span.contains(right):
+        if span.reduce(right):
             raise StructureError(
                 "span of squares is not closed under right multiplication")
-        if not vec_is_zero(left):
+        if any(left.values()):
             raise StructureError(
                 "left multiplication does not annihilate the span of squares")
     return span
 
 
-def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
-    """Smallest two-sided ideal containing the given subspace."""
-    if seed.ambient_dim != alg.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    current = seed
-    while True:
-        gens = list(current.basis.data)
-        for pair in _basis_products(alg, current):
-            gens.extend(pair)
-        bigger = Subspace.from_vectors(alg.dim, gens)
-        if bigger == current:
-            return current
-        current = bigger
-
-
 def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     """Span of all products of elements of the given subspace (default: all)."""
-    if sub is None:
-        sub = Subspace.full(alg.dim)
-    gens = [alg.product(u, v) for u in sub.basis.data for v in sub.basis.data]
-    return Subspace.from_vectors(alg.dim, gens)
+    rows = ([{i: ONE} for i in range(alg.dim)] if sub is None
+            else list(sub.pivot_rows.values()))
+    return Subspace.span(alg.dim, (_product(alg, u, v) for u in rows for v in rows))
 
 
 def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace]:
@@ -410,6 +405,13 @@ class Quotient:
         return tuple(out)
 
 
+def _pullback(quo: Quotient, sub: Subspace) -> Subspace:
+    """Preimage of a quotient subspace: the ideal plus the lifted rows."""
+    cols = quo.complement_cols
+    lifted = ({cols[c]: x for c, x in row.items()} for row in sub.pivot_rows.values())
+    return Subspace.span(quo.ideal.ambient_dim, [*quo.ideal.pivot_rows.values(), *lifted])
+
+
 def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
     """Quotient by a verified two-sided ideal, on a complement basis."""
     if ideal.ambient_dim != alg.dim:
@@ -427,17 +429,17 @@ def squares_quotient(alg: Algebra) -> Quotient:
 
 
 def _quotient_by(alg: Algebra, ideal: Subspace) -> Quotient:
-    n = alg.dim
-    pivots = set(ideal.pivot_cols())
-    complement = tuple(c for c in range(n) if c not in pivots)
+    pivots = ideal.pivot_rows
+    complement = tuple(c for c in range(alg.dim) if c not in pivots)
+    index = {c: k for k, c in enumerate(complement)}
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for s, cs in enumerate(complement):
-        for t, ct in enumerate(complement):
-            residue = ideal.residue(alg.bracket_basis(cs, ct))
-            entries = [(k, residue[c]) for k, c in enumerate(complement)
-                       if residue[c] != 0]
-            if entries:
-                products[(s, t)] = entries
+    for (i, j), entries in alg.table_items():
+        if i in index and j in index:
+            # the residue is zero at every pivot, so it lives on the complement
+            residue = ideal.reduce(dict(entries))
+            if residue:
+                products[(index[i], index[j])] = [
+                    (index[c], x) for c, x in residue.items()]
     names = tuple(alg.basis_names[c] for c in complement)
     quotient_alg = Algebra(len(complement), products, names,
                            name=f"{alg.name}_quotient" if alg.name else "quotient")
@@ -452,11 +454,13 @@ def killing_form(alg: Algebra) -> Matrix:
     if not alg.is_lie():
         raise StructureError("Killing form requested on a non-Lie algebra")
     n = alg.dim
-    right_by, _ = _action_tables(alg)
-    # mults[i][k][l] is entry (k, l) of right multiplication by e_i, so
+    # mults[i][k][l] is entry (k, l) of right multiplication by e_i, the
+    # coefficient of e_k in [e_l, e_i], so
     # tr(R_i R_j) = sum over k, l of mults[i][k][l] * mults[j][l][k]
-    mults = [{k: dict(entries) for k, entries in right_by.get(i, {}).items()}
-             for i in range(n)]
+    mults: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
+    for (l, i), entries in alg.table_items():
+        for k, coeff in entries:
+            mults[i].setdefault(k, {})[l] = coeff
     gram = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -475,20 +479,21 @@ def solvable_radical(alg: Algebra) -> Subspace:
     quotient Lie algebra's radical (derived-subalgebra orthogonal complement
     with respect to the Killing form)."""
     ensure_leibniz(alg)
-    n = alg.dim
     quo = squares_quotient(alg)
-    sq, qalg = quo.ideal, quo.algebra
+    qalg = quo.algebra
     if not qalg.is_lie():
         raise StructureError("quotient by the squares ideal is not Lie")
     gram = killing_form(qalg)
     derived = derived_subalgebra(qalg)
+    # gram is symmetric, so the functional of w is the w-combination of rows
     constraint_rows = []
-    for w in derived.basis.data:
-        functional = gram.apply(w)
-        constraint_rows.append({c: v for c, v in enumerate(functional) if v != 0})
-    rad_q = kernel_of_constraints(constraint_rows, qalg.dim)
-    vectors = list(sq.basis.data) + [quo.lift(v) for v in rad_q.basis.data]
-    rad = Subspace.from_vectors(n, vectors)
+    for w in derived.pivot_rows.values():
+        functional: dict[int, Fraction] = {}
+        for k, x in w.items():
+            _accumulate(functional, x,
+                        ((c, g) for c, g in enumerate(gram.data[k]) if g))
+        constraint_rows.append(functional)
+    rad = _pullback(quo, kernel_of_constraints(constraint_rows, qalg.dim))
     if derived_series(alg, rad)[-1].dim != 0:
         raise StructureError("radical candidate failed the solvability check")
     return rad
@@ -500,26 +505,6 @@ def is_semisimple(alg: Algebra) -> bool:
 
 
 # ------------------------------------------------ identity rows, centroid
-
-@per_algebra
-def _action_tables(alg: Algebra):
-    """The table's nonzero entries regrouped by one factor and the result.
-
-    Returns (right_by, left_by).  right_by[j][k] lists (l, c) with c the
-    nonzero coefficient of basis k in [e_l, e_j], i.e. the nonzero entries
-    (k, l) of the matrix of right multiplication by e_j.  left_by[i][k]
-    lists (l, c) with c the nonzero coefficient of basis k in [e_i, e_l],
-    the entries (k, l) of left multiplication by e_i.  Missing keys mean
-    no such entries.  Built once per algebra and shared: callers only read.
-    """
-    right_by: dict[int, dict[int, list[TableEntry]]] = {}
-    left_by: dict[int, dict[int, list[TableEntry]]] = {}
-    for (i, j), entries in alg.table_items():
-        for k, coeff in entries:
-            right_by.setdefault(j, {}).setdefault(k, []).append((i, coeff))
-            left_by.setdefault(i, {}).setdefault(k, []).append((j, coeff))
-    return right_by, left_by
-
 
 def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
                   right: bool = True, left: bool = True,
@@ -534,7 +519,6 @@ def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
     and each term alone one half of the centroid.
     """
     n = alg.dim
-    right_by, left_by = _action_tables(alg)
     if pairs is None:
         pairs = itertools.product(range(n), repeat=2)
     for i, j in pairs:
@@ -543,14 +527,16 @@ def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
         if cij:
             for k in range(n):
                 rows[k] = {k * n + l: coeff for l, coeff in cij}
-        sides = [(right_by.get(j, {}), i)] if right else []
+        # [d(e_i), e_j] sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums
+        # d_(l,j)·[e_i, e_l] over l; d_(l,m) sits at column l·n + m
+        sides = [(alg._by_right.get(j, ()), i)] if right else []
         if left:
-            sides.append((left_by.get(i, {}), j))
-        for by_result, moved in sides:
-            for k, entries in by_result.items():
-                row = rows.setdefault(k, {})
-                for l, coeff in entries:
-                    col = l * n + moved
+            sides.append((alg._by_left.get(i, ()), j))
+        for factors, moved in sides:
+            for l, entries in factors:
+                col = l * n + moved
+                for k, coeff in entries:
+                    row = rows.setdefault(k, {})
                     row[col] = row[col] - coeff if col in row else -coeff
         yield i, j, [rows[k] for k in sorted(rows)]
 
@@ -664,11 +650,9 @@ def is_simple_certified(alg: Algebra, levi: LeviDatum) -> SimplicityCertificate:
         return SimplicityCertificate(
             "unknown", None, "quotient summand split unresolved")
     if len(split.summands) > 1:
-        lifted = list(sq.basis.data) + \
-            [quo.lift(v) for v in split.summands[0].basis.data]
-        witness = Subspace.from_vectors(n, lifted)
         return SimplicityCertificate(
-            "no", witness, "quotient splits into multiple simple ideals")
+            "no", _pullback(quo, split.summands[0]),
+            "quotient splits into multiple simple ideals")
 
     if len(levi.sl2_triples) == 1 and len(levi.g_indices) == 3:
         from .sl2 import ModuleError, Sl2Triple, irreducible_decomposition_sl2

@@ -19,12 +19,12 @@ from .core import (Algebra, LeviDatum, StructureError, identity_rows, per_algebr
                    squares_ideal)
 from .exactlin import (
     Matrix,
+    ONE,
     Subspace,
     Vec,
     ZERO,
     kernel_of_constraints,
     solve,
-    unit_vec,
 )
 
 
@@ -91,10 +91,14 @@ def is_derivation(alg: Algebra, m: Matrix) -> bool:
 
 
 def inner_derivation_span(alg: Algebra) -> Subspace:
-    """Flattened span of all right multiplications."""
+    """Flattened span of all right multiplications: entry (k, l) of R(e_j)
+    lands at column k·n + l."""
     n = alg.dim
-    vectors = [alg.right_mult(alg.basis_vector(i)).flatten() for i in range(n)]
-    return Subspace.from_vectors(n * n, vectors)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (l, j), entries in alg.table_items():
+        for k, coeff in entries:
+            rows.setdefault(j, {})[k * n + l] = coeff
+    return Subspace.span(n * n, rows.values())
 
 
 @dataclass(frozen=True)
@@ -293,24 +297,30 @@ def ideal_endo_blocks(
     n = alg.dim
     if not components:
         return EndoBlockReport((), (), True)
-    stacked = [v for comp in components for v in comp.basis.data]
-    total = len(stacked)
-    tagged = Subspace.from_vectors(
-        n + total, [v + unit_vec(total, t) for t, v in enumerate(stacked)])
+    stacked = [v for comp in components for v in comp.pivot_rows.values()]
+    tagged = Subspace.span(
+        n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
     if any(p >= n for p in tagged.pivot_cols()):
         raise ValueError("components are not independent")
+    # the nonzero (row, entry) pairs of each column of endo
+    cols = [[(r, row[c]) for r, row in enumerate(endo.data) if row[c]]
+            for c in range(n)]
     coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
     for v in stacked:
-        residue = tagged.residue(endo.apply(v) + (ZERO,) * total)
-        if any(residue[:n]):
+        image: dict[int, Fraction] = {}
+        for c, x in v.items():
+            for r, entry in cols[c]:
+                image[r] = image.get(r, ZERO) + x * entry
+        residue = tagged.reduce(image)
+        if any(c < n for c in residue):
             raise ValueError(
                 "endomorphism image leaves the span of the components")
-        coords.append([-x for x in residue[n:]])
+        coords.append({c - n: -x for c, x in residue.items()})
     offsets = list(itertools.accumulate((c.dim for c in components), initial=0))
     blocks = tuple(
         tuple(
             Matrix(ci.dim, cj.dim, tuple(
-                tuple(coords[oj + col][oi + row] for col in range(cj.dim))
+                tuple(coords[oj + col].get(oi + row, ZERO) for col in range(cj.dim))
                 for row in range(ci.dim)))
             for cj, oj in zip(components, offsets))
         for ci, oi in zip(components, offsets))

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -256,22 +256,15 @@ class SparseRref:
             out.append((c, {col: Fraction(v, lead) for col, v in row.items()}))
         return out
 
-    def kernel_vectors(self) -> list[Vec]:
-        """Basis of the solution set of (rows)·x = 0, one vector per free column."""
-        frac = self.fraction_rows()
-        pivot_set = set(self.pivots)
-        vecs = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for c, row in frac:
-                coeff = row.get(f)
-                if coeff is not None:
-                    v[c] = -coeff
-            vecs.append(tuple(v))
-        return vecs
+    def kernel_rows(self) -> list[dict[int, Fraction]]:
+        """Basis of the solution set of (rows)·x = 0 as sparse rows, one per
+        free column f: 1 at f, minus each pivot row's entry at f at its pivot."""
+        kernel = {f: {f: ONE} for f in range(self.ncols) if f not in self.pivots}
+        for c, row in self.fraction_rows():
+            for f, coeff in row.items():
+                if f != c:
+                    kernel[f][c] = -coeff
+        return list(kernel.values())
 
 
 def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -279,17 +272,14 @@ def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    eng = SparseRref(m.cols)
-    for r in m.data:
-        eng.add_row(_row_to_dict(r))
-    return Subspace.from_vectors(m.cols, eng.kernel_vectors())
+    return kernel_of_constraints(map(_row_to_dict, m.data), m.cols)
 
 
 def kernel_of_constraints(rows: Iterable[dict[int, Fraction]], ncols: int) -> "Subspace":
     """Kernel of a (possibly huge) sparse constraint system."""
     eng = SparseRref(ncols)
     eng.extend(rows)
-    return Subspace.from_vectors(ncols, eng.kernel_vectors())
+    return Subspace.span(ncols, eng.kernel_rows())
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
@@ -325,15 +315,24 @@ class Subspace:
     basis: Matrix
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
+    def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """Span of sparse {column: value} rows; zero values may be present."""
         eng = SparseRref(ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("spanning vector has the wrong length")
-            eng.add_row(_row_to_dict(v))
-        rows = tuple(tuple(frow.get(c, ZERO) for c in range(ambient_dim))
-                     for _, frow in eng.fraction_rows())
-        return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, rows))
+        eng.extend(rows)
+        basis = []
+        for _, frow in eng.fraction_rows():
+            dense = tuple(frow.get(c, ZERO) for c in range(ambient_dim))
+            if len(frow) != len(dense) - dense.count(ZERO):
+                raise ValueError("spanning row has a column outside the ambient space")
+            basis.append(dense)
+        return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, tuple(basis)))
+
+    @staticmethod
+    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("spanning vector has the wrong length")
+        return Subspace.span(ambient_dim, map(_row_to_dict, vectors))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -345,45 +344,51 @@ class Subspace:
 
     @staticmethod
     def coordinate(ambient_dim: int, cols: Iterable[int]) -> "Subspace":
-        return Subspace.from_vectors(
-            ambient_dim, [unit_vec(ambient_dim, c) for c in sorted(set(cols))])
+        return Subspace.span(ambient_dim, [{c: ONE} for c in cols])
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
     @functools.cached_property
-    def _pivot_rows(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        # pivot column -> nonzero (column, value) entries of its RREF row;
-        # kept in the instance __dict__, outside the dataclass fields, so
-        # equality and hashing still see only ambient_dim and basis
+    def pivot_rows(self) -> dict[int, dict[int, Fraction]]:
+        """Pivot column -> the nonzero {column: value} entries of its RREF
+        row, in basis order; callers only read.  Kept in the instance
+        __dict__, outside the dataclass fields, so equality and hashing
+        still see only ambient_dim and basis."""
         out = {}
         for r in self.basis.data:
-            entries = tuple((c, x) for c, x in enumerate(r) if x)
-            out[entries[0][0]] = entries
+            row = _row_to_dict(r)
+            out[next(iter(row))] = row
         return out
 
     def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(self._pivot_rows)
+        return tuple(self.pivot_rows)
+
+    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """A sparse row reduced modulo the RREF basis, zeros dropped: zero at
+        every pivot column, and empty exactly when the row lies in the
+        subspace.  No pivot row has an entry at another pivot, so only the
+        rows at the row's own pivot entries are read."""
+        pivots = self.pivot_rows
+        out = dict(row)
+        for p, t in row.items():
+            if t and p in pivots:
+                for c, entry in pivots[p].items():
+                    out[c] = out.get(c, ZERO) - t * entry
+        return {c: x for c, x in out.items() if x}
 
     def residue(self, v: Sequence[Fraction]) -> Vec:
-        """v reduced modulo the RREF basis: zero at every pivot column, and
-        zero everywhere exactly when v lies in the subspace.  No pivot row
-        has an entry at another pivot, so only the rows at v's nonzero
-        pivot entries are read."""
+        """Dense form of ``reduce``: zero at every pivot column, and zero
+        everywhere exactly when v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector has the wrong length")
-        residue = list(v)
-        for p, row in self._pivot_rows.items():
-            t = v[p]
-            if t:
-                for c, entry in row:
-                    residue[c] -= t * entry
-        return tuple(residue)
+        r = self.reduce(_row_to_dict(v))
+        return tuple(r.get(c, ZERO) for c in range(self.ambient_dim))
 
     def coords_of(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients of v in the canonical basis, or None if v is outside."""
-        if any(self.residue(v)):
+        if not self.contains(v):
             return None
         return tuple(Fraction(v[p]) for p in self.pivot_cols())
 
@@ -391,12 +396,13 @@ class Subspace:
         return not any(self.residue(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.data)
+        self._same_ambient(other)
+        return all(not self.reduce(r) for r in other.pivot_rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_vectors(
-            self.ambient_dim, list(self.basis.data) + list(other.basis.data))
+        return Subspace.span(self.ambient_dim, [*self.pivot_rows.values(),
+                                                *other.pivot_rows.values()])
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -631,12 +637,12 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
     n = m.rows
     if n == 0:
         return EigenDecomposition((), True)
+    rows = [_row_to_dict(r) for r in m.data]
     pairs = []
     total = 0
     for lam in _rational_roots(charpoly(m)):
-        shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
-                        for i, row in enumerate(m.data))
-        space = nullspace(Matrix(n, n, shifted))
+        shifted = ({**row, i: m.data[i][i] - lam} for i, row in enumerate(rows))
+        space = kernel_of_constraints(shifted, n)
         pairs.append((lam, space))
         total += space.dim
     return EigenDecomposition(tuple(pairs), total == n)

@@ -93,7 +93,7 @@ def opposite_column_map(alg, m):
 def derivation_residual(alg, mat, i, j):
     """d([b_i, b_j]) - [d(b_i), b_j] - [b_i, d(b_j)] at one basis pair."""
     bi, bj = alg.basis_vector(i), alg.basis_vector(j)
-    lhs = mat.apply(alg.bracket_basis(i, j))
+    lhs = mat.apply(alg.product(bi, bj))
     left = alg.product(mat.apply(bi), bj)
     right = alg.product(bi, mat.apply(bj))
     return tuple(a - b - c for a, b, c in zip(lhs, left, right))

@@ -37,12 +37,16 @@ def test_dimensions():
 def test_sl2_table():
     alg, levi = sl2()
     e, f, h = 0, 1, 2
-    assert alg.bracket_basis(e, h) == (F(2), F(0), F(0))
-    assert alg.bracket_basis(h, e) == (F(-2), F(0), F(0))
-    assert alg.bracket_basis(h, f) == (F(0), F(2), F(0))
-    assert alg.bracket_basis(f, h) == (F(0), F(-2), F(0))
-    assert alg.bracket_basis(e, f) == (F(0), F(0), F(1))
-    assert alg.bracket_basis(f, e) == (F(0), F(0), F(-1))
+
+    def bracket(i, j):
+        return alg.product(alg.basis_vector(i), alg.basis_vector(j))
+
+    assert bracket(e, h) == (F(2), F(0), F(0))
+    assert bracket(h, e) == (F(-2), F(0), F(0))
+    assert bracket(h, f) == (F(0), F(2), F(0))
+    assert bracket(f, h) == (F(0), F(-2), F(0))
+    assert bracket(e, f) == (F(0), F(0), F(1))
+    assert bracket(f, e) == (F(0), F(0), F(-1))
     assert squares_ideal(alg).dim == 0
     assert levi.sl2_triples == ((0, 1, 2),)
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 from fractions import Fraction as F
 from importlib import resources
 
@@ -24,7 +25,6 @@ from leibnizalg import (
     direct_sum_many,
     dump_algebra_json,
     ensure_leibniz,
-    ideal_closure,
     is_semisimple,
     is_simple_certified,
     killing_form,
@@ -169,14 +169,6 @@ def test_squares_ideal_left_annihilated():
             assert alg.product(alg.basis_vector(j), v) == (F(0),) * alg.dim
 
 
-def test_ideal_closure_grows_to_invariant():
-    alg, _ = simple_sl2_leibniz(2)
-    seed = Subspace.from_vectors(alg.dim, [alg.basis_vector(5)])  # lowest vector
-    closed = ideal_closure(alg, seed)
-    assert closed == squares_ideal(alg)
-    assert ideal_closure(alg, closed) == closed
-
-
 def test_derived_series_two_dim_solvable():
     alg = two_dim_solvable()
     series = derived_series(alg)
@@ -187,6 +179,16 @@ def test_derived_series_two_dim_solvable():
 def test_derived_subalgebra_simple_is_whole():
     alg, _ = simple_sl2_leibniz(2)
     assert derived_subalgebra(alg).dim == alg.dim
+
+
+def test_derived_subalgebra_of_a_non_ideal():
+    # span(e, f) in sl2 is not an ideal; its products [e, f] = h and
+    # [f, e] = -h span the line of h
+    alg, _ = sl2()
+    sub = Subspace.coordinate(3, (0, 1))
+    with pytest.raises(StructureError):
+        quotient_algebra(alg, sub)
+    assert derived_subalgebra(alg, sub) == Subspace.coordinate(3, (2,))
 
 
 # ---------------------------------------------------------------- quotient
@@ -225,7 +227,8 @@ def test_ideal_checks_test_both_sides(seed, closure):
     line = Subspace.coordinate(3, (seed,))
     with pytest.raises(StructureError, match="not a two-sided ideal"):
         quotient_algebra(alg, line)
-    assert ideal_closure(alg, line) == Subspace.coordinate(3, closure)
+    # the smallest ideal containing the line passes the same check
+    quotient_algebra(alg, Subspace.coordinate(3, closure))
 
 
 def test_quotient_by_squares_is_lie_for_catalog():
@@ -369,7 +372,7 @@ def test_centroid_elements_commute_with_multiplications():
         for i in range(alg.dim):
             for j in range(alg.dim):
                 ei, ej = alg.basis_vector(i), alg.basis_vector(j)
-                image = c.apply(alg.bracket_basis(i, j))
+                image = c.apply(alg.product(ei, ej))
                 assert image == alg.product(c.apply(ei), ej)
                 assert image == alg.product(ei, c.apply(ej))
 
@@ -455,7 +458,7 @@ def test_simple_certified_no_for_pair_with_witness():
     sq = squares_ideal(alg)
     assert 0 < w.dim < alg.dim
     assert w != sq
-    assert ideal_closure(alg, w) == w  # oracle: the witness is its own closure
+    quotient_algebra(alg, w)  # oracle: raises unless w is a two-sided ideal
 
 
 def test_simple_certified_no_for_direct_sum_with_witness():
@@ -464,7 +467,7 @@ def test_simple_certified_no_for_direct_sum_with_witness():
     assert cert.verdict == "no"
     w = cert.witness
     assert w is not None and 0 < w.dim < alg.dim
-    assert ideal_closure(alg, w) == w
+    quotient_algebra(alg, w)
     assert w != squares_ideal(alg)
 
 
@@ -517,6 +520,16 @@ def test_validate_levi_rejects_bad_triple():
     alg, _ = simple_sl2_leibniz(2)
     with pytest.raises(LeviError):
         validate_levi(alg, LeviDatum((0, 1, 2), (3, 4, 5), ((0, 2, 1),)))
+
+
+@pytest.mark.parametrize("triple", [
+    (0, 1, 99), (0, 1, -1), (0, 1), (0, 1, 2, 2)])
+def test_validate_levi_rejects_malformed_triple(triple):
+    # an index out of range or the wrong count is a bad declaration, named
+    # as such, not an IndexError or ValueError from building the triple
+    alg, _ = simple_sl2_leibniz(2)
+    with pytest.raises(LeviError, match=re.escape(f"declared triple {triple}")):
+        validate_levi(alg, LeviDatum((0, 1, 2), (3, 4, 5), (triple,)))
 
 
 # -------------------------------------------------------------- direct sum

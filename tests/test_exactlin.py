@@ -101,6 +101,14 @@ def test_rref_matches_sympy(m):
     sym_reduced, sym_pivots = to_sympy(m).rref()
     assert to_sympy(ours.basis) == sym_reduced[:len(sym_pivots), :]
     assert ours.pivot_cols() == tuple(sym_pivots)
+    # the sparse entry point, given every entry (explicit zeros included)
+    # plus the negated first row and the sum of the first and last rows,
+    # which cancel during elimination without changing the span
+    first, last = m.data[0], m.data[-1]
+    rows = [dict(enumerate(r)) for r in m.data]
+    rows.append({c: -x for c, x in enumerate(first)})
+    rows.append({c: x + y for c, (x, y) in enumerate(zip(first, last))})
+    assert Subspace.span(m.cols, rows) == ours
 
 
 # ------------------------------------------------------------- nullspace
@@ -225,6 +233,8 @@ def test_residue_matches_dense_reference(s, data):
     for v in (inside, outside):
         r = s.residue(v)
         assert r == dense_residue(s, v)
+        # the sparse form, given explicit zeros; inside, every entry cancels
+        assert s.reduce(dict(enumerate(v))) == {c: x for c, x in enumerate(r) if x}
         assert all(r[p] == 0 for p in s.pivot_cols())
         assert s.contains(v) == (not any(r))
         coords = s.coords_of(v)
@@ -234,6 +244,12 @@ def test_residue_matches_dense_reference(s, data):
         else:
             assert coords is None
     assert s.coords_of(inside) == tuple(coeffs)
+
+
+def test_span_rejects_columns_outside_the_ambient_space():
+    for row in ({3: F(1)}, {-1: F(2)}, {0: F(1), 5: F(1)}):
+        with pytest.raises(ValueError, match="outside the ambient space"):
+            Subspace.span(3, [row])
 
 
 def test_residue_rejects_wrong_length():

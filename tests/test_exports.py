@@ -1,4 +1,7 @@
-"""The package's export list."""
+"""The package's export list, and the imports of its modules."""
+
+import ast
+from pathlib import Path
 
 import leibnizalg
 
@@ -8,3 +11,35 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(leibnizalg, n)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a name listed in ``__all__``
+    counts as read, since the package re-exports it."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_unused_imports_are_caught():
+    source = "from .exactlin import ZERO, unit_vec, vec_is_zero\nx = ZERO\n"
+    assert unused_imports(source) == ["unit_vec (line 1)", "vec_is_zero (line 1)"]
+
+
+def test_package_modules_use_every_import():
+    package = Path(leibnizalg.__file__).parent
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -12,6 +12,7 @@ from leibnizalg import (
     Subspace,
     centroid,
     derivation_algebra,
+    derived_subalgebra,
     dump_algebra_json,
     graded_parts,
     highest_weight_vectors,
@@ -23,6 +24,7 @@ from leibnizalg import (
     solvable_radical,
     squares_ideal,
 )
+from leibnizalg import core
 from leibnizalg.core import Algebra
 from leibnizalg.catalog import (
     semisimple_pair,
@@ -108,6 +110,30 @@ def test_change_of_basis_preserves_invariants(pair):
     assert squares_ideal(moved).dim == squares_ideal(alg).dim
     assert solvable_radical(moved).dim == solvable_radical(alg).dim
     assert derivation_algebra(moved).dim == derivation_algebra(alg).dim
+
+
+def dense(row, n):
+    return tuple(row.get(k, F(0)) for k in range(n))
+
+
+@given(algebra_and_shears(), st.data())
+@settings(max_examples=30)
+def test_sparse_products_match_dense_products(pair, data):
+    # sheared tables are denser than the catalog's; the drawn subspace is
+    # seldom an ideal
+    alg, shears = pair
+    moved = conjugate(alg, shears) if shears else alg
+    n = moved.dim
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2)])
+    sub = Subspace.from_vectors(n, data.draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
+    basis = [moved.basis_vector(j) for j in range(n)]
+    products = [(dense(r, n), dense(l, n)) for r, l in core._basis_products(moved, sub)]
+    assert products == [(moved.product(v, e), moved.product(e, v))
+                        for v in sub.basis.data for e in basis]
+    for s, rows in ((None, basis), (sub, sub.basis.data)):
+        assert derived_subalgebra(moved, s) == Subspace.from_vectors(
+            n, [moved.product(u, v) for u in rows for v in rows])
 
 
 SL2_MODULES = [
@@ -256,8 +282,8 @@ def is_solvable_on(alg, sub):
                 w = alg.product(u, v)
                 if any(c != 0 for c in w):
                     prods.append(w)
-        from leibnizalg import Subspace
         nxt = Subspace.from_vectors(alg.dim, prods)
+        assert derived_subalgebra(alg, span) == nxt
         if nxt.dim == 0:
             return True
         if nxt.dim >= span.dim:
