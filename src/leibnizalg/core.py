@@ -216,8 +216,6 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
         raise LeviError("declared ideal indices do not span the ideal of squares")
     from .sl2 import Sl2Triple, check_sl2_triple
     for t in levi.sl2_triples:
-        if len(t) != 3 or not all(0 <= i < n for i in t):
-            raise LeviError(f"declared triple {t} is not three basis indices")
         triple = Sl2Triple.from_indices(n, t)
         bad = check_sl2_triple(alg, levi, triple)
         if bad:
@@ -380,7 +378,7 @@ def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace
 
 @dataclass(frozen=True)
 class Quotient:
-    """A quotient algebra together with the projection and a linear lift.
+    """A quotient algebra with the ideal it divides out.
 
     The quotient basis is the set of standard basis vectors at the
     non-pivot columns of the ideal's RREF basis, so basis names carry over.
@@ -389,20 +387,6 @@ class Quotient:
     algebra: Algebra
     ideal: Subspace
     complement_cols: tuple[int, ...]
-
-    def project(self, v: Sequence[Fraction]) -> Vec:
-        if len(v) != self.ideal.ambient_dim:
-            raise ValueError("vector length does not match the source dimension")
-        residue = self.ideal.residue(v)
-        return tuple(residue[c] for c in self.complement_cols)
-
-    def lift(self, w: Sequence[Fraction]) -> Vec:
-        if len(w) != len(self.complement_cols):
-            raise ValueError("vector length does not match the quotient dimension")
-        out = [ZERO] * self.ideal.ambient_dim
-        for value, c in zip(w, self.complement_cols):
-            out[c] = Fraction(value)
-        return tuple(out)
 
 
 def _pullback(quo: Quotient, sub: Subspace) -> Subspace:

@@ -53,21 +53,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return not any(v)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
@@ -80,10 +65,10 @@ class Matrix:
     """Immutable dense matrix of Fractions: the API's value type for maps.
 
     Computations read the entries and work on sparse rows; none adds,
-    scales or multiplies Matrix objects.  ``+``, ``scale``, ``mul``,
-    ``transpose`` and ``dot`` (with ``Algebra.right_mult``/``left_mult``)
-    stay as the dense reference tests compare against: acceptance tests
-    rebuild splits with ``+``, property tests conjugate with ``mul``.
+    scales or multiplies Matrix objects.  ``+``, ``scale``, ``mul`` and
+    ``dot`` (with ``Algebra.right_mult``/``left_mult``) stay as the dense
+    reference tests compare against: acceptance tests rebuild splits with
+    ``+``, property tests conjugate with ``mul``.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -114,10 +99,6 @@ class Matrix:
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape() != other.shape():
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
@@ -126,8 +107,9 @@ class Matrix:
                             for r, s in zip(self.data, other.data)))
 
     def scale(self, c: Fraction) -> "Matrix":
+        c = Fraction(c)
         return Matrix(self.rows, self.cols,
-                      tuple(vec_scale(c, r) for r in self.data))
+                      tuple(tuple(c * a for a in r) for r in self.data))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -156,7 +138,7 @@ class Matrix:
                       tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.data)
+        return not any(map(any, self.data))
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -385,12 +367,6 @@ class Subspace:
             raise ValueError("vector has the wrong length")
         r = self.reduce(_row_to_dict(v))
         return tuple(r.get(c, ZERO) for c in range(self.ambient_dim))
-
-    def coords_of(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
-        return tuple(Fraction(v[p]) for p in self.pivot_cols())
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not any(self.residue(v))

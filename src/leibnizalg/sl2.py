@@ -12,18 +12,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Algebra, LeviDatum, squares_ideal, squares_quotient
+from .core import (
+    Algebra,
+    LeviDatum,
+    LeviError,
+    _accumulate,
+    _product,
+    squares_ideal,
+    squares_quotient,
+)
 from .exactlin import (
     Matrix,
     Subspace,
     Vec,
     ZERO,
+    _row_to_dict,
     format_rational,
     nullspace,
     rational_eigen,
     unit_vec,
-    vec_is_zero,
-    vec_scale,
 )
 
 
@@ -34,7 +41,8 @@ class ModuleError(Exception):
 
 @dataclass(frozen=True)
 class Sl2Triple:
-    """An sl2 triple (e, f, h) given in ambient coordinates."""
+    """An sl2 triple (e, f, h) given in ambient coordinates; the functions
+    here read it as sparse rows."""
 
     e: Vec
     f: Vec
@@ -42,6 +50,11 @@ class Sl2Triple:
 
     @staticmethod
     def from_indices(dim: int, indices: Sequence[int]) -> "Sl2Triple":
+        """The basis vectors at a declared (e, f, h) index triple; LeviError
+        unless it is three indices below dim."""
+        if len(indices) != 3 or not all(0 <= i < dim for i in indices):
+            raise LeviError(
+                f"declared triple {tuple(indices)} is not three basis indices")
         ie, if_, ih = indices
         return Sl2Triple(unit_vec(dim, ie), unit_vec(dim, if_), unit_vec(dim, ih))
 
@@ -55,24 +68,30 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
     """
     problems = []
     g_set = set(levi.g_indices)
+    rows = []
     for label, vec in (("e", t.e), ("f", t.f), ("h", t.h)):
         if len(vec) != alg.dim:
             return (f"vector {label} has the wrong length",)
-        outside = [i for i, v in enumerate(vec) if v != 0 and i not in g_set]
+        row = _row_to_dict(vec)
+        outside = [i for i in row if i not in g_set]
         if outside:
             problems.append(
                 f"vector {label} has support outside the semisimple part "
                 f"at indices {outside}")
+        rows.append(row)
+    e, f, h = rows
     expected = (
-        ("[e,h] = 2e", t.e, t.h, vec_scale(Fraction(2), t.e)),
-        ("[h,e] = -2e", t.h, t.e, vec_scale(Fraction(-2), t.e)),
-        ("[h,f] = 2f", t.h, t.f, vec_scale(Fraction(2), t.f)),
-        ("[f,h] = -2f", t.f, t.h, vec_scale(Fraction(-2), t.f)),
-        ("[e,f] = h", t.e, t.f, t.h),
-        ("[f,e] = -h", t.f, t.e, vec_scale(Fraction(-1), t.h)),
+        ("[e,h] = 2e", e, h, 2, e),
+        ("[h,e] = -2e", h, e, -2, e),
+        ("[h,f] = 2f", h, f, 2, f),
+        ("[f,h] = -2f", f, h, -2, f),
+        ("[e,f] = h", e, f, 1, h),
+        ("[f,e] = -h", f, e, -1, h),
     )
-    for label, x, y, want in expected:
-        if alg.product(x, y) != want:
+    for label, x, y, c, want in expected:
+        residual = _product(alg, x, y)
+        _accumulate(residual, -c, want.items())
+        if any(residual.values()):
             problems.append(f"relation {label} fails")
     return tuple(problems)
 
@@ -94,42 +113,44 @@ class WeightSpaces:
         return tuple(w for w, _ in self.pairs)
 
 
-def _restricted_action(alg: Algebra, sub: Subspace, g_vec: Vec) -> Matrix:
-    """Matrix of v -> [v, g] on sub in its canonical basis coordinates."""
-    d = sub.dim
+def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> Matrix:
+    """Matrix of v -> [v, g] on sub in its canonical basis coordinates.
+
+    An image inside the RREF span is the sum of the basis rows weighted by
+    its own entries at the pivot columns, so those entries are its
+    coordinates."""
     images = []
-    for v in sub.basis.data:
-        coords = sub.coords_of(alg.product(v, g_vec))
-        if coords is None:
+    for v in sub.pivot_rows.values():
+        image = _product(alg, v, g)
+        if sub.reduce(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
-        images.append(coords)
-    return Matrix(d, d, tuple(
-        tuple(images[j][k] for j in range(d)) for k in range(d)))
+        images.append(image)
+    return Matrix(sub.dim, sub.dim, tuple(
+        tuple(image.get(p, ZERO) for image in images) for p in sub.pivot_rows))
 
 
-def _to_ambient(sub: Subspace, coeffs: Sequence[Fraction]) -> Vec:
-    out = [ZERO] * sub.ambient_dim
-    for c, row in zip(coeffs, sub.basis.data):
-        if c != 0:
-            for i, entry in enumerate(row):
-                if entry != 0:
-                    out[i] += c * entry
-    return tuple(out)
+def _to_ambient(sub: Subspace, coords: Subspace) -> Subspace:
+    """The subspace of sub whose coordinates in sub's canonical basis span
+    ``coords``."""
+    rows = list(sub.pivot_rows.values())
+    lifted = []
+    for c in coords.pivot_rows.values():
+        acc: dict[int, Fraction] = {}
+        for k, x in c.items():
+            _accumulate(acc, x, rows[k].items())
+        lifted.append(acc)
+    return Subspace.span(sub.ambient_dim, lifted)
 
 
 def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpaces:
     """Split an h-invariant subspace into rational weight spaces, ascending."""
     if sub.dim == 0:
         return WeightSpaces((), True)
-    action = _restricted_action(alg, sub, t.h)
-    eigen = rational_eigen(action)
-    pairs = []
-    for value, space in eigen.pairs:
-        ambient = Subspace.from_vectors(
-            sub.ambient_dim, [_to_ambient(sub, v) for v in space.basis.data])
-        pairs.append((value, ambient))
-    return WeightSpaces(tuple(pairs), eigen.complete)
+    eigen = rational_eigen(_restricted_action(alg, sub, _row_to_dict(t.h)))
+    return WeightSpaces(
+        tuple((value, _to_ambient(sub, space)) for value, space in eigen.pairs),
+        eigen.complete)
 
 
 @dataclass(frozen=True)
@@ -150,10 +171,8 @@ def highest_weight_vectors(
     Each weight space's basis is in ambient RREF, so within one weight the
     vectors ascend by leading index, as ``ModuleDecomposition`` promises.
     """
-    kernel = nullspace(_restricted_action(alg, sub, t.e))
-    top = Subspace.from_vectors(
-        sub.ambient_dim, [_to_ambient(sub, c) for c in kernel.basis.data])
-    spaces = weight_decomposition(alg, top, t)
+    kernel = nullspace(_restricted_action(alg, sub, _row_to_dict(t.e)))
+    spaces = weight_decomposition(alg, _to_ambient(sub, kernel), t)
     if not spaces.complete:
         raise ModuleError("weight decomposition is incomplete over the rationals")
     return tuple(HighestWeightVector(weight, v)
@@ -181,35 +200,35 @@ def irreducible_decomposition_sl2(
 ) -> ModuleDecomposition:
     """Decompose an invariant subspace by spinning highest-weight vectors
     down with the right f-action."""
+    f = _row_to_dict(t.f)
     components = []
     weights = []
-    all_vectors: list[Vec] = []
+    all_rows: list[dict[int, Fraction]] = []
     for hw in highest_weight_vectors(alg, sub, t):
         if hw.weight.denominator != 1 or hw.weight < 0:
             raise ModuleError(
                 f"highest weight {format_rational(hw.weight)} is not a "
                 "non-negative integer; the action is not semisimple over Q")
         w = int(hw.weight)
-        chain = [hw.vector]
-        current = hw.vector
+        current = _row_to_dict(hw.vector)
+        chain = [current]
         for _ in range(w):
-            current = alg.product(current, t.f)
-            if vec_is_zero(current):
+            current = _product(alg, current, f)
+            if not any(current.values()):
                 raise ModuleError(
                     "lowering chain stopped before filling the expected "
                     f"{w + 1}-dimensional component")
             chain.append(current)
-        beyond = alg.product(current, t.f)
-        if not vec_is_zero(beyond):
+        if any(_product(alg, current, f).values()):
             raise ModuleError(
                 "lowering chain exceeds the dimension allowed by its weight")
-        comp = Subspace.from_vectors(sub.ambient_dim, chain)
+        comp = Subspace.span(sub.ambient_dim, chain)
         if comp.dim != w + 1:
             raise ModuleError("lowering chain vectors are linearly dependent")
         components.append(comp)
         weights.append(w)
-        all_vectors.extend(chain)
-    total = Subspace.from_vectors(sub.ambient_dim, all_vectors)
+        all_rows.extend(chain)
+    total = Subspace.span(sub.ambient_dim, all_rows)
     if total != sub or sum(w + 1 for w in weights) != sub.dim:
         raise ModuleError(
             "highest-weight chains do not fill the subspace; the right "
@@ -282,14 +301,14 @@ def _check_quotient_pair(
         bad = check_sl2_triple(alg, levi, t)
         if bad:
             return ConditionCheck(False, f"{name} triple invalid: {bad[0]}")
-    span = Subspace.from_vectors(
-        alg.dim, [t1.e, t1.f, t1.h, t2.e, t2.f, t2.h])
-    if span.dim != 6:
+    first = [_row_to_dict(v) for v in (t1.e, t1.f, t1.h)]
+    second = [_row_to_dict(v) for v in (t2.e, t2.f, t2.h)]
+    if Subspace.span(alg.dim, first + second).dim != 6:
         return ConditionCheck(False, "the two triples do not span independently")
-    for u in (t1.e, t1.f, t1.h):
-        for v in (t2.e, t2.f, t2.h):
-            if not vec_is_zero(alg.product(u, v)) \
-                    or not vec_is_zero(alg.product(v, u)):
+    for u in first:
+        for v in second:
+            if any(_product(alg, u, v).values()) \
+                    or any(_product(alg, v, u).values()):
                 return ConditionCheck(False, "the two sl2 blocks do not commute")
     quo = squares_quotient(alg)
     if quo.algebra.dim != 6:

@@ -202,15 +202,6 @@ def test_quotient_of_simple_is_sl2_table():
     assert quo.algebra.is_lie()
 
 
-def test_quotient_project_lift_round_trip():
-    alg, _ = simple_sl2_leibniz(2)
-    quo = quotient_algebra(alg, squares_ideal(alg))
-    w = (F(1), F(-2), F(1, 3))
-    assert quo.project(quo.lift(w)) == w
-    # projection kills the ideal
-    assert quo.project(alg.basis_vector(4)) == (F(0),) * 3
-
-
 def test_quotient_rejects_non_ideal():
     alg, _ = simple_sl2_leibniz(2)
     not_ideal = Subspace.from_vectors(alg.dim, [alg.basis_vector(0)])
@@ -526,10 +517,16 @@ def test_validate_levi_rejects_bad_triple():
     (0, 1, 99), (0, 1, -1), (0, 1), (0, 1, 2, 2)])
 def test_validate_levi_rejects_malformed_triple(triple):
     # an index out of range or the wrong count is a bad declaration, named
-    # as such, not an IndexError or ValueError from building the triple
+    # as such, not an IndexError or ValueError from building the triple,
+    # whether the split is validated or read by the pair report
+    message = re.escape(f"declared triple {triple} is not three basis indices")
     alg, _ = simple_sl2_leibniz(2)
-    with pytest.raises(LeviError, match=re.escape(f"declared triple {triple}")):
+    with pytest.raises(LeviError, match=message):
         validate_levi(alg, LeviDatum((0, 1, 2), (3, 4, 5), (triple,)))
+    pair, levi = semisimple_pair(1)
+    with pytest.raises(LeviError, match=message):
+        pair_structure_report(
+            pair, LeviDatum(levi.g_indices, levi.i_indices, (triple, (3, 4, 5))))
 
 
 # -------------------------------------------------------------- direct sum

@@ -43,3 +43,46 @@ def test_package_modules_use_every_import():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def definitions(source: str) -> list[str]:
+    """Functions, classes and methods a module defines, dunders exempt."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Identifiers a module's code reads, as names, attributes or imports;
+    strings and comments do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_dead_definitions_are_caught():
+    source = "def used():\n    pass\n\ndef unused():\n    used()\n"
+    names = referenced_names(source)
+    assert [n for n in definitions(source) if n not in names] == ["unused"]
+
+
+def test_package_definitions_are_all_referenced():
+    package = Path(leibnizalg.__file__).parent
+    referenced = set()
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            referenced |= referenced_names(path.read_text())
+    dead = {path.name: [n for n in definitions(path.read_text())
+                        if n not in referenced]
+            for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}

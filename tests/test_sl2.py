@@ -239,6 +239,37 @@ def test_decomposition_sums_to_subspace():
     assert total == sq
 
 
+T, U, V = 0, 1, 2
+
+
+@pytest.mark.parametrize("products, e, f, h, match", [
+    pytest.param({(U, T): [(U, F(1, 2))]}, None, None, T,
+                 "highest weight 1/2 is not a non-negative integer",
+                 id="weight_one_half"),
+    pytest.param({(U, T): [(U, 1)]}, None, None, T,
+                 "lowering chain stopped before filling",
+                 id="short_chain"),
+    pytest.param({(U, T): [(V, 1)]}, None, T, None,
+                 "lowering chain exceeds the dimension",
+                 id="long_chain"),
+    pytest.param({(V, T): [(U, 1)]}, T, None, None,
+                 "highest-weight chains do not fill the subspace",
+                 id="chains_do_not_fill"),
+])
+def test_decomposition_error_paths(products, e, f, h, match):
+    # tables on (t, u, v) acting on span(u, v), with t or zero as e, f, h;
+    # the remaining branch, a dependent chain, cannot be reached: a chain
+    # u, uf, ..., uf^w with uf^w != 0 = uf^(w+1) is linearly independent
+    alg = Algebra(3, products, ("t", "u", "v"))
+
+    def vec(i):
+        return (F(0),) * 3 if i is None else alg.basis_vector(i)
+
+    t = Sl2Triple(vec(e), vec(f), vec(h))
+    with pytest.raises(ModuleError, match=match):
+        irreducible_decomposition_sl2(alg, Subspace.coordinate(3, (U, V)), t)
+
+
 def sweep_subspaces(n, rng):
     """Seeded coordinate subspaces and spans of small random vectors."""
     yield Subspace.full(n)
