@@ -47,6 +47,7 @@ from .sl2 import (
 )
 
 PASS, MATH_FAIL, IO_FAIL = 0, 1, 2
+SPOT_CHECKS = 25
 
 
 def _load(path: str) -> tuple[Algebra, LeviDatum | None]:
@@ -86,7 +87,7 @@ def _validate(alg: Algebra, levi: LeviDatum | None) -> list[str]:
     return lines
 
 
-def _spot_check(alg: Algebra, seed: int, count: int = 25) -> None:
+def _spot_check(alg: Algebra, seed: int) -> None:
     """Random rational triples through the identity; belt over the exhaustive
     basis check."""
     rng = random.Random(seed)
@@ -95,7 +96,7 @@ def _spot_check(alg: Algebra, seed: int, count: int = 25) -> None:
         return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(alg.dim))
 
-    for _ in range(count):
+    for _ in range(SPOT_CHECKS):
         x, y, z = rand_vec(), rand_vec(), rand_vec()
         lhs = alg.product(x, alg.product(y, z))
         rhs = tuple(a - b for a, b in zip(alg.product(alg.product(x, y), z),
@@ -109,7 +110,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     alg, levi = _load(args.file)
     lines = _validate(alg, levi)
     _spot_check(alg, args.seed)
-    lines.append(f"random spot checks: 25 triples with seed {args.seed}: pass")
+    lines.append(f"random spot checks: {SPOT_CHECKS} triples with seed {args.seed}: pass")
     if args.json:
         doc = {
             "command": "check",
@@ -119,7 +120,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "squares_ideal_dim": squares_ideal(alg).dim,
             "quotient_is_lie": True,
             "levi_validated": levi is not None,
-            "random_spot_checks": 25,
+            "random_spot_checks": SPOT_CHECKS,
             "seed": args.seed,
             "passed": True,
         }

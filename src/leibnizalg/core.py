@@ -242,14 +242,17 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     Empty means the identity holds; by trilinearity checking basis triples
     is exhaustive.  The residual [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
     + [[e_i, e_k], e_j] is contracted from the table's nonzero entries.
+    Each term has a factor [e_j, e_k], [e_i, e_j] or [e_i, e_k], so only
+    the triples where one of them is in the table are visited.
     """
     n = alg.dim
     table = alg._table
+    rights = [{k for k, _ in alg._by_left.get(i, ())} for i in range(n)]
     violations = []
     for i in range(n):
         for j in range(n):
             cij = table.get((i, j), ())
-            for k in range(n):
+            for k in range(n) if cij else sorted(rights[i] | rights[j]):
                 acc: dict[int, Fraction] = {}
                 for l, a in table.get((j, k), ()):
                     for t, b in table.get((i, l), ()):
@@ -490,22 +493,15 @@ def is_semisimple(alg: Algebra) -> bool:
 
 # ------------------------------------------------ identity rows, centroid
 
-def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
-                  right: bool = True, left: bool = True,
-                  ) -> Iterator[tuple[int, int, list[dict[int, Fraction]]]]:
-    """Linear constraints on a map d at each basis pair (i, j).
-
-    Yields (i, j, rows) for the given pairs (default: all, row-major).
-    Row k, dotted with d flattened row-major, is coordinate k of
-    d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)]; rows come by increasing
-    k, empty ones left out.  right=False or left=False drops that side's
-    term: both terms give derivations, the right term alone module maps,
-    and each term alone one half of the centroid.
-    """
+def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
+                  ) -> Iterator[dict[int, Fraction]]:
+    """Linear rows whose kernel is the derivations: at each basis pair
+    (i, j), row k dotted with a map d flattened row-major is coordinate k
+    of d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)], empty rows left out.
+    right=False or left=False drops that side's term; each term alone
+    gives one half of the centroid."""
     n = alg.dim
-    if pairs is None:
-        pairs = itertools.product(range(n), repeat=2)
-    for i, j in pairs:
+    for i, j in itertools.product(range(n), repeat=2):
         rows: dict[int, dict[int, Fraction]] = {}
         cij = alg.c(i, j)
         if cij:
@@ -522,15 +518,14 @@ def identity_rows(alg: Algebra, pairs: Iterable[tuple[int, int]] | None = None,
                 for k, coeff in entries:
                     row = rows.setdefault(k, {})
                     row[col] = row[col] - coeff if col in row else -coeff
-        yield i, j, [rows[k] for k in sorted(rows)]
+        yield from rows.values()
 
 
 def centroid(alg: Algebra) -> tuple[Matrix, ...]:
     """Canonical basis of the maps commuting with all multiplications."""
     n = alg.dim
-    rows = [row for right in (True, False)
-            for _, _, pair_rows in identity_rows(alg, right=right, left=not right)
-            for row in pair_rows]
+    rows = (row for right in (True, False)
+            for row in identity_rows(alg, right=right, left=not right))
     kernel = kernel_of_constraints(rows, n * n)
     return tuple(Matrix.from_flat(v, n, n) for v in kernel.basis.data)
 

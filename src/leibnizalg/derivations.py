@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import (Algebra, LeviDatum, StructureError, identity_rows, per_algebra,
-                   squares_ideal)
+from .core import (Algebra, LeviDatum, StructureError, _accumulate, identity_rows,
+                   per_algebra, squares_ideal)
 from .exactlin import (
     Matrix,
     ONE,
@@ -28,12 +28,12 @@ from .exactlin import (
 )
 
 
-class LoweringBlockNonZero(Exception):
+class LoweringBlockNonZero(StructureError):
     """A derivation moves the squares ideal back into the complement, which
     the grading argument rules out; the input data must be inconsistent."""
 
 
-class NoInnerMatch(Exception):
+class NoInnerMatch(StructureError):
     """No right multiplication matches the diagonal part on the complement;
     the declared semisimple part cannot be valid."""
 
@@ -62,8 +62,7 @@ class DerivationBasis:
 def derivation_algebra(alg: Algebra) -> DerivationBasis:
     """Solve the derivation identity d([x,y]) = [d(x),y] + [x,d(y)] exactly."""
     n = alg.dim
-    rows = [row for _, _, pair_rows in identity_rows(alg) for row in pair_rows]
-    span = kernel_of_constraints(rows, n * n)
+    span = kernel_of_constraints(identity_rows(alg), n * n)
     maps = tuple(Matrix.from_flat(v, n, n) for v in span.basis.data)
     return DerivationBasis(alg, maps, span)
 
@@ -72,16 +71,27 @@ def _failing_pairs(alg: Algebra, m: Matrix, left: bool,
                    pairs: Iterable[tuple[int, int]] | None = None,
                    ) -> Iterator[tuple[int, int]]:
     """Basis pairs (default: all, row-major) where m fails the identity:
-    some row of ``identity_rows`` dotted with the nonzero entries of m is
-    not zero.  left=False checks m([x,y]) = [m(x), y] alone."""
-    if m.rows != alg.dim or m.cols != alg.dim:
+    [m(e_i), e_j] + [e_i, m(e_j)] - m([e_i, e_j]), contracted from the
+    table and m's nonzero columns m(e_l), is not zero.  left=False drops
+    [e_i, m(e_j)], checking m([x,y]) = [m(x), y] alone."""
+    n = alg.dim
+    if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
-    nonzero = {col: v for col, v in enumerate(m.flatten()) if v}
-    if not nonzero:
-        return  # every row is linear, so the zero map satisfies all of them
-    for i, j, rows in identity_rows(alg, pairs, left=left):
-        if any(sum((c * nonzero[col] for col, c in row.items() if col in nonzero),
-                   ZERO) for row in rows):
+    images = [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(n)]
+    if pairs is None:
+        pairs = itertools.product(range(n), repeat=2)
+    for i, j in pairs:
+        acc: dict[int, Fraction] = {}
+        for l, x in alg.c(i, j):
+            _accumulate(acc, -x, images[l].items())
+        sides = [(alg._by_right.get(j, ()), images[i])]
+        if left:
+            sides.append((alg._by_left.get(i, ()), images[j]))
+        for factors, image in sides:
+            for l, entries in factors:
+                if l in image:
+                    _accumulate(acc, image[l], entries)
+        if any(acc.values()):
             yield i, j
 
 

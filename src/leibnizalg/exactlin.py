@@ -3,7 +3,7 @@
 Everything here is deterministic and exact.  Matrices hold
 ``fractions.Fraction`` entries, row reduction produces the unique reduced
 row echelon form, and a subspace is identified with its canonical RREF
-basis, so equality of subspaces is literal equality of matrices.
+rows, so equality of subspaces is literal equality of those rows.
 
 The computations run on sparse integer rows.  The elimination engine
 clears denominators and keeps each row primitive, which keeps intermediate
@@ -64,11 +64,11 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 class Matrix:
     """Immutable dense matrix of Fractions: the API's value type for maps.
 
-    Computations read the entries and work on sparse rows; none adds,
-    scales or multiplies Matrix objects.  ``+``, ``scale``, ``mul`` and
-    ``dot`` (with ``Algebra.right_mult``/``left_mult``) stay as the dense
-    reference tests compare against: acceptance tests rebuild splits with
-    ``+``, property tests conjugate with ``mul``.
+    Computations read the entries and work on sparse rows.  ``+``,
+    ``scale``, ``mul``, ``apply`` and ``dot`` (with ``Algebra.right_mult``/
+    ``left_mult``) stay as the dense reference tests compare against:
+    acceptance tests rebuild splits with ``+``, property tests conjugate
+    with ``mul``, derivation tests apply maps to dense products.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -226,9 +226,6 @@ class SparseRref:
         for r in frows:
             self.add_row(r)
 
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(sorted(self.pivots))
-
     def fraction_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
         """(pivot column, leading-1 row) pairs, ordered by pivot column."""
         out = []
@@ -288,26 +285,24 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 class Subspace:
     """A linear subspace identified by its canonical RREF basis.
 
-    ``basis`` has one row per basis vector, no zero rows, in reduced row
-    echelon form; two Subspace values are equal exactly when they are the
-    same subspace.
+    ``pivot_rows`` maps each pivot column, ascending, to the nonzero
+    {column: value} entries of its reduced row; callers only read it.  The
+    RREF is unique, so two Subspace values are equal exactly when they are
+    the same subspace.  The hash reads the pivot columns alone.
     """
 
     ambient_dim: int
-    basis: Matrix
+    pivot_rows: dict[int, dict[int, Fraction]]
 
     @staticmethod
     def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
         """Span of sparse {column: value} rows; zero values may be present."""
         eng = SparseRref(ambient_dim)
         eng.extend(rows)
-        basis = []
-        for _, frow in eng.fraction_rows():
-            dense = tuple(frow.get(c, ZERO) for c in range(ambient_dim))
-            if len(frow) != len(dense) - dense.count(ZERO):
-                raise ValueError("spanning row has a column outside the ambient space")
-            basis.append(dense)
-        return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, tuple(basis)))
+        pivot_rows = dict(eng.fraction_rows())
+        if any(min(row) < 0 or max(row) >= ambient_dim for row in pivot_rows.values()):
+            raise ValueError("spanning row has a column outside the ambient space")
+        return Subspace(ambient_dim, pivot_rows)
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -318,11 +313,11 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(0, ambient_dim, ()))
+        return Subspace(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, {c: {c: ONE} for c in range(ambient_dim)})
 
     @staticmethod
     def coordinate(ambient_dim: int, cols: Iterable[int]) -> "Subspace":
@@ -330,19 +325,14 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivot_rows)
 
     @functools.cached_property
-    def pivot_rows(self) -> dict[int, dict[int, Fraction]]:
-        """Pivot column -> the nonzero {column: value} entries of its RREF
-        row, in basis order; callers only read.  Kept in the instance
-        __dict__, outside the dataclass fields, so equality and hashing
-        still see only ambient_dim and basis."""
-        out = {}
-        for r in self.basis.data:
-            row = _row_to_dict(r)
-            out[next(iter(row))] = row
-        return out
+    def basis(self) -> Matrix:
+        """Dense view: one RREF row per basis vector, pivots ascending."""
+        return Matrix(self.dim, self.ambient_dim, tuple(
+            tuple(row.get(c, ZERO) for c in range(self.ambient_dim))
+            for row in self.pivot_rows.values()))
 
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(self.pivot_rows)
@@ -383,6 +373,9 @@ class Subspace:
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.pivot_cols()))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

@@ -2,7 +2,11 @@
 reports against their schema, and byte-stable serialization."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -107,6 +111,27 @@ def test_decompose_needs_levi(tmp_path, capsys):
     code, _, err = run(capsys, "derive", str(path), "--decompose")
     assert code == IO_FAIL
     assert "levi" in err.lower()
+
+
+def test_decompose_on_non_semisimple_complement_fails_math(tmp_path):
+    # a valid split whose complement is abelian: check passes, but no right
+    # multiplication matches the derivation that scales t1, so the split
+    # fails; run as a user runs it, the failure is a report, not a crash
+    doc = {"name": "a", "dim": 3, "basis": ["t1", "t2", "u"],
+           "products": [{"left": 2, "right": 0,
+                         "result": [{"k": 2, "c": "1"}]}],
+           "levi": {"g": [0, 1], "i": [2]}}
+    path = tmp_path / "abelian_complement.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "leibnizalg.cli", "derive", str(path), "--decompose"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == MATH_FAIL
+    assert done.stderr.startswith("failure:")
+    assert "Traceback" not in done.stderr
 
 
 def test_modules_need_triples(tmp_path, capsys):

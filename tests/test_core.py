@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import re
 from fractions import Fraction as F
 from importlib import resources
@@ -135,6 +136,20 @@ def test_leibniz_check_flags_violations():
     assert violations == dense_leibniz_violations(bad)
     with pytest.raises(InvalidAlgebraError):
         ensure_leibniz(bad)
+    # seeded random sparse tables, dims 1-5, most of them not Leibniz
+    rng = random.Random(1412)
+    failing = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        table = {pair: [(rng.randrange(n), F(rng.randint(-2, 2), rng.randint(1, 2)))
+                        for _ in range(rng.randint(1, 2))]
+                 for pair in rng.sample(pairs, rng.randint(1, min(len(pairs), 6)))}
+        alg = Algebra(n, table)
+        violations = leibniz_check(alg)
+        assert violations == dense_leibniz_violations(alg)
+        failing += bool(violations)
+    assert failing > 30
 
 
 def test_leibniz_check_residuals_after_one_changed_coefficient():

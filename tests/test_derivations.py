@@ -403,6 +403,21 @@ def test_raising_violation_detected():
     rep = raising_map_report(alg, levi, fabricated)
     assert rep.classification == "other"
     assert rep.violations == ((0, 1), (2, 0))
+    # each entry of the computed raising line's corner, raised by one in
+    # turn, against the identity on complement pairs from dense products
+    line = next(s.raising_map for s in split_all(alg, levi).splits
+                if not s.raising_map.is_zero())
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    for r in levi.i_indices:
+        for c in levi.g_indices:
+            rows = [list(row) for row in line.data]
+            rows[r][c] += 1
+            m = Matrix.from_rows(rows)
+            want = tuple(
+                (i, j) for i in levi.g_indices for j in levi.g_indices
+                if m.apply(alg.product(e[i], e[j])) != alg.product(m.col(i), e[j]))
+            assert want
+            assert raising_map_report(alg, levi, m).violations == want
 
 
 # ----------------------------------------------------------------- outer
