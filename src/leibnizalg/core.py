@@ -507,18 +507,46 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
         if cij:
             for k in range(n):
                 rows[k] = {k * n + l: coeff for l, coeff in cij}
-        # [d(e_i), e_j] sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums
-        # d_(l,j)·[e_i, e_l] over l; d_(l,m) sits at column l·n + m
-        sides = [(alg._by_right.get(j, ()), i)] if right else []
-        if left:
-            sides.append((alg._by_left.get(i, ()), j))
-        for factors, moved in sides:
+        for factors, moved in _identity_sides(alg, i, j, right, left):
             for l, entries in factors:
-                col = l * n + moved
+                col = l * n + moved  # where d_(l, moved) sits
                 for k, coeff in entries:
                     row = rows.setdefault(k, {})
                     row[col] = row[col] - coeff if col in row else -coeff
         yield from rows.values()
+
+
+def _identity_sides(alg: Algebra, i: int, j: int, right: bool, left: bool,
+                    ) -> list[tuple[Sequence[tuple[int, Sequence[TableEntry]]], int]]:
+    """Side terms at (i, j) as (table factors, column of d): [d(e_i), e_j]
+    sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums d_(l,j)·[e_i, e_l]."""
+    return (([(alg._by_right.get(j, ()), i)] if right else [])
+            + ([(alg._by_left.get(i, ()), j)] if left else []))
+
+
+def identity_failures(alg: Algebra, m: Matrix, left: bool,
+                      pairs: Iterable[tuple[int, int]] | None = None,
+                      ) -> Iterator[tuple[int, int]]:
+    """Basis pairs (default: all, row-major) where the n×n map m fails the
+    identity of identity_rows, contracted from the table and m's nonzero
+    columns; left=False checks m([x,y]) = [m(x), y] alone."""
+    n = alg.dim
+    if m.rows != n or m.cols != n:
+        raise ValueError("matrix shape does not match the algebra dimension")
+    images = [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(n)]
+    if pairs is None:
+        pairs = itertools.product(range(n), repeat=2)
+    for i, j in pairs:
+        acc: dict[int, Fraction] = {}
+        for l, x in alg.c(i, j):
+            _accumulate(acc, -x, images[l].items())
+        for factors, moved in _identity_sides(alg, i, j, True, left):
+            image = images[moved]
+            for l, entries in factors:
+                if l in image:
+                    _accumulate(acc, image[l], entries)
+        if any(acc.values()):
+            yield i, j
 
 
 def centroid(alg: Algebra) -> tuple[Matrix, ...]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-from .core import (Algebra, LeviDatum, StructureError, _accumulate, identity_rows,
-                   per_algebra, squares_ideal)
+from .core import (Algebra, LeviDatum, StructureError, identity_failures,
+                   identity_rows, per_algebra, squares_ideal)
 from .exactlin import (
     Matrix,
     ONE,
@@ -67,37 +67,9 @@ def derivation_algebra(alg: Algebra) -> DerivationBasis:
     return DerivationBasis(alg, maps, span)
 
 
-def _failing_pairs(alg: Algebra, m: Matrix, left: bool,
-                   pairs: Iterable[tuple[int, int]] | None = None,
-                   ) -> Iterator[tuple[int, int]]:
-    """Basis pairs (default: all, row-major) where m fails the identity:
-    [m(e_i), e_j] + [e_i, m(e_j)] - m([e_i, e_j]), contracted from the
-    table and m's nonzero columns m(e_l), is not zero.  left=False drops
-    [e_i, m(e_j)], checking m([x,y]) = [m(x), y] alone."""
-    n = alg.dim
-    if m.rows != n or m.cols != n:
-        raise ValueError("matrix shape does not match the algebra dimension")
-    images = [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(n)]
-    if pairs is None:
-        pairs = itertools.product(range(n), repeat=2)
-    for i, j in pairs:
-        acc: dict[int, Fraction] = {}
-        for l, x in alg.c(i, j):
-            _accumulate(acc, -x, images[l].items())
-        sides = [(alg._by_right.get(j, ()), images[i])]
-        if left:
-            sides.append((alg._by_left.get(i, ()), images[j]))
-        for factors, image in sides:
-            for l, entries in factors:
-                if l in image:
-                    _accumulate(acc, image[l], entries)
-        if any(acc.values()):
-            yield i, j
-
-
 def is_derivation(alg: Algebra, m: Matrix) -> bool:
     """Exact check of the derivation identity on all basis pairs."""
-    return next(_failing_pairs(alg, m, left=True), None) is None
+    return next(identity_failures(alg, m, left=True), None) is None
 
 
 def inner_derivation_span(alg: Algebra) -> Subspace:
@@ -261,7 +233,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
 
 def check_module_endomorphism(alg: Algebra, endo: Matrix) -> bool:
     """Does endo satisfy endo([x,y]) = [endo(x), y] on all basis pairs?"""
-    return next(_failing_pairs(alg, endo, left=False), None) is None
+    return next(identity_failures(alg, endo, left=False), None) is None
 
 
 # ---------------------------------------------------------- block analyses
@@ -356,7 +328,7 @@ class RaisingReport:
 
 
 def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> RaisingReport:
-    bad = tuple(_failing_pairs(
+    bad = tuple(identity_failures(
         alg, raising, False, itertools.product(levi.g_indices, repeat=2)))
     image = Subspace.from_vectors(
         alg.dim, [raising.col(c) for c in levi.g_indices])

@@ -2,11 +2,7 @@
 reports against their schema, and byte-stable serialization."""
 
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -113,25 +109,20 @@ def test_decompose_needs_levi(tmp_path, capsys):
     assert "levi" in err.lower()
 
 
-def test_decompose_on_non_semisimple_complement_fails_math(tmp_path):
+def test_decompose_on_non_semisimple_complement_fails_math(tmp_path, capsys):
     # a valid split whose complement is abelian: check passes, but no right
     # multiplication matches the derivation that scales t1, so the split
-    # fails; run as a user runs it, the failure is a report, not a crash
+    # fails; the failure is a report, not an escaping exception
     doc = {"name": "a", "dim": 3, "basis": ["t1", "t2", "u"],
            "products": [{"left": 2, "right": 0,
                          "result": [{"k": 2, "c": "1"}]}],
            "levi": {"g": [0, 1], "i": [2]}}
     path = tmp_path / "abelian_complement.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "leibnizalg.cli", "derive", str(path), "--decompose"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == MATH_FAIL
-    assert done.stderr.startswith("failure:")
-    assert "Traceback" not in done.stderr
+    assert run(capsys, "check", str(path))[0] == PASS
+    code, _, err = run(capsys, "derive", str(path), "--decompose")
+    assert code == MATH_FAIL
+    assert err.startswith("failure:")
 
 
 def test_modules_need_triples(tmp_path, capsys):
