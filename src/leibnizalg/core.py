@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,15 +98,7 @@ class Algebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self._table = table
-        # _by_left[i] lists (j, entries of [e_i, e_j]), _by_right[j] lists
-        # (i, entries of [e_i, e_j]), each by ascending other index
-        by_left: dict[int, list[tuple[int, tuple[TableEntry, ...]]]] = {}
-        by_right: dict[int, list[tuple[int, tuple[TableEntry, ...]]]] = {}
-        for (i, j), entries in sorted(table.items()):
-            by_left.setdefault(i, []).append((j, entries))
-            by_right.setdefault(j, []).append((i, entries))
-        self._by_left = by_left
-        self._by_right = by_right
+        self._by_left, self._by_right = _index(table)
         self._key = (dim, basis_names, tuple(sorted(table.items())))
         self._cache: dict = {}
 
@@ -170,6 +163,18 @@ class Algebra:
     def __repr__(self) -> str:
         label = self.name or "?"
         return f"Algebra({label}, dim {self.dim})"
+
+
+def _index(table: Mapping[tuple[int, int], tuple]) -> tuple[dict, dict]:
+    """(by_left, by_right) of a table: by_left[i] lists (j, entries of
+    [e_i, e_j]) and by_right[j] lists (i, entries of [e_i, e_j]), each by
+    ascending other index."""
+    by_left: dict[int, list[tuple[int, tuple]]] = {}
+    by_right: dict[int, list[tuple[int, tuple]]] = {}
+    for (i, j), entries in sorted(table.items()):
+        by_left.setdefault(i, []).append((j, entries))
+        by_right.setdefault(j, []).append((i, entries))
+    return by_left, by_right
 
 
 # ----------------------------------------------------------- declared split
@@ -494,20 +499,23 @@ def is_semisimple(alg: Algebra) -> bool:
 # ------------------------------------------------ identity rows, centroid
 
 def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
-                  ) -> Iterator[dict[int, Fraction]]:
-    """Linear rows whose kernel is the derivations: at each basis pair
-    (i, j), row k dotted with a map d flattened row-major is coordinate k
-    of d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)], empty rows left out.
-    right=False or left=False drops that side's term; each term alone
-    gives one half of the centroid."""
+                  ) -> Iterator[dict[int, int]]:
+    """Integer linear rows whose kernel is the derivations: at each basis
+    pair (i, j), row k dotted with a map d flattened row-major is D times
+    coordinate k of d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)], empty
+    rows left out, where D is the table's common denominator (every term
+    is linear in the table, so the kernel is the same).  right=False or
+    left=False drops that side's term; each term alone gives one half of
+    the centroid."""
     n = alg.dim
+    table, by_left, by_right = _integer_table(alg)
     for i, j in itertools.product(range(n), repeat=2):
-        rows: dict[int, dict[int, Fraction]] = {}
-        cij = alg.c(i, j)
+        rows: dict[int, dict[int, int]] = {}
+        cij = table.get((i, j))
         if cij:
             for k in range(n):
                 rows[k] = {k * n + l: coeff for l, coeff in cij}
-        for factors, moved in _identity_sides(alg, i, j, right, left):
+        for factors, moved in _identity_sides(by_left, by_right, i, j, right, left):
             for l, entries in factors:
                 col = l * n + moved  # where d_(l, moved) sits
                 for k, coeff in entries:
@@ -516,12 +524,24 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
         yield from rows.values()
 
 
-def _identity_sides(alg: Algebra, i: int, j: int, right: bool, left: bool,
+@per_algebra
+def _integer_table(alg: Algebra) -> tuple[dict, dict, dict]:
+    """The table times the common denominator of its constants, with int
+    entries, and its ``_index``."""
+    den = math.lcm(*(c.denominator for entries in alg._table.values()
+                     for _, c in entries))
+    table = {pair: tuple((k, c.numerator * (den // c.denominator)) for k, c in entries)
+             for pair, entries in alg._table.items()}
+    return (table, *_index(table))
+
+
+def _identity_sides(by_left: Mapping, by_right: Mapping, i: int, j: int,
+                    right: bool, left: bool,
                     ) -> list[tuple[Sequence[tuple[int, Sequence[TableEntry]]], int]]:
     """Side terms at (i, j) as (table factors, column of d): [d(e_i), e_j]
     sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums d_(l,j)·[e_i, e_l]."""
-    return (([(alg._by_right.get(j, ()), i)] if right else [])
-            + ([(alg._by_left.get(i, ()), j)] if left else []))
+    return (([(by_right.get(j, ()), i)] if right else [])
+            + ([(by_left.get(i, ()), j)] if left else []))
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
@@ -540,7 +560,8 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
         acc: dict[int, Fraction] = {}
         for l, x in alg.c(i, j):
             _accumulate(acc, -x, images[l].items())
-        for factors, moved in _identity_sides(alg, i, j, True, left):
+        for factors, moved in _identity_sides(alg._by_left, alg._by_right,
+                                              i, j, True, left):
             image = images[moved]
             for l, entries in factors:
                 if l in image:

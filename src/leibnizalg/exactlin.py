@@ -5,10 +5,15 @@ Everything here is deterministic and exact.  Matrices hold
 row echelon form, and a subspace is identified with its canonical RREF
 rows, so equality of subspaces is literal equality of those rows.
 
-The computations run on sparse integer rows.  The elimination engine
-clears denominators and keeps each row primitive, which keeps intermediate
-entries small and makes kernels of large, very sparse constraint systems
-cheap; ``charpoly`` clears one denominator for the whole matrix and runs
+The computations run on sparse integer rows.  The elimination engine,
+``SparseRref``, takes rows with ``int`` or ``Fraction`` entries, clears
+denominators in integer arithmetic (an ``int`` row is only copied) and
+keeps each row primitive, which keeps intermediate entries small.  A
+column-occurrence index over its stored rows (Davis, *Direct Methods for
+Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
+new pivot reach only the rows that hold its column, so kernels of large,
+very sparse constraint systems cost what their nonzeros cost;
+``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero entries.  ``Matrix`` is the value
 type that crosses the API.  Outside values become Fractions at the edge,
 in ``parse_rational`` and ``Matrix.from_rows``; everything else takes
@@ -157,27 +162,19 @@ class Matrix:
 
 # ------------------------------------------------- sparse elimination engine
 
-def _int_row(frow: dict[int, Fraction]) -> dict[int, int]:
-    """Clear denominators and strip zeros; the row scale is irrelevant."""
-    row = {c: v for c, v in frow.items() if v != 0}
-    if not row:
-        return {}
-    denlcm = 1
-    for v in row.values():
-        denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-    out = {c: int(v * denlcm) for c, v in row.items()}
-    return _primitive(out)
+def _int_row(frow: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """Clear denominators and strip zeros; the row scale is irrelevant.
+
+    Each entry is scaled as numerator·(lcm // denominator), so an ``int``
+    row (denominators 1) is copied with no Fraction arithmetic."""
+    denlcm = math.lcm(*(v.denominator for v in frow.values()))
+    return _primitive({c: v.numerator * (denlcm // v.denominator)
+                       for c, v in frow.items() if v})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _axpy(a: int, r1: dict[int, int], b: int, r2: dict[int, int]) -> dict[int, int]:
@@ -199,35 +196,70 @@ class SparseRref:
     row touches only its own pivot column plus free columns.  For systems
     whose kernel is small that keeps every stored row tiny regardless of
     how many input rows stream through.
+
+    Rows come in with ``int`` or ``Fraction`` entries and are stored as
+    primitive integer rows.  ``holders`` is the column-occurrence index of
+    sparse elimination (T. A. Davis, *Direct Methods for Sparse Linear
+    Systems*, SIAM 2006, ch. 2-3; F. G. Gustavson, "Two fast algorithms for
+    sparse matrices", ACM TOMS 4, 1978): ``holders[c]`` is the set of pivot
+    columns whose stored row has an entry at the non-pivot column c, and
+    columns no row holds have no key.  A new pivot c is back-substituted
+    into the rows of ``holders[c]`` alone, so the cost of a row follows the
+    nonzeros it meets, not the rank.  ``_store`` is the one place a row is
+    written and keeps the index in step.  ``pivots`` and ``fraction_rows``
+    are what callers read.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, dict[int, int]] = {}
+        self.holders: dict[int, set[int]] = {}
 
-    def add_row(self, frow: dict[int, Fraction]) -> None:
+    def _store(self, p: int, row: dict[int, int]) -> None:
+        """Write the stored row of pivot p and update the holders of the
+        columns it gains or loses."""
+        old = self.pivots.get(p, {})
+        self.pivots[p] = row
+        holders = self.holders
+        for c in old.keys() - row.keys():
+            held = holders[c]
+            held.remove(p)
+            if not held:
+                del holders[c]
+        for c in row.keys() - old.keys():
+            if c != p:
+                holders.setdefault(c, set()).add(p)
+
+    def add_row(self, frow: Mapping[int, Fraction | int]) -> None:
         row = _int_row(frow)
-        while row:
-            hit = row.keys() & self.pivots.keys()
-            if not hit:
-                break
-            c = min(hit)
-            p = self.pivots[c]
+        pivots = self.pivots
+        # stored rows hold no other pivot column, so reducing by one pivot
+        # leaves the row's entries at the others nonzero
+        for c in sorted(row.keys() & pivots.keys()):
+            p = pivots[c]
             row = _primitive(_axpy(p[c], row, -row[c], p))
         if not row:
             return
         c = min(row)
-        for c2, q in self.pivots.items():
-            if c in q:
-                self.pivots[c2] = _primitive(_axpy(row[c], q, -q[c], row))
-        self.pivots[c] = row
+        lead = row[c]
+        for p in tuple(self.holders.get(c, ())):
+            q = pivots[p]
+            self._store(p, _primitive(_axpy(lead, q, -q[c], row)))
+        self._store(c, row)
 
-    def extend(self, frows: Iterable[dict[int, Fraction]]) -> None:
+    def extend(self, frows: Iterable[Mapping[int, Fraction | int]]) -> None:
         for r in frows:
             self.add_row(r)
 
     def fraction_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """(pivot column, leading-1 row) pairs, ordered by pivot column."""
+        """(pivot column, leading-1 row) pairs, ordered by pivot column.
+
+        Raises ValueError when a row has a column outside [0, ncols): the
+        stored rows span the input rows, so some stored row holds every
+        column an input row held."""
+        cols = self.pivots.keys() | self.holders.keys()
+        if cols and (min(cols) < 0 or max(cols) >= self.ncols):
+            raise ValueError("spanning row has a column outside the ambient space")
         out = []
         for c in sorted(self.pivots):
             row = self.pivots[c]
@@ -299,10 +331,7 @@ class Subspace:
         """Span of sparse {column: value} rows; zero values may be present."""
         eng = SparseRref(ambient_dim)
         eng.extend(rows)
-        pivot_rows = dict(eng.fraction_rows())
-        if any(min(row) < 0 or max(row) >= ambient_dim for row in pivot_rows.values()):
-            raise ValueError("spanning row has a column outside the ambient space")
-        return Subspace(ambient_dim, pivot_rows)
+        return Subspace(ambient_dim, dict(eng.fraction_rows()))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from leibnizalg.exactlin import (
     Matrix,
+    SparseRref,
     Subspace,
     charpoly,
     format_rational,
@@ -146,6 +147,64 @@ def test_kernel_of_constraints_matches_dense():
     rows = [{0: F(1), 2: F(-1)}, {1: F(2), 2: F(2)}]
     dense = Matrix.from_rows([[1, 0, -1], [0, 2, 2]])
     assert kernel_of_constraints(rows, 3).basis == nullspace(dense).basis
+
+
+@pytest.mark.parametrize("rows", [[{5: 1}], [{0: 1, 5: 1}], [{-1: F(1, 2)}]])
+def test_kernel_of_constraints_rejects_columns_outside_the_unknowns(rows):
+    # {5: 1} alone once gave the whole space back, {0: 1, 5: 1} a KeyError
+    with pytest.raises(ValueError, match="outside the ambient space"):
+        kernel_of_constraints(rows, 3)
+
+
+def assert_holders_index(eng: SparseRref):
+    """holders[c] is exactly the set of stored rows with an entry at the
+    non-pivot column c, and no other column has a key."""
+    expected: dict[int, set[int]] = {}
+    for p, row in eng.pivots.items():
+        for c in row:
+            if c != p:
+                expected.setdefault(c, set()).add(p)
+    assert eng.holders == expected
+
+
+entries = st.one_of(st.integers(-4, 4), rationals)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ncols, rows): sparse rows with int and Fraction entries, explicit
+    zeros, and rows that repeat or combine earlier ones."""
+    ncols = draw(st.integers(1, 8))
+    rows: list[dict[int, object]] = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "combine"]))
+        if kind == "fresh" or not rows:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+            rows.append({c: draw(entries) for c in cols})
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entries), draw(entries)
+            rows.append({c: a * r1.get(c, 0) + b * r2.get(c, 0)
+                         for c in r1.keys() | r2.keys()})
+    return ncols, rows
+
+
+@given(sparse_systems())
+@settings(max_examples=150)
+def test_sparse_rref_matches_sympy_and_keeps_its_index(system):
+    ncols, rows = system
+    eng = SparseRref(ncols)
+    for row in rows:
+        eng.add_row(row)
+        assert_holders_index(eng)
+    dense = sympy.Matrix([[sympy.Rational(F(row.get(c, 0))) for c in range(ncols)]
+                          for row in rows])
+    reduced, pivots = dense.rref()
+    expected = [(p, {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x})
+                for i, p in enumerate(pivots)]
+    assert eng.fraction_rows() == expected
 
 
 # ----------------------------------------------------------------- solve

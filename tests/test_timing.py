@@ -12,8 +12,12 @@ m = 24.  It then still solved the weight eigenproblem of the whole ideal:
 highest weights from the kernel of e brings both to about 0.01 s and 0.2 s
 at m = 48.  ``weight_decomposition`` of the whole m = 48 ideal, which lists
 the weights for ``modules``, still took 6.4-6.8 s in the dense Berkowitz
-``charpoly``; on sparse integer columns it takes about 0.15 s.  The bound
-is loose on purpose, because the speed of a shared machine varies.
+``charpoly``; on sparse integer columns it takes about 0.15 s.  The
+derivation nullspace of ``simple_sl2_leibniz(96)`` (dim 100, 10 000
+unknowns) took 3.3-4.0 s while each new pivot probed every stored row;
+with the column-occurrence index and integer rows from the table it takes
+about 0.5 s.  The bound is loose on purpose, because the speed of a shared
+machine varies.
 """
 
 import time
@@ -22,6 +26,7 @@ import pytest
 
 from leibnizalg import (
     Sl2Triple,
+    derivation_algebra,
     irreducible_decomposition_sl2,
     is_simple_certified,
     leibniz_check,
@@ -52,6 +57,13 @@ def test_split_all_pair12_within_bound():
     alg, levi = semisimple_pair(12)
     survey, seconds = timed(lambda: split_all(alg, levi))
     assert len(survey.splits) == survey.basis.dim == 7
+    assert seconds < BOUND_S
+
+
+def test_derivation_nullspace_m96_within_bound():
+    alg, _ = simple_sl2_leibniz(96)
+    basis, seconds = timed(lambda: derivation_algebra.__wrapped__(alg))
+    assert basis.dim == 4
     assert seconds < BOUND_S
 
 
