@@ -3,16 +3,19 @@
 Subcommands load an algebra file, run the exact analyses, and emit either
 human-readable text or JSON reports.  Exit status is 0 for a clean pass, 1
 for a mathematical failure (identity violation, invalid declared split,
-undecidable module request), and 2 for I/O or schema problems.
+undecidable module request), and 2 for I/O or schema problems.  Each
+command imports only the layers it runs: ``check`` and ``radical`` need
+neither ``derivations`` nor ``sl2``, ``modules`` needs ``sl2``, and
+``derive`` needs ``derivations`` (and ``sl2`` with ``--decompose``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from fractions import Fraction
 
 from .catalog import CatalogSpec, build
 from .core import (
@@ -20,8 +23,13 @@ from .core import (
     InvalidAlgebraError,
     LeviDatum,
     LeviError,
+    ModuleError,
     SchemaError,
+    Sl2Triple,
     StructureError,
+    _accumulate,
+    _integer_table,
+    _product,
     dump_algebra_json,
     ensure_leibniz,
     is_semisimple,
@@ -31,20 +39,7 @@ from .core import (
     squares_quotient,
     validate_levi,
 )
-from .derivations import (
-    ideal_endo_blocks,
-    outer_report,
-    raising_map_report,
-    split_all,
-)
 from .exactlin import Vec, format_rational
-from .sl2 import (
-    ModuleError,
-    Sl2Triple,
-    irreducible_decomposition_sl2,
-    pair_structure_report,
-    weight_decomposition,
-)
 
 PASS, MATH_FAIL, IO_FAIL = 0, 1, 2
 SPOT_CHECKS = 25
@@ -52,7 +47,11 @@ SPOT_CHECKS = 25
 
 def _load(path: str) -> tuple[Algebra, LeviDatum | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_algebra_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}") from exc
+    return load_algebra_json(text)
 
 
 def _named(alg: Algebra, v: Vec) -> str:
@@ -89,19 +88,27 @@ def _validate(alg: Algebra, levi: LeviDatum | None) -> list[str]:
 
 def _spot_check(alg: Algebra, seed: int) -> None:
     """Random rational triples through the identity; belt over the exhaustive
-    basis check."""
-    rng = random.Random(seed)
+    basis check.
 
-    def rand_vec() -> Vec:
-        return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                     for _ in range(alg.dim))
+    Each drawn vector is scaled to integers by the lcm of its denominators
+    and multiplied over the integer table (the table times its common
+    denominator D).  Every term of [x,[y,z]] - [[x,y],z] + [[x,z],y] then
+    scales by the same D²·sx·sy·sz, so the verdict is the exact one."""
+    rng = random.Random(seed)
+    _, by_left, _ = _integer_table(alg)
+
+    def rand_row() -> dict[int, int]:
+        drawn = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.dim)]
+        scale = math.lcm(*(q for _, q in drawn))
+        return {i: p * (scale // q) for i, (p, q) in enumerate(drawn) if p}
 
     for _ in range(SPOT_CHECKS):
-        x, y, z = rand_vec(), rand_vec(), rand_vec()
-        lhs = alg.product(x, alg.product(y, z))
-        rhs = tuple(a - b for a, b in zip(alg.product(alg.product(x, y), z),
-                                          alg.product(alg.product(x, z), y)))
-        if lhs != rhs:
+        x, y, z = rand_row(), rand_row(), rand_row()
+        residual = _product(by_left, x, _product(by_left, y, z))
+        for u, v, w, sign in ((x, y, z, -1), (x, z, y, 1)):
+            _accumulate(residual, sign,
+                        _product(by_left, _product(by_left, u, v), w).items())
+        if any(residual.values()):
             raise InvalidAlgebraError(
                 "random spot check found an identity violation")
 
@@ -134,6 +141,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _components_for_scalars(alg: Algebra, levi: LeviDatum):
+    from .sl2 import irreducible_decomposition_sl2
     if not levi.sl2_triples:
         return None
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
@@ -144,6 +152,8 @@ def _components_for_scalars(alg: Algebra, levi: LeviDatum):
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from .derivations import (ideal_endo_blocks, outer_report,
+                              raising_map_report, split_all)
     alg, levi = _load(args.file)
     _validate(alg, levi)
     rep = outer_report(alg)
@@ -229,6 +239,8 @@ def cmd_radical(args: argparse.Namespace) -> int:
 
 
 def cmd_modules(args: argparse.Namespace) -> int:
+    from .sl2 import (irreducible_decomposition_sl2, pair_structure_report,
+                      weight_decomposition)
     alg, levi = _load(args.file)
     _validate(alg, levi)
     if levi is None or not levi.sl2_triples:

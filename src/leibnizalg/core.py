@@ -28,6 +28,7 @@ from .exactlin import (
     Vec,
     ONE,
     ZERO,
+    _row_to_dict,
     format_rational,
     kernel_of_constraints,
     parse_rational,
@@ -52,6 +53,11 @@ class LeviError(Exception):
 
 class SchemaError(Exception):
     """A document does not conform to the algebra file format."""
+
+
+class ModuleError(Exception):
+    """The requested module-theoretic structure does not exist or cannot be
+    certified for this input."""
 
 
 class Algebra:
@@ -118,7 +124,8 @@ class Algebra:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the dimension")
-        out = _product(self, {i: a for i, a in enumerate(x) if a}, dict(enumerate(y)))
+        out = _product(self._by_left, {i: a for i, a in enumerate(x) if a},
+                       dict(enumerate(y)))
         return tuple(out.get(k, ZERO) for k in range(self.dim))
 
     def right_mult(self, z: Sequence[Fraction]) -> Matrix:
@@ -204,6 +211,63 @@ class LeviDatum:
         return sorted(self.g_indices + self.i_indices) == list(range(n))
 
 
+@dataclass(frozen=True)
+class Sl2Triple:
+    """An sl2 triple (e, f, h) given in ambient coordinates; the functions
+    that use it read it as sparse rows."""
+
+    e: Vec
+    f: Vec
+    h: Vec
+
+    @staticmethod
+    def from_indices(dim: int, indices: Sequence[int]) -> "Sl2Triple":
+        """The basis vectors at a declared (e, f, h) index triple; LeviError
+        unless it is three indices below dim."""
+        if len(indices) != 3 or not all(0 <= i < dim for i in indices):
+            raise LeviError(
+                f"declared triple {tuple(indices)} is not three basis indices")
+        ie, if_, ih = indices
+        return Sl2Triple(unit_vec(dim, ie), unit_vec(dim, if_), unit_vec(dim, ih))
+
+
+def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, ...]:
+    """Violated relations of the canonical sl2 presentation; empty means pass.
+
+    The triple must be supported on the declared semisimple-part indices,
+    and the six products [e,h]=2e, [h,e]=-2e, [h,f]=2f, [f,h]=-2f,
+    [e,f]=h, [f,e]=-h must hold exactly.
+    """
+    problems = []
+    g_set = set(levi.g_indices)
+    rows = []
+    for label, vec in (("e", t.e), ("f", t.f), ("h", t.h)):
+        if len(vec) != alg.dim:
+            return (f"vector {label} has the wrong length",)
+        row = _row_to_dict(vec)
+        outside = [i for i in row if i not in g_set]
+        if outside:
+            problems.append(
+                f"vector {label} has support outside the semisimple part "
+                f"at indices {outside}")
+        rows.append(row)
+    e, f, h = rows
+    expected = (
+        ("[e,h] = 2e", e, h, 2, e),
+        ("[h,e] = -2e", h, e, -2, e),
+        ("[h,f] = 2f", h, f, 2, f),
+        ("[f,h] = -2f", f, h, -2, f),
+        ("[e,f] = h", e, f, 1, h),
+        ("[f,e] = -h", f, e, -1, h),
+    )
+    for label, x, y, c, want in expected:
+        residual = _product(alg._by_left, x, y)
+        _accumulate(residual, -c, want.items())
+        if any(residual.values()):
+            problems.append(f"relation {label} fails")
+    return tuple(problems)
+
+
 def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
     """Raise LeviError unless the declared split holds for this algebra."""
     n = alg.dim
@@ -219,7 +283,6 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
     ideal_span = Subspace.coordinate(n, levi.i_indices)
     if ideal_span != squares_ideal(alg):
         raise LeviError("declared ideal indices do not span the ideal of squares")
-    from .sl2 import Sl2Triple, check_sl2_triple
     for t in levi.sl2_triples:
         triple = Sl2Triple.from_indices(n, t)
         bad = check_sl2_triple(alg, levi, triple)
@@ -292,17 +355,19 @@ def _accumulate(acc: dict[int, Fraction], x: Fraction,
                 entries: Iterable[TableEntry]) -> None:
     """acc += x·entries, entries being (index, coefficient) pairs; sums that
     cancel stay as explicit zeros, which ``Subspace.span`` and
-    ``Subspace.reduce`` accept."""
+    ``Subspace.reduce`` accept.  Integer inputs give integer sums."""
     for k, coeff in entries:
-        acc[k] = acc.get(k, ZERO) + x * coeff
+        acc[k] = acc.get(k, 0) + x * coeff
 
 
-def _product(alg: Algebra, u: Mapping[int, Fraction],
+def _product(by_left: Mapping, u: Mapping[int, Fraction],
              v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """[u, v] for sparse rows, contracted from the table's nonzero entries."""
+    """[u, v] for sparse rows, contracted from the nonzero table entries
+    that by_left indexes: ``alg._by_left`` gives the exact product, the
+    index of ``_integer_table(alg)`` gives D times it."""
     out: dict[int, Fraction] = {}
     for i, x in u.items():
-        for j, entries in alg._by_left.get(i, ()):
+        for j, entries in by_left.get(i, ()):
             y = v.get(j)
             if y:
                 _accumulate(out, x * y, entries)
@@ -367,7 +432,8 @@ def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     """Span of all products of elements of the given subspace (default: all)."""
     rows = ([{i: ONE} for i in range(alg.dim)] if sub is None
             else list(sub.pivot_rows.values()))
-    return Subspace.span(alg.dim, (_product(alg, u, v) for u in rows for v in rows))
+    return Subspace.span(alg.dim, (_product(alg._by_left, u, v)
+                                   for u in rows for v in rows))
 
 
 def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace]:
@@ -683,7 +749,7 @@ def is_simple_certified(alg: Algebra, levi: LeviDatum) -> SimplicityCertificate:
             "quotient splits into multiple simple ideals")
 
     if len(levi.sl2_triples) == 1 and len(levi.g_indices) == 3:
-        from .sl2 import ModuleError, Sl2Triple, irreducible_decomposition_sl2
+        from .sl2 import irreducible_decomposition_sl2
         triple = Sl2Triple.from_indices(n, levi.sl2_triples[0])
         try:
             dec = irreducible_decomposition_sl2(alg, sq, triple)

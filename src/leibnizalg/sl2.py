@@ -3,21 +3,24 @@ vectors, irreducible decomposition, and the paired-columns structure check.
 
 The module convention throughout is the right action x . g = [x, g].  All
 subspaces returned here live in the coordinates of the ambient algebra, so
-results compose directly with the ideal and radical machinery.
+results compose directly with the ideal and radical machinery.  The triple
+type, its relation check and ``ModuleError`` live in ``core`` beside the
+declared split they validate; this module imports them from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     Algebra,
     LeviDatum,
-    LeviError,
+    ModuleError,
+    Sl2Triple,
     _accumulate,
     _product,
+    check_sl2_triple,
     squares_ideal,
     squares_quotient,
 )
@@ -30,70 +33,7 @@ from .exactlin import (
     format_rational,
     nullspace,
     rational_eigen,
-    unit_vec,
 )
-
-
-class ModuleError(Exception):
-    """The requested module-theoretic structure does not exist or cannot be
-    certified for this input."""
-
-
-@dataclass(frozen=True)
-class Sl2Triple:
-    """An sl2 triple (e, f, h) given in ambient coordinates; the functions
-    here read it as sparse rows."""
-
-    e: Vec
-    f: Vec
-    h: Vec
-
-    @staticmethod
-    def from_indices(dim: int, indices: Sequence[int]) -> "Sl2Triple":
-        """The basis vectors at a declared (e, f, h) index triple; LeviError
-        unless it is three indices below dim."""
-        if len(indices) != 3 or not all(0 <= i < dim for i in indices):
-            raise LeviError(
-                f"declared triple {tuple(indices)} is not three basis indices")
-        ie, if_, ih = indices
-        return Sl2Triple(unit_vec(dim, ie), unit_vec(dim, if_), unit_vec(dim, ih))
-
-
-def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, ...]:
-    """Violated relations of the canonical sl2 presentation; empty means pass.
-
-    The triple must be supported on the declared semisimple-part indices,
-    and the six products [e,h]=2e, [h,e]=-2e, [h,f]=2f, [f,h]=-2f,
-    [e,f]=h, [f,e]=-h must hold exactly.
-    """
-    problems = []
-    g_set = set(levi.g_indices)
-    rows = []
-    for label, vec in (("e", t.e), ("f", t.f), ("h", t.h)):
-        if len(vec) != alg.dim:
-            return (f"vector {label} has the wrong length",)
-        row = _row_to_dict(vec)
-        outside = [i for i in row if i not in g_set]
-        if outside:
-            problems.append(
-                f"vector {label} has support outside the semisimple part "
-                f"at indices {outside}")
-        rows.append(row)
-    e, f, h = rows
-    expected = (
-        ("[e,h] = 2e", e, h, 2, e),
-        ("[h,e] = -2e", h, e, -2, e),
-        ("[h,f] = 2f", h, f, 2, f),
-        ("[f,h] = -2f", f, h, -2, f),
-        ("[e,f] = h", e, f, 1, h),
-        ("[f,e] = -h", f, e, -1, h),
-    )
-    for label, x, y, c, want in expected:
-        residual = _product(alg, x, y)
-        _accumulate(residual, -c, want.items())
-        if any(residual.values()):
-            problems.append(f"relation {label} fails")
-    return tuple(problems)
 
 
 # ----------------------------------------------------------------- weights
@@ -121,7 +61,7 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
     coordinates."""
     images = []
     for v in sub.pivot_rows.values():
-        image = _product(alg, v, g)
+        image = _product(alg._by_left, v, g)
         if sub.reduce(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
@@ -213,13 +153,13 @@ def irreducible_decomposition_sl2(
         current = _row_to_dict(hw.vector)
         chain = [current]
         for _ in range(w):
-            current = _product(alg, current, f)
+            current = _product(alg._by_left, current, f)
             if not any(current.values()):
                 raise ModuleError(
                     "lowering chain stopped before filling the expected "
                     f"{w + 1}-dimensional component")
             chain.append(current)
-        if any(_product(alg, current, f).values()):
+        if any(_product(alg._by_left, current, f).values()):
             raise ModuleError(
                 "lowering chain exceeds the dimension allowed by its weight")
         comp = Subspace.span(sub.ambient_dim, chain)
@@ -307,8 +247,8 @@ def _check_quotient_pair(
         return ConditionCheck(False, "the two triples do not span independently")
     for u in first:
         for v in second:
-            if any(_product(alg, u, v).values()) \
-                    or any(_product(alg, v, u).values()):
+            if any(_product(alg._by_left, u, v).values()) \
+                    or any(_product(alg._by_left, v, u).values()):
                 return ConditionCheck(False, "the two sl2 blocks do not commute")
     quo = squares_quotient(alg)
     if quo.algebra.dim != 6:

@@ -2,12 +2,16 @@
 reports against their schema, and byte-stable serialization."""
 
 import json
+import random
+from fractions import Fraction as F
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from leibnizalg.cli import IO_FAIL, MATH_FAIL, PASS, main
+from leibnizalg import Algebra, InvalidAlgebraError
+from leibnizalg.catalog import semisimple_pair, standard_catalog
+from leibnizalg.cli import IO_FAIL, MATH_FAIL, PASS, SPOT_CHECKS, _spot_check, main
 
 
 def run(capsys, *argv):
@@ -72,6 +76,15 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == IO_FAIL
     assert err
+
+
+def test_non_utf8_file_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == IO_FAIL
+    assert out == ""
+    assert err.startswith("schema error: not UTF-8 text")
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -242,3 +255,78 @@ def test_json_reports_deterministic(simple3, capsys):
     _, out1, _ = run(capsys, "derive", str(simple3), "--decompose", "--json")
     _, out2, _ = run(capsys, "derive", str(simple3), "--decompose", "--json")
     assert out1 == out2
+
+
+# ------------------------------------------------------------ spot checks
+
+def fraction_spot_check_passes(alg, seed):
+    """The spot check in Fraction arithmetic on dense vectors, drawing the
+    same triples as ``_spot_check``: the reference its integer rows must
+    agree with."""
+    rng = random.Random(seed)
+
+    def rand_vec():
+        return tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(alg.dim))
+
+    for _ in range(SPOT_CHECKS):
+        x, y, z = rand_vec(), rand_vec(), rand_vec()
+        lhs = alg.product(x, alg.product(y, z))
+        rhs = tuple(a - b for a, b in zip(alg.product(alg.product(x, y), z),
+                                          alg.product(alg.product(x, z), y)))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def spot_check_passes(alg, seed):
+    try:
+        _spot_check(alg, seed)
+    except InvalidAlgebraError:
+        return False
+    return True
+
+
+def single_constant_corruptions(alg):
+    """Each structure constant c of the table replaced by c + 1/3, then
+    each of a few absent products set to 1/2 at one target."""
+    table = dict(alg.table_items())
+    for pair, entries in sorted(table.items()):
+        for pos, (k, c) in enumerate(entries):
+            changed = list(entries)
+            changed[pos] = (k, c + F(1, 3))
+            yield Algebra(alg.dim, {**table, pair: changed}, alg.basis_names)
+    absent = [(i, j) for i in range(alg.dim) for j in range(alg.dim)
+              if (i, j) not in table]
+    for i, j in absent[::7]:
+        yield Algebra(alg.dim, {**table, (i, j): [((i + j) % alg.dim, F(1, 2))]},
+                      alg.basis_names)
+
+
+SPOT_SEEDS = (0, 1, 7, 2024)
+
+
+@pytest.mark.parametrize("seed", SPOT_SEEDS)
+def test_spot_check_passes_on_every_catalog_member(seed):
+    for name, alg, _ in standard_catalog():
+        assert spot_check_passes(alg, seed), name
+
+
+def test_spot_check_catches_one_corrupted_constant():
+    alg, _ = semisimple_pair(1)
+    table = dict(alg.table_items())
+    pair, entries = next(iter(sorted(table.items())))
+    (k, c), *rest = entries
+    bad = Algebra(alg.dim, {**table, pair: [(k, c + 1), *rest]})
+    with pytest.raises(InvalidAlgebraError, match="random spot check"):
+        _spot_check(bad, 0)
+
+
+@pytest.mark.parametrize("seed", SPOT_SEEDS)
+def test_spot_check_agrees_with_fraction_arithmetic(seed):
+    alg, _ = semisimple_pair(1)
+    algebras = [a for _, a, _ in standard_catalog()]
+    algebras += single_constant_corruptions(alg)
+    verdicts = [spot_check_passes(a, seed) for a in algebras]
+    assert verdicts == [fraction_spot_check_passes(a, seed) for a in algebras]
+    assert False in verdicts and True in verdicts

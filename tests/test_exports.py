@@ -1,9 +1,16 @@
 """The package's export list, and the imports of its modules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import leibnizalg
+from leibnizalg.cli import main
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -11,6 +18,54 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(leibnizalg, n)] == []
+    exported = {n: getattr(leibnizalg, n) for n in names}
+    assert [n for n, obj in exported.items()
+            if getattr(sys.modules[obj.__module__], n) is not obj] == []
+    assert set(names) <= set(dir(leibnizalg))
+    from leibnizalg.sl2 import ModuleError, Sl2Triple, check_sl2_triple
+    assert (Sl2Triple, ModuleError, check_sl2_triple) == (
+        leibnizalg.Sl2Triple, leibnizalg.ModuleError,
+        leibnizalg.check_sl2_triple)
+
+
+# A lazily loaded layer is in sys.modules before its code runs; reading its
+# namespace with object.__getattribute__ does not run it, and a module whose
+# code ran has bound a name of its own.
+LOADED_PROBE = """
+import json, sys
+{body}
+ran = sorted(name for name, module in sys.modules.items()
+             if name.partition(".")[0] == "leibnizalg"
+             and any(not key.startswith("__")
+                     for key in object.__getattribute__(module, "__dict__")))
+print(json.dumps(ran))
+"""
+
+EAGER = ["leibnizalg", "leibnizalg.core", "leibnizalg.exactlin"]
+CLI = sorted(EAGER + ["leibnizalg.catalog", "leibnizalg.cli"])
+
+
+@pytest.mark.parametrize("body, loaded", [
+    ("import leibnizalg", EAGER),
+    ("import leibnizalg.cli", CLI),
+    ("from leibnizalg.cli import main; assert main(['check', PATH]) == 0", CLI),
+    ("from leibnizalg.cli import main; assert main(['radical', PATH]) == 0", CLI),
+    ("from leibnizalg.cli import main; assert main(['modules', PATH]) == 0",
+     sorted(CLI + ["leibnizalg.sl2"])),
+    ("from leibnizalg.cli import main; "
+     "assert main(['derive', PATH, '--decompose']) == 0",
+     sorted(CLI + ["leibnizalg.derivations", "leibnizalg.sl2"])),
+], ids=["package", "cli", "check", "radical", "modules", "derive"])
+def test_each_command_runs_only_its_layers(body, loaded, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    assert main(["catalog", "pair", "--m", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    src = str(Path(leibnizalg.__file__).parents[1])
+    probe = LOADED_PROBE.format(body=body.replace("PATH", repr(str(path))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert json.loads(out.splitlines()[-1]) == loaded
 
 
 def unused_imports(source: str) -> list[str]:
