@@ -309,30 +309,33 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
 
     Empty means the identity holds; by trilinearity checking basis triples
     is exhaustive.  The residual [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
-    + [[e_i, e_k], e_j] is contracted from the table's nonzero entries.
+    + [[e_i, e_k], e_j] is contracted from the nonzero entries of the
+    integer table (the table times its common denominator D), where every
+    term is a product of two entries and so D² times its exact value.
     Each term has a factor [e_j, e_k], [e_i, e_j] or [e_i, e_k], so only
     the triples where one of them is in the table are visited.
     """
     n = alg.dim
-    table = alg._table
-    rights = [{k for k, _ in alg._by_left.get(i, ())} for i in range(n)]
+    den, table, by_left, _ = _integer_table(alg)
+    rights = [{k for k, _ in by_left.get(i, ())} for i in range(n)]
     violations = []
     for i in range(n):
         for j in range(n):
             cij = table.get((i, j), ())
             for k in range(n) if cij else sorted(rights[i] | rights[j]):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for l, a in table.get((j, k), ()):
                     for t, b in table.get((i, l), ()):
-                        acc[t] = acc.get(t, ZERO) + a * b
+                        acc[t] = acc.get(t, 0) + a * b
                 for l, a in cij:
                     for t, b in table.get((l, k), ()):
-                        acc[t] = acc.get(t, ZERO) - a * b
+                        acc[t] = acc.get(t, 0) - a * b
                 for l, a in table.get((i, k), ()):
                     for t, b in table.get((l, j), ()):
-                        acc[t] = acc.get(t, ZERO) + a * b
+                        acc[t] = acc.get(t, 0) + a * b
                 if any(acc.values()):
-                    residual = tuple(acc.get(t, ZERO) for t in range(n))
+                    residual = tuple(Fraction(acc.get(t, 0), den * den)
+                                     for t in range(n))
                     violations.append((i, j, k, residual))
     return tuple(violations)
 
@@ -574,7 +577,7 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
     left=False drops that side's term; each term alone gives one half of
     the centroid."""
     n = alg.dim
-    table, by_left, by_right = _integer_table(alg)
+    _, table, by_left, by_right = _integer_table(alg)
     for i, j in itertools.product(range(n), repeat=2):
         rows: dict[int, dict[int, int]] = {}
         cij = table.get((i, j))
@@ -591,14 +594,14 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
 
 
 @per_algebra
-def _integer_table(alg: Algebra) -> tuple[dict, dict, dict]:
-    """The table times the common denominator of its constants, with int
-    entries, and its ``_index``."""
+def _integer_table(alg: Algebra) -> tuple[int, dict, dict, dict]:
+    """(D, the table times D with int entries, its ``_index``), D being the
+    common denominator of the table's constants."""
     den = math.lcm(*(c.denominator for entries in alg._table.values()
                      for _, c in entries))
     table = {pair: tuple((k, c.numerator * (den // c.denominator)) for k, c in entries)
              for pair, entries in alg._table.items()}
-    return (table, *_index(table))
+    return (den, table, *_index(table))
 
 
 def _identity_sides(by_left: Mapping, by_right: Mapping, i: int, j: int,

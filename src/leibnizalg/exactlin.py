@@ -163,13 +163,14 @@ class Matrix:
 # ------------------------------------------------- sparse elimination engine
 
 def _int_row(frow: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear denominators and strip zeros; the row scale is irrelevant.
+    """Clear the denominators of a row with no zero entries; the row scale
+    is irrelevant.
 
     Each entry is scaled as numerator·(lcm // denominator), so an ``int``
     row (denominators 1) is copied with no Fraction arithmetic."""
     denlcm = math.lcm(*(v.denominator for v in frow.values()))
     return _primitive({c: v.numerator * (denlcm // v.denominator)
-                       for c, v in frow.items() if v})
+                       for c, v in frow.items()})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -205,21 +206,36 @@ class SparseRref:
     columns whose stored row has an entry at the non-pivot column c, and
     columns no row holds have no key.  A new pivot c is back-substituted
     into the rows of ``holders[c]`` alone, so the cost of a row follows the
-    nonzeros it meets, not the rank.  ``_store`` is the one place a row is
-    written and keeps the index in step.  ``pivots`` and ``fraction_rows``
-    are what callers read.
+    nonzeros it meets, not the rank.
+
+    ``pinned`` holds the pivot columns whose stored row is a unit row
+    {p: ±1}: the rows say x_p = 0.  Such a row never changes again (it
+    holds no free column), and reducing by it only deletes column p, so
+    ``add_row`` drops pinned columns before it clears denominators, and a
+    row left empty costs no arithmetic at all.  This is the singleton-row
+    reduction of sparse presolve (E. D. Andersen and K. D. Andersen,
+    "Presolving in linear programming", Math. Programming 71, 1995).  A
+    new unit pivot c is back-substituted by deleting column c from the
+    rows of ``holders[c]``.  Either shortcut gives the row that the
+    arithmetic would give, up to sign, so the same rows are stored and the
+    RREF is the same.
+    ``_store`` is the one place a row is written and keeps both indexes in
+    step.  ``pivots`` and ``fraction_rows`` are what callers read.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, dict[int, int]] = {}
         self.holders: dict[int, set[int]] = {}
+        self.pinned: set[int] = set()
 
     def _store(self, p: int, row: dict[int, int]) -> None:
         """Write the stored row of pivot p and update the holders of the
-        columns it gains or loses."""
+        columns it gains or loses, pinning p if the row is a unit row."""
         old = self.pivots.get(p, {})
         self.pivots[p] = row
+        if len(row) == 1:
+            self.pinned.add(p)
         holders = self.holders
         for c in old.keys() - row.keys():
             held = holders[c]
@@ -231,6 +247,10 @@ class SparseRref:
                 holders.setdefault(c, set()).add(p)
 
     def add_row(self, frow: Mapping[int, Fraction | int]) -> None:
+        pinned = self.pinned
+        frow = {c: v for c, v in frow.items() if v and c not in pinned}
+        if not frow:
+            return
         row = _int_row(frow)
         pivots = self.pivots
         # stored rows hold no other pivot column, so reducing by one pivot
@@ -244,7 +264,11 @@ class SparseRref:
         lead = row[c]
         for p in tuple(self.holders.get(c, ())):
             q = pivots[p]
-            self._store(p, _primitive(_axpy(lead, q, -q[c], row)))
+            if len(row) == 1:  # x_c = 0, so the reduction deletes column c
+                q = {col: v for col, v in q.items() if col != c}
+            else:
+                q = _axpy(lead, q, -q[c], row)
+            self._store(p, _primitive(q))
         self._store(c, row)
 
     def extend(self, frows: Iterable[Mapping[int, Fraction | int]]) -> None:

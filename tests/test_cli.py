@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from leibnizalg import Algebra, InvalidAlgebraError
-from leibnizalg.catalog import semisimple_pair, standard_catalog
+from leibnizalg.catalog import CatalogSpec, semisimple_pair, standard_catalog
 from leibnizalg.cli import IO_FAIL, MATH_FAIL, PASS, SPOT_CHECKS, _spot_check, main
 
 
@@ -155,6 +155,14 @@ def test_catalog_refuses_unverified_size(capsys):
 def test_catalog_rejects_bad_m(capsys):
     code, _, err = run(capsys, "catalog", "pair", "--m", "0")
     assert code == IO_FAIL
+
+
+def test_catalog_unknown_family_lists_the_families(capsys):
+    code, out, err = run(capsys, "catalog", "so3")
+    assert code == IO_FAIL
+    assert out == ""
+    assert err.startswith("catalog: unknown family 'so3'")
+    assert all(family in err for family in CatalogSpec.FAMILIES)
 
 
 @pytest.mark.parametrize("family", ["sl2", "two_dim_solvable"])

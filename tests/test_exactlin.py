@@ -156,15 +156,27 @@ def test_kernel_of_constraints_rejects_columns_outside_the_unknowns(rows):
         kernel_of_constraints(rows, 3)
 
 
-def assert_holders_index(eng: SparseRref):
+def assert_indexes(eng: SparseRref):
     """holders[c] is exactly the set of stored rows with an entry at the
-    non-pivot column c, and no other column has a key."""
+    non-pivot column c, and no other column has a key; pinned is exactly
+    the set of pivots whose stored row is a unit row."""
     expected: dict[int, set[int]] = {}
     for p, row in eng.pivots.items():
         for c in row:
             if c != p:
                 expected.setdefault(c, set()).add(p)
     assert eng.holders == expected
+    assert eng.pinned == {p for p, row in eng.pivots.items() if len(row) == 1}
+    assert all(abs(eng.pivots[p][p]) == 1 for p in eng.pinned)
+
+
+def assert_rref_matches_sympy(eng: SparseRref, ncols: int, rows) -> None:
+    dense = sympy.Matrix([[sympy.Rational(F(row.get(c, 0))) for c in range(ncols)]
+                          for row in rows])
+    reduced, pivots = dense.rref()
+    expected = [(p, {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x})
+                for i, p in enumerate(pivots)]
+    assert eng.fraction_rows() == expected
 
 
 entries = st.one_of(st.integers(-4, 4), rationals)
@@ -198,13 +210,30 @@ def test_sparse_rref_matches_sympy_and_keeps_its_index(system):
     eng = SparseRref(ncols)
     for row in rows:
         eng.add_row(row)
-        assert_holders_index(eng)
-    dense = sympy.Matrix([[sympy.Rational(F(row.get(c, 0))) for c in range(ncols)]
-                          for row in rows])
-    reduced, pivots = dense.rref()
-    expected = [(p, {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x})
-                for i, p in enumerate(pivots)]
-    assert eng.fraction_rows() == expected
+        assert_indexes(eng)
+    assert_rref_matches_sympy(eng, ncols, rows)
+
+
+@pytest.mark.parametrize("rows, pinned, kernel_dim", [
+    # an explicit zero says nothing about its column
+    ([{0: 0}, {1: 0, 2: 3}], {2}, 2),
+    # a unit row after rows holding its column: deleting the column leaves
+    # both of them unit rows
+    ([{0: 2, 2: 1}, {1: F(1, 3), 2: -1}, {2: F(-5, 7)}], {0, 1, 2}, 0),
+    # the earlier pivot reduces the second row to one entry; the third row
+    # holds only pinned columns and is dropped before any arithmetic
+    ([{0: 1, 1: 1}, {0: 2, 1: 2, 2: -4}, {2: 3, 1: 0}], {2}, 1),
+    # a unit pivot arriving after a row whose other entries are pinned
+    ([{1: 1}, {0: 1, 1: 2, 2: 1}, {2: F(1, 2), 1: 5}], {0, 1, 2}, 0),
+])
+def test_sparse_rref_pins_the_columns_unit_rows_force_to_zero(rows, pinned, kernel_dim):
+    eng = SparseRref(3)
+    for row in rows:
+        eng.add_row(row)
+        assert_indexes(eng)
+    assert eng.pinned == pinned
+    assert len(eng.kernel_rows()) == kernel_dim
+    assert_rref_matches_sympy(eng, 3, rows)
 
 
 # ----------------------------------------------------------------- solve

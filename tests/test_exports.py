@@ -42,7 +42,7 @@ print(json.dumps(ran))
 """
 
 EAGER = ["leibnizalg", "leibnizalg.core", "leibnizalg.exactlin"]
-CLI = sorted(EAGER + ["leibnizalg.catalog", "leibnizalg.cli"])
+CLI = sorted(EAGER + ["leibnizalg.cli"])
 
 
 @pytest.mark.parametrize("body, loaded", [
@@ -55,7 +55,9 @@ CLI = sorted(EAGER + ["leibnizalg.catalog", "leibnizalg.cli"])
     ("from leibnizalg.cli import main; "
      "assert main(['derive', PATH, '--decompose']) == 0",
      sorted(CLI + ["leibnizalg.derivations", "leibnizalg.sl2"])),
-], ids=["package", "cli", "check", "radical", "modules", "derive"])
+    ("from leibnizalg.cli import main; assert main(['catalog', 'sl2']) == 0",
+     sorted(CLI + ["leibnizalg.catalog"])),
+], ids=["package", "cli", "check", "radical", "modules", "derive", "catalog"])
 def test_each_command_runs_only_its_layers(body, loaded, tmp_path, capsys):
     path = tmp_path / "pair.json"
     assert main(["catalog", "pair", "--m", "1", "-o", str(path)]) == 0
