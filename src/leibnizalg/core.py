@@ -618,25 +618,59 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
                       ) -> Iterator[tuple[int, int]]:
     """Basis pairs (default: all, row-major) where the n×n map m fails the
     identity of identity_rows, contracted from the table and m's nonzero
-    columns; left=False checks m([x,y]) = [m(x), y] alone."""
+    columns; left=False checks m([x,y]) = [m(x), y] alone.
+
+    Only pairs where some term can be nonzero are visited: (i, j) whose
+    product holds a nonzero column of m, (c, j) for each nonzero column c
+    and each j with some [e_l, e_j] in the table, and, when left is set,
+    (i, c) for each i with some [e_i, e_l] in the table.  Every other pair
+    has zero residual by construction, so the failures, and their order,
+    are those of a scan over all pairs."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
-    images = [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(n)]
+    # D·den·residual in integers: the table times D, m's columns times den
+    columns = m.columns
+    den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
+    images = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
+              for c, col in columns.items()}
+    _, table, by_left, by_right = _integer_table(alg)
+    live = {pair for pair, entries in table.items()
+            if any(l in images for l, _ in entries)}
+    for c in images:
+        live.update((c, j) for j in by_right)
+        if left:
+            live.update((i, c) for i in by_left)
     if pairs is None:
-        pairs = itertools.product(range(n), repeat=2)
+        pairs = sorted(live)
     for i, j in pairs:
-        acc: dict[int, Fraction] = {}
-        for l, x in alg.c(i, j):
-            _accumulate(acc, -x, images[l].items())
-        for factors, moved in _identity_sides(alg._by_left, alg._by_right,
-                                              i, j, True, left):
-            image = images[moved]
-            for l, entries in factors:
-                if l in image:
-                    _accumulate(acc, image[l], entries)
+        if (i, j) not in live:
+            continue
+        acc: dict[int, int] = {}
+        for l, x in table.get((i, j), ()):
+            if l in images:
+                _accumulate(acc, -x, images[l].items())
+        for factors, moved in _identity_sides(by_left, by_right, i, j, True, left):
+            image = images.get(moved)
+            if image:
+                for l, entries in factors:
+                    if l in image:
+                        _accumulate(acc, image[l], entries)
         if any(acc.values()):
             yield i, j
+
+
+def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
+    """The n×n maps whose row-major flattenings are span's RREF rows, built
+    as sparse columns: index k holds entry (r, c) = divmod(k, n)."""
+    maps = []
+    for row in span.pivot_rows.values():
+        columns: dict[int, dict[int, Fraction]] = {}
+        for k, x in row.items():
+            r, c = divmod(k, n)
+            columns.setdefault(c, {})[r] = x
+        maps.append(Matrix.from_columns(n, n, columns))
+    return tuple(maps)
 
 
 def centroid(alg: Algebra) -> tuple[Matrix, ...]:
@@ -644,8 +678,7 @@ def centroid(alg: Algebra) -> tuple[Matrix, ...]:
     n = alg.dim
     rows = (row for right in (True, False)
             for row in identity_rows(alg, right=right, left=not right))
-    kernel = kernel_of_constraints(rows, n * n)
-    return tuple(Matrix.from_flat(v, n, n) for v in kernel.basis.data)
+    return kernel_maps(kernel_of_constraints(rows, n * n), n)
 
 
 # ------------------------------------------------------------ simple parts
@@ -676,12 +709,9 @@ def simple_summands(alg: Algebra) -> SummandSplit:
     cents = centroid(alg)
     want = len(cents)
     for t in range(1, _SWEEP_LIMIT + 1):
-        flat = [ZERO] * (n * n)
-        for power, c in enumerate(cents):
-            for idx, x in enumerate(c.flatten()):
-                if x:
-                    flat[idx] += t ** power * x
-        eigen = rational_eigen(Matrix.from_flat(flat, n, n))
+        combo = Matrix.combination(
+            n, n, ((t ** power, c) for power, c in enumerate(cents)))
+        eigen = rational_eigen(combo)
         if not eigen.complete or len(eigen.pairs) != want:
             continue
         spaces = tuple(space for _, space in eigen.pairs)

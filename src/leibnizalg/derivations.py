@@ -4,8 +4,13 @@ the squares ideal, and a raising map.
 
 The derivation space is the nullspace of a sparse linear system with n^2
 unknowns (the matrix entries) and n^3 equations (the derivation identity
-per basis pair and coordinate).  Everything downstream of that nullspace is
-exact: splits reconstruct their input matrix entry for entry.
+per basis pair and coordinate).  Each kernel row becomes a map stored as
+sparse columns, and everything downstream runs on those columns, so a
+derivation with about n nonzeros costs about n entries, not n^2: the
+grading sorts nonzeros into blocks, the inner match solves a small sparse
+system, and the module-endomorphism, complement and reconstruction checks
+read only the columns some term occupies.  Everything is exact: splits
+reconstruct their input matrix entry for entry.
 """
 
 from __future__ import annotations
@@ -15,16 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (Algebra, LeviDatum, StructureError, identity_failures,
-                   identity_rows, per_algebra, squares_ideal)
+from .core import (Algebra, LeviDatum, StructureError, _accumulate,
+                   identity_failures, identity_rows, kernel_maps, per_algebra,
+                   squares_ideal)
 from .exactlin import (
     Matrix,
     ONE,
+    SparseRref,
     Subspace,
     Vec,
     ZERO,
     kernel_of_constraints,
-    solve,
 )
 
 
@@ -63,8 +69,7 @@ def derivation_algebra(alg: Algebra) -> DerivationBasis:
     """Solve the derivation identity d([x,y]) = [d(x),y] + [x,d(y)] exactly."""
     n = alg.dim
     span = kernel_of_constraints(identity_rows(alg), n * n)
-    maps = tuple(Matrix.from_flat(v, n, n) for v in span.basis.data)
-    return DerivationBasis(alg, maps, span)
+    return DerivationBasis(alg, kernel_maps(span, n), span)
 
 
 def is_derivation(alg: Algebra, m: Matrix) -> bool:
@@ -114,11 +119,10 @@ def outer_candidates(alg: Algebra) -> tuple[Matrix, ...]:
     der = derivation_algebra(alg)
     grown = inner_derivation_span(alg)
     picked: list[Matrix] = []
-    for m in der.maps:
-        flat = m.flatten()
-        if not grown.contains(flat):
+    for m, row in zip(der.maps, der.span.pivot_rows.values()):
+        if grown.reduce(row):
             picked.append(m)
-            grown = grown.sum(Subspace.from_vectors(len(flat), [flat]))
+            grown = grown.sum(Subspace.span(grown.ambient_dim, [row]))
     return tuple(picked)
 
 
@@ -145,26 +149,17 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
     if not levi.partitions(n):
         raise ValueError("declared index sets do not partition the basis")
     g_set = set(levi.g_indices)
-    i_set = set(levi.i_indices)
-    diag = [[ZERO] * n for _ in range(n)]
-    raise_ = [[ZERO] * n for _ in range(n)]
-    lower = [[ZERO] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            v = m.data[r][c]
-            if v == 0:
-                continue
+    blocks: tuple[dict, dict, dict] = ({}, {}, {})  # diagonal, raising, lowering
+    for c, col in m.columns.items():
+        for r, v in col.items():
             if (r in g_set) == (c in g_set):
-                diag[r][c] = v
-            elif r in i_set:
-                raise_[r][c] = v
+                block = blocks[0]
+            elif c in g_set:
+                block = blocks[1]
             else:
-                lower[r][c] = v
-
-    def freeze(rows):
-        return Matrix(n, n, tuple(tuple(row) for row in rows))
-
-    return GradedParts(freeze(diag), freeze(raise_), freeze(lower))
+                block = blocks[2]
+            block.setdefault(c, {})[r] = v
+    return GradedParts(*(Matrix.from_columns(n, n, b) for b in blocks))
 
 
 # ------------------------------------------------------------------- split
@@ -180,54 +175,70 @@ class DerivationSplit:
     derivation: Matrix
 
 
+def _inner_match(alg: Algebra, g_list: Sequence[int],
+                 diagonal: Matrix) -> dict[int, Fraction] | None:
+    """Coordinates a_s (s in g_list) with [e_c, a] = diagonal(e_c) for
+    every complement column c, free coordinates zero; None if there are
+    none.
+
+    Coordinate r of [e_c, e_s] is the coefficient of a_s in equation
+    (c, r); column k = len(g_list) carries the right-hand side, so the
+    system is consistent exactly when k is no pivot, and then the RREF
+    row of each pivot holds its solution at k."""
+    k = len(g_list)
+    eng = SparseRref(k + 1)
+    cols = diagonal.columns
+    for c in g_list:
+        eqs: dict[int, dict[int, Fraction]] = {}
+        for t, s in enumerate(g_list):
+            for r, coeff in alg.c(c, s):
+                eqs.setdefault(r, {})[t] = coeff
+        for r, value in cols.get(c, {}).items():
+            eqs.setdefault(r, {})[k] = value
+        eng.extend(eqs.values())
+    if k in eng.pivots:
+        return None
+    return {g_list[t]: row[k] for t, row in eng.fraction_rows() if k in row}
+
+
 def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSplit:
     """Split a derivation along the declared grading.
 
     The diagonal part is matched by a right multiplication on the
     complement columns; the leftover is a module endomorphism of the ideal;
     the raising corner passes through unchanged.  The three parts sum back
-    to the input exactly or the function raises.
+    to the input exactly or the function raises.  Every step reads the
+    maps' sparse columns.
     """
     n = alg.dim
+    if m.rows != n or m.cols != n:
+        raise ValueError("matrix shape does not match the algebra dimension")
     parts = graded_parts(levi, m)
     if not parts.lowering.is_zero():
         raise LoweringBlockNonZero(
             "derivation maps the squares ideal outside itself")
-    g_list = list(levi.g_indices)
-    coeff_rows = []
-    rhs = []
-    for c in g_list:
-        # coefficient r of [e_c, e_s] is entry (r, c) of R(e_s)
-        products = [dict(alg.c(c, s)) for s in g_list]
-        for r in range(n):
-            coeff_rows.append(tuple(p.get(r, ZERO) for p in products))
-            rhs.append(parts.diagonal.data[r][c])
-    a_coords = solve(Matrix(len(rhs), len(g_list), tuple(coeff_rows)), rhs)
-    if a_coords is None:
+    a = _inner_match(alg, levi.g_indices, parts.diagonal)
+    if a is None:
         raise NoInnerMatch(
             "no right multiplication induces this map on the complement")
-    a_full = [ZERO] * n
-    for s, value in zip(g_list, a_coords):
-        a_full[s] = value
-    inner_element = tuple(a_full)
-    inner = alg.right_mult(inner_element).data
-    # the diagonal part minus R(a), subtracted at R(a)'s nonzero entries only
-    endo_rows = [[d - i if i else d for d, i in zip(d_row, i_row)]
-                 for d_row, i_row in zip(parts.diagonal.data, inner)]
-    for c in g_list:
-        for r in range(n):
-            if endo_rows[r][c] != 0:
-                raise StructureError(
-                    "leftover diagonal part does not vanish on the complement")
-    endo = Matrix(n, n, tuple(map(tuple, endo_rows)))
+    inner_element = tuple(a.get(s, ZERO) for s in range(n))
+    # column c of R(a) is [e_c, a] = sum of a_s·[e_c, e_s]
+    inner_cols: dict[int, dict[int, Fraction]] = {}
+    for s, x in a.items():
+        for c, entries in alg._by_right.get(s, ()):
+            _accumulate(inner_cols.setdefault(c, {}), x, entries)
+    inner = Matrix.from_columns(n, n, inner_cols)
+    endo = Matrix.combination(n, n, [(ONE, parts.diagonal), (-ONE, inner)])
+    if any(c in endo.columns for c in levi.g_indices):
+        raise StructureError(
+            "leftover diagonal part does not vanish on the complement")
     if not check_module_endomorphism(alg, endo):
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
-    # entrywise inner + endo + raising == m, adding only where a term is nonzero
-    for rows in zip(m.data, inner, endo.data, parts.raising.data):
-        for w, i, e, x in zip(*rows):
-            if (w or i or e or x) and i + e + x != w:
-                raise StructureError("split does not reconstruct the derivation")
+    rebuilt = Matrix.combination(
+        n, n, [(ONE, inner), (ONE, endo), (ONE, parts.raising)])
+    if rebuilt != m:
+        raise StructureError("split does not reconstruct the derivation")
     return DerivationSplit(inner_element, endo, parts.raising, m)
 
 
@@ -256,13 +267,9 @@ def scalar_of(block: Matrix) -> Fraction | None:
     """The lambda with block = lambda * identity, if there is one."""
     if block.rows != block.cols or block.rows == 0:
         return None
-    lam = block.data[0][0]
-    for r in range(block.rows):
-        for c in range(block.cols):
-            want = lam if r == c else ZERO
-            if block.data[r][c] != want:
-                return None
-    return lam
+    lam = block.columns.get(0, {}).get(0, ZERO)
+    want = {c: {c: lam} for c in range(block.rows)} if lam else {}
+    return lam if block.columns == want else None
 
 
 def ideal_endo_blocks(
@@ -274,9 +281,11 @@ def ideal_endo_blocks(
     image: stacked component basis vector t is tagged with unit column
     n + t, so reducing (endo(v), 0) leaves zero in the first n columns
     exactly when endo(v) lies in the stacked span, and minus its stacked
-    coordinates in the tail.
+    coordinates in the tail.  Images are summed over endo's sparse columns.
     """
     n = alg.dim
+    if endo.rows != n or endo.cols != n:
+        raise ValueError("matrix shape does not match the algebra dimension")
     if not components:
         return EndoBlockReport((), (), True)
     stacked = [v for comp in components for v in comp.pivot_rows.values()]
@@ -284,14 +293,12 @@ def ideal_endo_blocks(
         n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
     if any(p >= n for p in tagged.pivot_cols()):
         raise ValueError("components are not independent")
-    # the nonzero (row, entry) pairs of each column of endo
-    cols = [[(r, row[c]) for r, row in enumerate(endo.data) if row[c]]
-            for c in range(n)]
+    cols = endo.columns
     coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
     for v in stacked:
         image: dict[int, Fraction] = {}
         for c, x in v.items():
-            for r, entry in cols[c]:
+            for r, entry in cols.get(c, {}).items():
                 image[r] = image.get(r, ZERO) + x * entry
         residue = tagged.reduce(image)
         if any(c < n for c in residue):
@@ -301,9 +308,10 @@ def ideal_endo_blocks(
     offsets = list(itertools.accumulate((c.dim for c in components), initial=0))
     blocks = tuple(
         tuple(
-            Matrix(ci.dim, cj.dim, tuple(
-                tuple(coords[oj + col].get(oi + row, ZERO) for col in range(cj.dim))
-                for row in range(ci.dim)))
+            Matrix.from_columns(ci.dim, cj.dim, {
+                col: {u - oi: x for u, x in coords[oj + col].items()
+                      if oi <= u < oi + ci.dim}
+                for col in range(cj.dim)})
             for cj, oj in zip(components, offsets))
         for ci, oi in zip(components, offsets))
     k = len(components)
@@ -330,8 +338,9 @@ class RaisingReport:
 def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> RaisingReport:
     bad = tuple(identity_failures(
         alg, raising, False, itertools.product(levi.g_indices, repeat=2)))
-    image = Subspace.from_vectors(
-        alg.dim, [raising.col(c) for c in levi.g_indices])
+    cols = raising.columns
+    image = Subspace.span(
+        alg.dim, [cols[c] for c in levi.g_indices if c in cols])
     if image.dim == 0:
         kind = "zero"
     elif image == squares_ideal(alg):
@@ -355,5 +364,6 @@ class SplitSurvey:
 def split_all(alg: Algebra, levi: LeviDatum) -> SplitSurvey:
     der = derivation_algebra(alg)
     splits = tuple(split_derivation(alg, levi, m) for m in der.maps)
-    vectors = [s.raising_map.col(c) for s in splits for c in levi.g_indices]
-    return SplitSurvey(der, splits, Subspace.from_vectors(alg.dim, vectors))
+    # a raising corner has complement columns only
+    vectors = [col for s in splits for col in s.raising_map.columns.values()]
+    return SplitSurvey(der, splits, Subspace.span(alg.dim, vectors))

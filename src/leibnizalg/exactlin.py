@@ -15,8 +15,12 @@ new pivot reach only the rows that hold its column, so kernels of large,
 very sparse constraint systems cost what their nonzeros cost;
 ``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero entries.  ``Matrix`` is the value
-type that crosses the API.  Outside values become Fractions at the edge,
-in ``parse_rational`` and ``Matrix.from_rows``; everything else takes
+type that crosses the API; it stores sparse columns, so the derivation
+layer reads a map at the cost of its nonzeros, and builds its dense rows
+only when they are read.  ``solve``, a dense-matrix adapter, has no
+caller in the package and stays as the reference the tests compare
+against.  Outside values become Fractions at the edge, in
+``parse_rational`` and ``Matrix.from_rows``; everything else takes
 entries as given (Fraction or int) and never re-wraps an exact vector.
 """
 
@@ -67,21 +71,81 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # ---------------------------------------------------------------- matrices
 
 class Matrix:
-    """Immutable dense matrix of Fractions: the API's value type for maps.
+    """Immutable matrix of Fractions: the API's value type for maps.
 
-    Computations read the entries and work on sparse rows.  ``+``,
-    ``scale``, ``mul``, ``apply`` and ``dot`` (with ``Algebra.right_mult``/
-    ``left_mult``) stay as the dense reference tests compare against:
-    acceptance tests rebuild splits with ``+``, property tests conjugate
-    with ``mul``, derivation tests apply maps to dense products.
+    Stored as sparse columns, ``columns[c] = {row: nonzero}`` with no empty
+    column, which ``from_columns`` takes directly: the derivation layer
+    builds, splits and checks maps at the cost of their nonzeros.  ``data``
+    (dense rows) is a view built on first read; a matrix built dense
+    (``Matrix(rows, cols, data)``, ``from_rows``) builds its columns on
+    first read instead, so the dense paths (charpoly, sl2 actions) never
+    pay for them.  ``==``, ``hash``, ``col`` and ``is_zero`` read the
+    columns.  ``+``, ``scale``, ``mul``, ``apply`` and ``dot`` (with
+    ``Algebra.right_mult``/``left_mult``) are dense and stay as the
+    reference tests compare against.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_data", "_columns")
 
     def __init__(self, rows: int, cols: int, data: tuple[Vec, ...]):
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._columns = None
+
+    @staticmethod
+    def from_columns(rows: int, cols: int,
+                     columns: Mapping[int, Mapping[int, Fraction]]) -> "Matrix":
+        """The rows×cols matrix with entry (r, c) = columns[c][r]; absent
+        keys and zero values are zero entries."""
+        m = Matrix(rows, cols, None)
+        m._columns = {c: kept for c, col in columns.items()
+                      if (kept := {r: x for r, x in col.items() if x})}
+        return m
+
+    @staticmethod
+    def combination(rows: int, cols: int,
+                    terms: Iterable[tuple[Fraction, "Matrix"]]) -> "Matrix":
+        """Σ x·m over (x, m) in terms, summed over the union of the terms'
+        column keys."""
+        out: dict[int, dict[int, Fraction]] = {}
+        for x, m in terms:
+            if m.shape() != (rows, cols):
+                raise ValueError(f"shape mismatch: {m.shape()} vs {(rows, cols)}")
+            unit = x == 1
+            for c, col in m.columns.items():
+                acc = out.setdefault(c, {})
+                for r, v in col.items():
+                    if not unit:
+                        v = x * v
+                    acc[r] = acc[r] + v if r in acc else v
+        return Matrix.from_columns(rows, cols, out)
+
+    @property
+    def columns(self) -> dict[int, dict[int, Fraction]]:
+        """Sparse columns {c: {r: nonzero}}; callers only read them."""
+        if self._columns is None:
+            cols: dict[int, dict[int, Fraction]] = {}
+            for r, row in enumerate(self._data):
+                for c, x in enumerate(row):
+                    if x:
+                        cols.setdefault(c, {})[r] = x
+            self._columns = cols
+        return self._columns
+
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """Dense row tuples."""
+        if self._data is None:
+            self._data = self._dense_rows()
+        return self._data
+
+    def _dense_rows(self) -> tuple[Vec, ...]:
+        rows = [[ZERO] * self.cols for _ in range(self.rows)]
+        for c, col in self._columns.items():
+            for r, x in col.items():
+                rows[r][c] = x
+        return tuple(map(tuple, rows))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -102,7 +166,8 @@ class Matrix:
         return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
+        col = self.columns.get(j, {})
+        return tuple(col.get(r, ZERO) for r in range(self.rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape() != other.shape():
@@ -134,16 +199,8 @@ class Matrix:
         """Row-major flattening; entry (r, c) lands at index r*cols + c."""
         return tuple(x for r in self.data for x in r)
 
-    @staticmethod
-    def from_flat(flat: Sequence[Fraction], rows: int, cols: int) -> "Matrix":
-        """Inverse of ``flatten``; the entries are taken as given."""
-        if len(flat) != rows * cols:
-            raise ValueError("flat length does not match the requested shape")
-        return Matrix(rows, cols,
-                      tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
-
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not self.columns
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -151,10 +208,11 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix)
                 and self.shape() == other.shape()
-                and self.data == other.data)
+                and self.columns == other.columns)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, frozenset(
+            (c, frozenset(col.items())) for c, col in self.columns.items())))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"

@@ -35,7 +35,7 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
-from leibnizalg import exactlin
+from leibnizalg import core, exactlin
 from leibnizalg.core import Algebra, LeviDatum, identity_rows
 from leibnizalg.sl2 import Sl2Triple
 
@@ -367,6 +367,30 @@ def test_ideal_endo_blocks_rejects_image_outside_components():
         ideal_endo_blocks(alg, Matrix.from_rows(rows), comps)
 
 
+WRONG_SHAPES = {
+    "7x7 identity": Matrix.identity(7),
+    "5x6 zero": Matrix.from_rows([[F(0)] * 6 for _ in range(5)]),
+    "5x5 identity": Matrix.identity(5),
+}
+
+
+@pytest.mark.parametrize("label", sorted(WRONG_SHAPES))
+def test_ideal_endo_blocks_rejects_a_map_of_the_wrong_shape(label):
+    alg, levi = simple_sl2_leibniz(2)
+    triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    comps = irreducible_decomposition_sl2(alg, squares_ideal(alg), triple).components
+    with pytest.raises(ValueError, match="matrix shape does not match the "
+                                         "algebra dimension"):
+        ideal_endo_blocks(alg, WRONG_SHAPES[label], comps)
+
+
+def test_split_checks_the_shape_before_the_partition():
+    alg, levi = simple_sl2_leibniz(2)
+    with pytest.raises(ValueError, match="matrix shape does not match the "
+                                         "algebra dimension"):
+        split_derivation(alg, levi, Matrix.identity(7))
+
+
 def test_scalar_of_recognizer():
     ident2 = Matrix.from_rows([[F(3), F(0)], [F(0), F(3)]])
     assert scalar_of(ident2) == F(3)
@@ -547,3 +571,37 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
     (dim1, count1), (dim2, count2) = counts.items()
     assert count2 / count1 <= (dim2 / dim1) ** 2.5
     assert count2 < 20_000
+
+
+def test_split_cost_follows_the_nonzeros(monkeypatch):
+    # the identity check behind every split visits only the pairs where a
+    # term can be nonzero: core._identity_sides runs once per visited pair.
+    # Simple m = 48 and m = 96 visit 294 and 582 pairs (10 816 and 40 000
+    # when every basis pair was scanned); dim**1.5 leaves room for that and
+    # fails a scan that grows like dim**2.  No dense view is ever built.
+    visits, dense = 0, 0
+    sides, rows = core._identity_sides, exactlin.Matrix._dense_rows
+
+    def counted_sides(*args):
+        nonlocal visits
+        visits += 1
+        return sides(*args)
+
+    def counted_rows(m):
+        nonlocal dense
+        dense += 1
+        return rows(m)
+
+    monkeypatch.setattr(core, "_identity_sides", counted_sides)
+    monkeypatch.setattr(exactlin.Matrix, "_dense_rows", counted_rows)
+    counts = {}
+    for m in (48, 96):
+        alg, levi = simple_sl2_leibniz(m)
+        derivation_algebra(alg)  # the kernel's rows are not counted
+        start = visits
+        split_all(alg, levi)
+        counts[alg.dim] = visits - start
+    (dim1, count1), (dim2, count2) = counts.items()
+    assert count2 / count1 <= (dim2 / dim1) ** 1.5
+    assert count2 < 5_000
+    assert dense == 0

@@ -26,6 +26,7 @@ from leibnizalg.exactlin import (
     solve,
 )
 from leibnizalg.catalog import simple_sl2_leibniz
+from leibnizalg.core import kernel_maps
 from leibnizalg.exactlin import _rational_roots, _root_bound
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -625,8 +626,11 @@ def test_berkowitz_conjugated_weight_operator(m, seed):
 
 
 def test_matrix_flatten_round_trip():
-    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert Matrix.from_flat(m.flatten(), 2, 3) == m
+    # a leading 1 keeps the flattening its own RREF row
+    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 0]])
+    assert m.flatten() == tuple(F(x) for x in (1, 2, 3, 4, 5, 6, 7, 8, 0))
+    span = Subspace.span(9, [dict(enumerate(m.flatten()))])
+    assert kernel_maps(span, 3) == (m,)
 
 
 def test_matrix_mul_apply_agree():
