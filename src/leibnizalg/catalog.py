@@ -9,15 +9,15 @@ with hand calculations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Algebra, LeviDatum, direct_sum_many
+from .exactlin import value_type
 
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@value_type
 class CatalogSpec:
     """Request for a catalog member: family name plus size parameter."""
 

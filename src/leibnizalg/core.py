@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -34,6 +33,7 @@ from .exactlin import (
     parse_rational,
     rational_eigen,
     unit_vec,
+    value_type,
 )
 
 TableEntry = tuple[int, Fraction]
@@ -186,7 +186,7 @@ def _index(table: Mapping[tuple[int, int], tuple]) -> tuple[dict, dict]:
 
 # ----------------------------------------------------------- declared split
 
-@dataclass(frozen=True)
+@value_type
 class LeviDatum:
     """Declared split of the basis into a semisimple part and the ideal part.
 
@@ -211,7 +211,7 @@ class LeviDatum:
         return sorted(self.g_indices + self.i_indices) == list(range(n))
 
 
-@dataclass(frozen=True)
+@value_type
 class Sl2Triple:
     """An sl2 triple (e, f, h) given in ambient coordinates; the functions
     that use it read it as sparse rows."""
@@ -453,7 +453,7 @@ def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace
 
 # ---------------------------------------------------------------- quotient
 
-@dataclass(frozen=True)
+@value_type
 class Quotient:
     """A quotient algebra with the ideal it divides out.
 
@@ -629,8 +629,10 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
-    # D·den·residual in integers: the table times D, m's columns times den
     columns = m.columns
+    if not columns:  # the zero map satisfies the identity everywhere
+        return
+    # D·den·residual in integers: the table times D, m's columns times den
     den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
     images = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
               for c, col in columns.items()}
@@ -683,7 +685,7 @@ def centroid(alg: Algebra) -> tuple[Matrix, ...]:
 
 # ------------------------------------------------------------ simple parts
 
-@dataclass(frozen=True)
+@value_type
 class SummandSplit:
     """Simple-ideal decomposition attempt for a semisimple Lie algebra.
 
@@ -722,7 +724,7 @@ def simple_summands(alg: Algebra) -> SummandSplit:
 
 # ------------------------------------------------------- simplicity verdict
 
-@dataclass(frozen=True)
+@value_type
 class SimplicityCertificate:
     """Three-valued simplicity verdict with supporting evidence.
 

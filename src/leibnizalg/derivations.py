@@ -16,7 +16,6 @@ reconstruct their input matrix entry for entry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,6 +30,7 @@ from .exactlin import (
     Vec,
     ZERO,
     kernel_of_constraints,
+    value_type,
 )
 
 
@@ -46,7 +46,7 @@ class NoInnerMatch(StructureError):
 
 # ----------------------------------------------------------- the nullspace
 
-@dataclass(frozen=True)
+@value_type
 class DerivationBasis:
     """Canonical basis of the derivation algebra.
 
@@ -88,7 +88,7 @@ def inner_derivation_span(alg: Algebra) -> Subspace:
     return Subspace.span(n * n, rows.values())
 
 
-@dataclass(frozen=True)
+@value_type
 class OuterReport:
     dim_der: int
     dim_inner: int
@@ -128,7 +128,7 @@ def outer_candidates(alg: Algebra) -> tuple[Matrix, ...]:
 
 # ----------------------------------------------------------------- grading
 
-@dataclass(frozen=True)
+@value_type
 class GradedParts:
     """Block split of a map by the complement-versus-ideal grading.
 
@@ -164,7 +164,7 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
 
 # ------------------------------------------------------------------- split
 
-@dataclass(frozen=True)
+@value_type
 class DerivationSplit:
     """Exact decomposition d = (right multiplication by inner_element)
     + ideal_endo + raising_map."""
@@ -206,9 +206,10 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
 
     The diagonal part is matched by a right multiplication on the
     complement columns; the leftover is a module endomorphism of the ideal;
-    the raising corner passes through unchanged.  The three parts sum back
-    to the input exactly or the function raises.  Every step reads the
-    maps' sparse columns.
+    the raising corner passes through unchanged, and must satisfy the
+    derivation identity on the complement.  The three parts sum back to the
+    input exactly or the function raises.  Every step reads the maps'
+    sparse columns.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
@@ -235,6 +236,14 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     if not check_module_endomorphism(alg, endo):
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
+    # with the other two parts derivations, d is one exactly when the
+    # raising corner is; pairs that touch the ideal vanish on both sides
+    bad = next(identity_failures(alg, parts.raising, False,
+                                 itertools.product(levi.g_indices, repeat=2)), None)
+    if bad is not None:
+        x, y = (alg.basis_names[i] for i in bad)
+        raise StructureError(
+            f"raising corner fails the derivation identity at ({x}, {y})")
     rebuilt = Matrix.combination(
         n, n, [(ONE, inner), (ONE, endo), (ONE, parts.raising)])
     if rebuilt != m:
@@ -249,7 +258,7 @@ def check_module_endomorphism(alg: Algebra, endo: Matrix) -> bool:
 
 # ---------------------------------------------------------- block analyses
 
-@dataclass(frozen=True)
+@value_type
 class EndoBlockReport:
     """Component-block structure of an ideal endomorphism.
 
@@ -272,27 +281,40 @@ def scalar_of(block: Matrix) -> Fraction | None:
     return lam if block.columns == want else None
 
 
+def _stacked_span(n: int, components: Sequence[Subspace],
+                  ) -> tuple[list[dict[int, Fraction]], Subspace]:
+    """The components' basis rows, stacked, and the span of each row t
+    tagged with unit column n + t; ValueError unless they are
+    independent."""
+    stacked = [v for comp in components for v in comp.pivot_rows.values()]
+    tagged = Subspace.span(
+        n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
+    if any(p >= n for p in tagged.pivot_cols()):
+        raise ValueError("components are not independent")
+    return stacked, tagged
+
+
 def ideal_endo_blocks(
     alg: Algebra, endo: Matrix, components: Sequence[Subspace],
 ) -> EndoBlockReport:
     """Express an endomorphism of the ideal in component-block form.
 
     The components must be independent.  One elimination serves every
-    image: stacked component basis vector t is tagged with unit column
-    n + t, so reducing (endo(v), 0) leaves zero in the first n columns
-    exactly when endo(v) lies in the stacked span, and minus its stacked
-    coordinates in the tail.  Images are summed over endo's sparse columns.
+    image, and every call with the same components: stacked component
+    basis vector t is tagged with unit column n + t, so reducing
+    (endo(v), 0) leaves zero in the first n columns exactly when endo(v)
+    lies in the stacked span, and minus its stacked coordinates in the
+    tail.  Images are summed over endo's sparse columns.
     """
     n = alg.dim
     if endo.rows != n or endo.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
     if not components:
         return EndoBlockReport((), (), True)
-    stacked = [v for comp in components for v in comp.pivot_rows.values()]
-    tagged = Subspace.span(
-        n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
-    if any(p >= n for p in tagged.pivot_cols()):
-        raise ValueError("components are not independent")
+    key = (_stacked_span, tuple(components))
+    if key not in alg._cache:
+        alg._cache[key] = _stacked_span(n, components)
+    stacked, tagged = alg._cache[key]
     cols = endo.columns
     coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
     for v in stacked:
@@ -321,7 +343,7 @@ def ideal_endo_blocks(
     return EndoBlockReport(blocks, scalars, offdiag)
 
 
-@dataclass(frozen=True)
+@value_type
 class RaisingReport:
     """Image and identity diagnostics for the raising corner of a derivation.
 
@@ -352,7 +374,7 @@ def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> Raisin
 
 # ------------------------------------------------------------ survey sweep
 
-@dataclass(frozen=True)
+@value_type
 class SplitSurvey:
     """Splits of every basis derivation plus the lumped raising image."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -52,6 +52,70 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+# ------------------------------------------------------------ value types
+
+def value_type(cls: type) -> type:
+    """Make cls an immutable value type, as ``dataclass(frozen=True)`` would.
+
+    The keys of the class's own annotations are its fields, in order, and
+    class attributes of those names are their defaults.  The decorator
+    installs ``__init__`` (positional or keyword arguments, then
+    ``__post_init__`` if the class has one), ``__eq__`` (same class, equal
+    fields), ``__hash__`` (of the field tuple), ``__repr__``
+    (``Name(field=value, ...)``) and ``__setattr__``/``__delattr__``, which
+    raise ``AttributeError``; a method the class body defines is kept.
+    The methods are closures: defining a type compiles no source text, and
+    the decorator imports nothing beyond ``operator``, which ``fractions``
+    loads anyway.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    n = len(fields)
+    name = cls.__qualname__
+    post_init = hasattr(cls, "__post_init__")
+    setattr_ = object.__setattr__
+    values = operator.attrgetter(*fields)
+
+    def bind(args, kwargs):
+        if len(args) > n or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name}() takes the arguments {', '.join(fields)}")
+        bound = {**defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [f for f in fields if f not in bound]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [bound[f] for f in fields]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for field, value in zip(fields, args):
+            setattr_(self, field, value)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{name}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if cls.__dict__.get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 # ---------------------------------------------------------------- vectors
@@ -395,7 +459,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 
 # ---------------------------------------------------------------- subspaces
 
-@dataclass(frozen=True)
+@value_type
 class Subspace:
     """A linear subspace identified by its canonical RREF basis.
 
@@ -698,7 +762,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
+@value_type
 class EigenDecomposition:
     """Rational eigenvalues with exact eigenspaces, eigenvalues ascending.
 

@@ -10,7 +10,6 @@ declared split they validate; this module imports them from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -33,12 +32,13 @@ from .exactlin import (
     format_rational,
     nullspace,
     rational_eigen,
+    value_type,
 )
 
 
 # ----------------------------------------------------------------- weights
 
-@dataclass(frozen=True)
+@value_type
 class WeightSpaces:
     """Eigenspaces of the right action of h on an invariant subspace.
 
@@ -93,7 +93,7 @@ def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpa
         eigen.complete)
 
 
-@dataclass(frozen=True)
+@value_type
 class HighestWeightVector:
     weight: Fraction
     vector: Vec
@@ -122,7 +122,7 @@ def highest_weight_vectors(
 
 # ----------------------------------------------------------- decomposition
 
-@dataclass(frozen=True)
+@value_type
 class ModuleDecomposition:
     """Direct-sum split into irreducible submodules.
 
@@ -178,13 +178,13 @@ def irreducible_decomposition_sl2(
 
 # ------------------------------------------------------ paired-column check
 
-@dataclass(frozen=True)
+@value_type
 class ConditionCheck:
     ok: bool
     message: str
 
 
-@dataclass(frozen=True)
+@value_type
 class PairStructureReport:
     """Structure probe for algebras built from two commuting sl2 blocks
     acting on a paired family of module columns.

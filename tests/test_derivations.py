@@ -384,6 +384,41 @@ def test_ideal_endo_blocks_rejects_a_map_of_the_wrong_shape(label):
         ideal_endo_blocks(alg, WRONG_SHAPES[label], comps)
 
 
+def test_component_span_is_built_once_per_decomposition(monkeypatch):
+    # derive --decompose passes the same components for every split; the
+    # tagged span is eliminated once, while the shape check and the image
+    # check still run on every call
+    from leibnizalg import derivations
+    builds = []
+    build = derivations._stacked_span
+
+    def counted(n, components):
+        builds.append(len(components))
+        return build(n, components)
+
+    monkeypatch.setattr(derivations, "_stacked_span", counted)
+    alg, levi = semisimple_pair(2)
+    comps = pair_components(alg, levi)
+    survey = split_all(alg, levi)
+    reports = [ideal_endo_blocks(alg, sp.ideal_endo, comps)
+               for sp in survey.splits]
+    assert len(reports) == 7
+    assert builds == [2]
+    with pytest.raises(ValueError, match="matrix shape"):
+        ideal_endo_blocks(alg, Matrix.identity(alg.dim + 1), comps)
+    leak = Matrix.from_columns(alg.dim, alg.dim, {
+        c: {levi.g_indices[0]: F(1)} for c in levi.i_indices})
+    with pytest.raises(ValueError, match="leaves the span"):
+        ideal_endo_blocks(alg, leak, comps)
+    assert builds == [2]
+    # other components, or another algebra, get their own span
+    ideal_endo_blocks(alg, survey.splits[0].ideal_endo, comps[::-1])
+    other, other_levi = semisimple_pair(2)
+    ideal_endo_blocks(other, survey.splits[0].ideal_endo,
+                      pair_components(other, other_levi))
+    assert builds == [2, 2, 2]
+
+
 def test_split_checks_the_shape_before_the_partition():
     alg, levi = simple_sl2_leibniz(2)
     with pytest.raises(ValueError, match="matrix shape does not match the "
@@ -444,6 +479,25 @@ def test_raising_violation_detected():
                 if m.apply(alg.product(e[i], e[j])) != alg.product(m.col(i), e[j]))
             assert want
             assert raising_map_report(alg, levi, m).violations == want
+
+
+def test_split_rejects_a_raising_corner_that_is_no_derivation():
+    # e -> x0 alone passes the lowering, inner-match and module checks (its
+    # diagonal part is zero) but is no derivation; the split names the first
+    # complement pair where the raising corner fails the identity
+    alg, levi = simple_sl2_leibniz(2)
+    e, x0 = levi.g_indices[0], levi.i_indices[0]
+    fabricated = Matrix.from_columns(alg.dim, alg.dim, {e: {x0: F(1)}})
+    assert not is_derivation(alg, fabricated)
+    with pytest.raises(StructureError, match=r"raising corner fails the "
+                                             r"derivation identity at \(e, f\)"):
+        split_derivation(alg, levi, fabricated)
+    # the same corner added to a derivation is rejected as well
+    der = derivation_algebra(alg).maps[0]
+    noisy = Matrix.combination(alg.dim, alg.dim, [(F(1), der), (F(1), fabricated)])
+    assert not is_derivation(alg, noisy)
+    with pytest.raises(StructureError, match="raising corner fails"):
+        split_derivation(alg, levi, noisy)
 
 
 # ----------------------------------------------------------------- outer

@@ -45,29 +45,70 @@ EAGER = ["leibnizalg", "leibnizalg.core", "leibnizalg.exactlin"]
 CLI = sorted(EAGER + ["leibnizalg.cli"])
 
 
-@pytest.mark.parametrize("body, loaded", [
-    ("import leibnizalg", EAGER),
-    ("import leibnizalg.cli", CLI),
-    ("from leibnizalg.cli import main; assert main(['check', PATH]) == 0", CLI),
-    ("from leibnizalg.cli import main; assert main(['radical', PATH]) == 0", CLI),
-    ("from leibnizalg.cli import main; assert main(['modules', PATH]) == 0",
-     sorted(CLI + ["leibnizalg.sl2"])),
-    ("from leibnizalg.cli import main; "
-     "assert main(['derive', PATH, '--decompose']) == 0",
-     sorted(CLI + ["leibnizalg.derivations", "leibnizalg.sl2"])),
-    ("from leibnizalg.cli import main; assert main(['catalog', 'sl2']) == 0",
-     sorted(CLI + ["leibnizalg.catalog"])),
-], ids=["package", "cli", "check", "radical", "modules", "derive", "catalog"])
-def test_each_command_runs_only_its_layers(body, loaded, tmp_path, capsys):
-    path = tmp_path / "pair.json"
-    assert main(["catalog", "pair", "--m", "1", "-o", str(path)]) == 0
-    capsys.readouterr()
+COMMANDS = {
+    "package": ("import leibnizalg", EAGER),
+    "cli": ("import leibnizalg.cli", CLI),
+    "check": ("from leibnizalg.cli import main; "
+              "assert main(['check', PATH]) == 0", CLI),
+    "radical": ("from leibnizalg.cli import main; "
+                "assert main(['radical', PATH]) == 0", CLI),
+    "modules": ("from leibnizalg.cli import main; "
+                "assert main(['modules', PATH]) == 0",
+                sorted(CLI + ["leibnizalg.sl2"])),
+    "derive": ("from leibnizalg.cli import main; "
+               "assert main(['derive', PATH, '--decompose']) == 0",
+               sorted(CLI + ["leibnizalg.derivations", "leibnizalg.sl2"])),
+    "catalog": ("from leibnizalg.cli import main; "
+                "assert main(['catalog', 'sl2']) == 0",
+                sorted(CLI + ["leibnizalg.catalog"])),
+}
+
+
+def run_probe(probe: str) -> str:
+    """Last stdout line of a fresh interpreter running probe on the
+    package under test."""
     src = str(Path(leibnizalg.__file__).parents[1])
-    probe = LOADED_PROBE.format(body=body.replace("PATH", repr(str(path))))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert json.loads(out.splitlines()[-1]) == loaded
+    return out.splitlines()[-1]
+
+
+def probe_command(label: str, tmp_path, probe: str) -> str:
+    """run_probe on a command of COMMANDS, with PATH a pair m = 1 file."""
+    path = tmp_path / "pair.json"
+    assert main(["catalog", "pair", "--m", "1", "-o", str(path)]) == 0
+    body = COMMANDS[label][0].replace("PATH", repr(str(path)))
+    return run_probe(probe.format(body=body))
+
+
+@pytest.mark.parametrize("label", list(COMMANDS))
+def test_each_command_runs_only_its_layers(label, tmp_path, capsys):
+    out = probe_command(label, tmp_path, LOADED_PROBE)
+    assert json.loads(out) == COMMANDS[label][1]
+
+
+# What the standard library's class generator imports to write methods as
+# source text; the package's value types need none of it.
+HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+HEAVY_PROBE = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in HEAVY if m in sys.modules)))
+""".replace("HEAVY", repr(HEAVY))
+
+
+@pytest.fixture(scope="module")
+def heavy_at_start():
+    """The HEAVY modules a bare interpreter has loaded already."""
+    return json.loads(run_probe(HEAVY_PROBE.format(body="pass")))
+
+
+@pytest.mark.parametrize("label", list(COMMANDS))
+def test_commands_load_no_class_generator(label, tmp_path, capsys,
+                                          heavy_at_start):
+    out = probe_command(label, tmp_path, HEAVY_PROBE)
+    assert [m for m in json.loads(out) if m not in heavy_at_start] == []
 
 
 def unused_imports(source: str) -> list[str]:
