@@ -42,6 +42,19 @@ def _sl2_block(products, e: int, f: int, h: int) -> None:
     products[(f, e)] = [(h, -ONE)]
 
 
+def _sl2_column(products, m: int, x) -> None:
+    """Install the right action of the sl2 copy (e, f, h) = (0, 1, 2) on one
+    irreducible column x(0), ..., x(m) of highest weight m."""
+    for k in range(1, m + 1):
+        products[(x(k), 0)] = [(x(k - 1), Fraction(-k * (m + 1 - k)))]
+    for k in range(m):
+        products[(x(k), 1)] = [(x(k + 1), ONE)]
+    for k in range(m + 1):
+        coeff = Fraction(m - 2 * k)
+        if coeff:
+            products[(x(k), 2)] = [(x(k), coeff)]
+
+
 def sl2() -> tuple[Algebra, LeviDatum]:
     """The simple Lie algebra sl2 on basis (e, f, h)."""
     products: dict = {}
@@ -71,18 +84,7 @@ def simple_sl2_leibniz(m: int, allow_uncertified: bool = False) -> tuple[Algebra
                          "pass allow_uncertified to build it anyway")
     products: dict = {}
     _sl2_block(products, 0, 1, 2)
-
-    def x(k: int) -> int:
-        return 3 + k
-
-    for k in range(1, m + 1):
-        products[(x(k), 0)] = [(x(k - 1), Fraction(-k * (m + 1 - k)))]
-    for k in range(m):
-        products[(x(k), 1)] = [(x(k + 1), ONE)]
-    for k in range(m + 1):
-        coeff = Fraction(m - 2 * k)
-        if coeff:
-            products[(x(k), 2)] = [(x(k), coeff)]
+    _sl2_column(products, m, lambda k: 3 + k)
     names = ("e", "f", "h") + tuple(f"x{k}" for k in range(m + 1))
     tag = "_uncertified" if m == 1 else ""
     alg = Algebra(m + 4, products, names, name=f"simple_sl2_leibniz_m{m}{tag}")
@@ -107,14 +109,7 @@ def semisimple_pair(m: int) -> tuple[Algebra, LeviDatum]:
         return 6 + (col - 1) * (m + 1) + k
 
     for col in (1, 2):
-        for k in range(1, m + 1):
-            products[(x(col, k), 0)] = [(x(col, k - 1), Fraction(-k * (m + 1 - k)))]
-        for k in range(m):
-            products[(x(col, k), 1)] = [(x(col, k + 1), ONE)]
-        for k in range(m + 1):
-            coeff = Fraction(m - 2 * k)
-            if coeff:
-                products[(x(col, k), 2)] = [(x(col, k), coeff)]
+        _sl2_column(products, m, lambda k: x(col, k))
     for j in range(m + 1):
         products[(x(1, j), 3)] = [(x(2, j), ONE)]
         products[(x(2, j), 5)] = [(x(2, j), ONE)]

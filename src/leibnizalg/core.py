@@ -129,30 +129,25 @@ class Algebra:
         return tuple(out.get(k, ZERO) for k in range(self.dim))
 
     def right_mult(self, z: Sequence[Fraction]) -> Matrix:
-        """Matrix of x -> [x, z] in the given basis."""
-        if len(z) != self.dim:
-            raise ValueError("vector length does not match the dimension")
-        cols: list[list[Fraction]] = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), entries in self._table.items():
-            zj = z[j]
-            if zj == 0:
-                continue
-            for k, coeff in entries:
-                cols[k][i] += zj * coeff
-        return Matrix(self.dim, self.dim, tuple(tuple(r) for r in cols))
+        """Matrix of x -> [x, z] in the given basis: column c is [e_c, z]."""
+        return self._mult(self._by_right, z)
 
     def left_mult(self, z: Sequence[Fraction]) -> Matrix:
-        """Matrix of x -> [z, x] in the given basis."""
+        """Matrix of x -> [z, x] in the given basis: column c is [z, e_c]."""
+        return self._mult(self._by_left, z)
+
+    def _mult(self, index: Mapping, z: Sequence[Fraction]) -> Matrix:
+        """Columns of x -> [x, z] (index ``_by_right``) or x -> [z, x]
+        (``_by_left``): column c sums z_s times the product of e_c and e_s
+        that index[s] lists, over z's nonzero coordinates s."""
         if len(z) != self.dim:
             raise ValueError("vector length does not match the dimension")
-        rows: list[list[Fraction]] = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), entries in self._table.items():
-            zi = z[i]
-            if zi == 0:
-                continue
-            for k, coeff in entries:
-                rows[k][j] += zi * coeff
-        return Matrix(self.dim, self.dim, tuple(tuple(r) for r in rows))
+        cols: dict[int, dict[int, Fraction]] = {}
+        for s, x in enumerate(z):
+            if x:
+                for c, entries in index.get(s, ()):
+                    _accumulate(cols.setdefault(c, {}), x, entries)
+        return Matrix(self.dim, self.dim, cols)
 
     def is_lie(self) -> bool:
         """Antisymmetry on basis pairs (with Leibniz this implies Jacobi)."""
@@ -522,14 +517,14 @@ def killing_form(alg: Algebra) -> Matrix:
     for (l, i), entries in alg.table_items():
         for k, coeff in entries:
             mults[i].setdefault(k, {})[l] = coeff
-    gram = [[ZERO] * n for _ in range(n)]
+    gram: dict[int, dict[int, Fraction]] = {c: {} for c in range(n)}
     for i in range(n):
         for j in range(i, n):
             mj = mults[j]
-            gram[i][j] = gram[j][i] = sum(
+            gram[j][i] = gram[i][j] = sum(
                 (a * mj[l].get(k, ZERO) for k, row in mults[i].items()
                  for l, a in row.items() if l in mj), ZERO)
-    return Matrix(n, n, tuple(map(tuple, gram)))
+    return Matrix(n, n, gram)
 
 
 # ---------------------------------------------------------------- radical
@@ -546,13 +541,13 @@ def solvable_radical(alg: Algebra) -> Subspace:
         raise StructureError("quotient by the squares ideal is not Lie")
     gram = killing_form(qalg)
     derived = derived_subalgebra(qalg)
-    # gram is symmetric, so the functional of w is the w-combination of rows
+    # gram is symmetric, so the functional of w is the w-combination of
+    # columns
     constraint_rows = []
     for w in derived.pivot_rows.values():
         functional: dict[int, Fraction] = {}
         for k, x in w.items():
-            _accumulate(functional, x,
-                        ((c, g) for c, g in enumerate(gram.data[k]) if g))
+            _accumulate(functional, x, gram.columns.get(k, {}).items())
         constraint_rows.append(functional)
     rad = _pullback(quo, kernel_of_constraints(constraint_rows, qalg.dim))
     if derived_series(alg, rad)[-1].dim != 0:
@@ -671,7 +666,7 @@ def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
         for k, x in row.items():
             r, c = divmod(k, n)
             columns.setdefault(c, {})[r] = x
-        maps.append(Matrix.from_columns(n, n, columns))
+        maps.append(Matrix(n, n, columns))
     return tuple(maps)
 
 

@@ -159,7 +159,7 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
             else:
                 block = blocks[2]
             block.setdefault(c, {})[r] = v
-    return GradedParts(*(Matrix.from_columns(n, n, b) for b in blocks))
+    return GradedParts(*(Matrix(n, n, b) for b in blocks))
 
 
 # ------------------------------------------------------------------- split
@@ -223,12 +223,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
         raise NoInnerMatch(
             "no right multiplication induces this map on the complement")
     inner_element = tuple(a.get(s, ZERO) for s in range(n))
-    # column c of R(a) is [e_c, a] = sum of a_s·[e_c, e_s]
-    inner_cols: dict[int, dict[int, Fraction]] = {}
-    for s, x in a.items():
-        for c, entries in alg._by_right.get(s, ()):
-            _accumulate(inner_cols.setdefault(c, {}), x, entries)
-    inner = Matrix.from_columns(n, n, inner_cols)
+    inner = alg.right_mult(inner_element)
     endo = Matrix.combination(n, n, [(ONE, parts.diagonal), (-ONE, inner)])
     if any(c in endo.columns for c in levi.g_indices):
         raise StructureError(
@@ -320,8 +315,7 @@ def ideal_endo_blocks(
     for v in stacked:
         image: dict[int, Fraction] = {}
         for c, x in v.items():
-            for r, entry in cols.get(c, {}).items():
-                image[r] = image.get(r, ZERO) + x * entry
+            _accumulate(image, x, cols.get(c, {}).items())
         residue = tagged.reduce(image)
         if any(c < n for c in residue):
             raise ValueError(
@@ -330,7 +324,7 @@ def ideal_endo_blocks(
     offsets = list(itertools.accumulate((c.dim for c in components), initial=0))
     blocks = tuple(
         tuple(
-            Matrix.from_columns(ci.dim, cj.dim, {
+            Matrix(ci.dim, cj.dim, {
                 col: {u - oi: x for u, x in coords[oj + col].items()
                       if oi <= u < oi + ci.dim}
                 for col in range(cj.dim)})
@@ -345,21 +339,18 @@ def ideal_endo_blocks(
 
 @value_type
 class RaisingReport:
-    """Image and identity diagnostics for the raising corner of a derivation.
+    """Image of the raising corner of a derivation.
 
     classification is "zero", "equals_squares_ideal" (the image fills the
-    ideal), or "other"; violations lists complement basis pairs where the
-    one-sided identity raising([x,y]) = [raising(x), y] fails.
+    ideal), or "other".  The corner's identity on complement pairs is
+    checked by ``split_derivation``, which rejects a corner that fails it.
     """
 
     image_span: Subspace
-    violations: tuple[tuple[int, int], ...]
     classification: str
 
 
 def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> RaisingReport:
-    bad = tuple(identity_failures(
-        alg, raising, False, itertools.product(levi.g_indices, repeat=2)))
     cols = raising.columns
     image = Subspace.span(
         alg.dim, [cols[c] for c in levi.g_indices if c in cols])
@@ -369,7 +360,7 @@ def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> Raisin
         kind = "equals_squares_ideal"
     else:
         kind = "other"
-    return RaisingReport(image, bad, kind)
+    return RaisingReport(image, kind)
 
 
 # ------------------------------------------------------------ survey sweep

@@ -15,11 +15,12 @@ new pivot reach only the rows that hold its column, so kernels of large,
 very sparse constraint systems cost what their nonzeros cost;
 ``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero entries.  ``Matrix`` is the value
-type that crosses the API; it stores sparse columns, so the derivation
-layer reads a map at the cost of its nonzeros, and builds its dense rows
-only when they are read.  ``solve``, a dense-matrix adapter, has no
-caller in the package and stays as the reference the tests compare
-against.  Outside values become Fractions at the edge, in
+type that crosses the API.  Its one storage form is sparse columns, and
+``Matrix.row_dicts`` transposes them into the sparse rows that
+``charpoly``, ``rational_eigen``, ``nullspace`` and ``solve`` read, so
+every computation reads a map at the cost of its nonzeros; its dense rows
+are a view for the reference alone.  ``solve`` has no caller in the
+package and stays as the reference the tests compare against.  Outside values become Fractions at the edge, in
 ``parse_rational`` and ``Matrix.from_rows``; everything else takes
 entries as given (Fraction or int) and never re-wraps an exact vector.
 """
@@ -138,34 +139,25 @@ class Matrix:
     """Immutable matrix of Fractions: the API's value type for maps.
 
     Stored as sparse columns, ``columns[c] = {row: nonzero}`` with no empty
-    column, which ``from_columns`` takes directly: the derivation layer
-    builds, splits and checks maps at the cost of their nonzeros.  ``data``
-    (dense rows) is a view built on first read; a matrix built dense
-    (``Matrix(rows, cols, data)``, ``from_rows``) builds its columns on
-    first read instead, so the dense paths (charpoly, sl2 actions) never
-    pay for them.  ``==``, ``hash``, ``col`` and ``is_zero`` read the
-    columns.  ``+``, ``scale``, ``mul``, ``apply`` and ``dot`` (with
-    ``Algebra.right_mult``/``left_mult``) are dense and stay as the
-    reference tests compare against.
+    column and no zero entry, which the constructor takes directly (it
+    drops zeros); ``from_rows`` is the entry point for dense input from
+    outside.  Every computation reads the columns, or the sparse rows of
+    ``row_dicts``, so a map costs what its nonzeros cost.  ``data`` (dense
+    rows) is built on each read, for the dense reference alone: ``+``,
+    ``scale``, ``mul``, ``apply``, ``flatten`` and ``dot`` stay as the
+    reference the tests compare against.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_columns")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, data: tuple[Vec, ...]):
-        self.rows = rows
-        self.cols = cols
-        self._data = data
-        self._columns = None
-
-    @staticmethod
-    def from_columns(rows: int, cols: int,
-                     columns: Mapping[int, Mapping[int, Fraction]]) -> "Matrix":
+    def __init__(self, rows: int, cols: int,
+                 columns: Mapping[int, Mapping[int, Fraction]]):
         """The rows×cols matrix with entry (r, c) = columns[c][r]; absent
         keys and zero values are zero entries."""
-        m = Matrix(rows, cols, None)
-        m._columns = {c: kept for c, col in columns.items()
-                      if (kept := {r: x for r, x in col.items() if x})}
-        return m
+        self.rows = rows
+        self.cols = cols
+        self.columns = {c: kept for c, col in columns.items()
+                        if (kept := {r: x for r, x in col.items() if x})}
 
     @staticmethod
     def combination(rows: int, cols: int,
@@ -183,51 +175,40 @@ class Matrix:
                     if not unit:
                         v = x * v
                     acc[r] = acc[r] + v if r in acc else v
-        return Matrix.from_columns(rows, cols, out)
+        return Matrix(rows, cols, out)
 
-    @property
-    def columns(self) -> dict[int, dict[int, Fraction]]:
-        """Sparse columns {c: {r: nonzero}}; callers only read them."""
-        if self._columns is None:
-            cols: dict[int, dict[int, Fraction]] = {}
-            for r, row in enumerate(self._data):
-                for c, x in enumerate(row):
-                    if x:
-                        cols.setdefault(c, {})[r] = x
-            self._columns = cols
-        return self._columns
+    def row_dicts(self) -> list[dict[int, Fraction]]:
+        """Sparse rows, one {column: nonzero} dict per row, columns
+        ascending; each call returns new dicts."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+        for c in sorted(self.columns):
+            for r, x in self.columns[c].items():
+                rows[r][c] = x
+        return rows
 
     @property
     def data(self) -> tuple[Vec, ...]:
-        """Dense row tuples."""
-        if self._data is None:
-            self._data = self._dense_rows()
-        return self._data
-
-    def _dense_rows(self) -> tuple[Vec, ...]:
-        rows = [[ZERO] * self.cols for _ in range(self.rows)]
-        for c, col in self._columns.items():
-            for r, x in col.items():
-                rows[r][c] = x
-        return tuple(map(tuple, rows))
+        """Dense row tuples, built on each read for the dense reference and
+        the tests; no computation reads them."""
+        return tuple(tuple(row.get(c, ZERO) for c in range(self.cols))
+                     for row in self.row_dicts())
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with row width")
-            return Matrix(len(data), width, data)
-        if cols is None:
+        data = [tuple(Fraction(x) for x in r) for r in rows]
+        width = len(data[0]) if data else cols
+        if width is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return Matrix(0, cols, ())
+        if any(len(r) != width for r in data):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != width:
+            raise ValueError("explicit column count disagrees with row width")
+        return Matrix(len(data), width, {
+            c: {r: row[c] for r, row in enumerate(data)} for c in range(width)})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
+        return Matrix(n, n, {i: {i: ONE} for i in range(n)})
 
     def col(self, j: int) -> Vec:
         col = self.columns.get(j, {})
@@ -236,21 +217,21 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape() != other.shape():
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(r, s))
-                            for r, s in zip(self.data, other.data)))
+        return Matrix.from_rows(tuple(tuple(a + b for a, b in zip(r, s))
+                                      for r, s in zip(self.data, other.data)),
+                                self.cols)
 
     def scale(self, c: Fraction) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * a for a in r) for r in self.data))
+        return Matrix.from_rows(tuple(tuple(c * a for a in r) for r in self.data),
+                                self.cols)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
         tcols = [other.col(j) for j in range(other.cols)]
-        return Matrix(self.rows, other.cols,
-                      tuple(tuple(dot(r, c) for c in tcols) for r in self.data))
+        return Matrix.from_rows(tuple(tuple(dot(r, c) for c in tcols)
+                                      for r in self.data), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         """m·v over the nonzero entries of v only."""
@@ -429,7 +410,7 @@ def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    return kernel_of_constraints(map(_row_to_dict, m.data), m.cols)
+    return kernel_of_constraints(m.row_dicts(), m.cols)
 
 
 def kernel_of_constraints(rows: Iterable[dict[int, Fraction]], ncols: int) -> "Subspace":
@@ -444,8 +425,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match the row count")
     eng = SparseRref(a.cols + 1)
-    for r, rhs in zip(a.data, b):
-        row = _row_to_dict(r)
+    for row, rhs in zip(a.row_dicts(), b):
         if rhs != 0:
             row[a.cols] = Fraction(rhs)
         eng.add_row(row)
@@ -504,10 +484,12 @@ class Subspace:
 
     @functools.cached_property
     def basis(self) -> Matrix:
-        """Dense view: one RREF row per basis vector, pivots ascending."""
-        return Matrix(self.dim, self.ambient_dim, tuple(
-            tuple(row.get(c, ZERO) for c in range(self.ambient_dim))
-            for row in self.pivot_rows.values()))
+        """One RREF row per basis vector, pivots ascending."""
+        columns: dict[int, dict[int, Fraction]] = {}
+        for r, row in enumerate(self.pivot_rows.values()):
+            for c, x in row.items():
+                columns.setdefault(c, {})[r] = x
+        return Matrix(self.dim, self.ambient_dim, columns)
 
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(self.pivot_rows)
@@ -570,17 +552,18 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    den = math.lcm(*(x.denominator for row in m.data for x in row if x))
+    den = math.lcm(*(x.denominator for col in m.columns.values() for x in col.values()))
     # cols[j]: (i, entry (i, j) of B) for its nonzero entries, i ascending
-    cols = [[(i, int(row[j] * den)) for i, row in enumerate(m.data) if row[j]]
+    cols = [sorted((i, int(x * den)) for i, x in m.columns.get(j, {}).items())
             for j in range(m.cols)]
+    rows = m.row_dicts()
     p = [1]  # det(x·I - B_k) for the leading k×k block B_k of B
     for k, col in enumerate(cols):
         # B_(k+1) = [[B_k, c], [r, a]]; the Toeplitz column 1, -a, -r·c,
         # -r·B_k·c, ... is zero after -a if r = 0, and from the first
         # vanished B_k^s·c on
-        r = {j: int(x * den) for j, x in enumerate(m.data[k][:k]) if x}
-        t_col = [1, -int(m.data[k][k] * den)]
+        r = {j: int(x * den) for j, x in rows[k].items() if j < k}
+        t_col = [1, -int(rows[k].get(k, ZERO) * den)]
         v = {i: x for i, x in col if i < k}
         while r and v and len(t_col) < k + 2:
             t_col.append(-sum(r[i] * x for i, x in v.items() if i in r))
@@ -781,11 +764,11 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
     n = m.rows
     if n == 0:
         return EigenDecomposition((), True)
-    rows = [_row_to_dict(r) for r in m.data]
+    rows = m.row_dicts()
     pairs = []
     total = 0
     for lam in _rational_roots(charpoly(m)):
-        shifted = ({**row, i: m.data[i][i] - lam} for i, row in enumerate(rows))
+        shifted = ({**row, i: row.get(i, ZERO) - lam} for i, row in enumerate(rows))
         space = kernel_of_constraints(shifted, n)
         pairs.append((lam, space))
         total += space.dim

@@ -58,16 +58,16 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
 
     An image inside the RREF span is the sum of the basis rows weighted by
     its own entries at the pivot columns, so those entries are its
-    coordinates."""
-    images = []
-    for v in sub.pivot_rows.values():
+    coordinates: column c holds the image of basis row c."""
+    columns = {}
+    for c, v in enumerate(sub.pivot_rows.values()):
         image = _product(alg._by_left, v, g)
         if sub.reduce(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
-        images.append(image)
-    return Matrix(sub.dim, sub.dim, tuple(
-        tuple(image.get(p, ZERO) for image in images) for p in sub.pivot_rows))
+        columns[c] = {r: image[p] for r, p in enumerate(sub.pivot_rows)
+                      if p in image}
+    return Matrix(sub.dim, sub.dim, columns)
 
 
 def _to_ambient(sub: Subspace, coords: Subspace) -> Subspace:
@@ -115,9 +115,10 @@ def highest_weight_vectors(
     spaces = weight_decomposition(alg, _to_ambient(sub, kernel), t)
     if not spaces.complete:
         raise ModuleError("weight decomposition is incomplete over the rationals")
-    return tuple(HighestWeightVector(weight, v)
+    return tuple(HighestWeightVector(
+                     weight, tuple(row.get(c, ZERO) for c in range(alg.dim)))
                  for weight, space in reversed(spaces.pairs)
-                 for v in space.basis.data)
+                 for row in space.pivot_rows.values())
 
 
 # ----------------------------------------------------------- decomposition

@@ -1,10 +1,11 @@
 """Catalog families: exact tables, bounds, and declared structure data."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from leibnizalg import leibniz_check, squares_ideal, validate_levi
+from leibnizalg import dump_algebra_json, leibniz_check, squares_ideal, validate_levi
 from leibnizalg.catalog import (
     CatalogSpec,
     build,
@@ -134,3 +135,35 @@ def test_direct_sum_sample_structure():
     assert levi is not None
     assert len(levi.sl2_triples) == 2
     assert squares_ideal(total).dim == 7
+
+
+# sha256 of dump_algebra_json for each family member, taken when every
+# family still wrote its sl2 module actions by hand
+TABLE_HASHES = {
+    ("simple", 1): "10323f694c6a36368dc2eca1b939f830c527edcc4c2845b7f32cc82db0ba2b94",
+    ("simple", 2): "dc2ab8de944857edcf9f99b5b0f4f0172e74545ac9be9ad8bcae5fc8b68b9a61",
+    ("simple", 3): "ebd8512ba79625b0f6a2576144c0dd07d774f44d3dc87e42f1feda194cea78cb",
+    ("simple", 4): "d92afadc515d8c9adb0d55ea08801758e0284a6dc8caed3c01ba17c90589081a",
+    ("simple", 5): "6d12f75f125aa0aef67a4395848c9ab711dae71b1beeee8939749d65f08f2a58",
+    ("simple", 6): "f1dfaf5683c4aa596ace99274e2725aaddb30fa6a32ad95ce92f3758f46a6b61",
+    ("simple", 7): "4359cf7e7abbf01667785394b277ae7df2abebcc7d07fdb82212432dd0f87f02",
+    ("simple", 8): "e6a35e0994e9ca60aeb4ba49070f27cc7c0919742a9dd0272765b5285212cdef",
+    ("pair", 1): "5cecd7d0bdc25e0dd5342debbbf8a7c9c23ebc0ab99f85f2a38130e8d5de6fa3",
+    ("pair", 2): "f618027024a2841084dbf2a88f9bc568d52ab10a77758510cf8fad20177d2f36",
+    ("pair", 3): "cd5650385e5d52577ff8b5d5acb4d8d41484421d22882f8477eb7e6717dbeaf5",
+    ("pair", 4): "31a66d44840c188e1fdfda173056d962b616c75e335a18dbf2de03907c5f8001",
+    ("pair", 5): "69c4e4c876c009779cae847cded620c1e5a21d47bfe52901d5bc68ff68548988",
+    ("pair", 6): "cf7bed78e45bd2ca94b090ae31c9d954362653c44b90b711a1b982e308a2f856",
+    ("pair", 7): "e3e28c3edeed6206341837fca3b4bc44283945a3ccbdffad07417d376b1773cc",
+    ("pair", 8): "13ef5bbf69cacc10b1910c062c5d75a4668b6a10d3fde303f9da6bd91d71b0fe",
+    ("direct_sum", 2): "767b730e62559c401bb8a0cf21b2d4fbefaa02a6a8a833cef541b3749fcc70a0",
+    ("direct_sum", 3): "b8d8a49ea7f95603b63c7dd80af343f911c2cf5a8e89574ac5ccca829893873e",
+    ("direct_sum", 4): "b06c314fa019dce5022cf44a3dd15eeb097d48691b51c1f5d17a65ca3d7d9e45",
+}
+
+
+@pytest.mark.parametrize("family, m", list(TABLE_HASHES))
+def test_family_tables_are_byte_identical(family, m):
+    alg, levi = build(CatalogSpec(family, m), allow_uncertified=(m == 1))
+    text = dump_algebra_json(alg, levi)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_HASHES[family, m]

@@ -406,7 +406,7 @@ def test_component_span_is_built_once_per_decomposition(monkeypatch):
     assert builds == [2]
     with pytest.raises(ValueError, match="matrix shape"):
         ideal_endo_blocks(alg, Matrix.identity(alg.dim + 1), comps)
-    leak = Matrix.from_columns(alg.dim, alg.dim, {
+    leak = Matrix(alg.dim, alg.dim, {
         c: {levi.g_indices[0]: F(1)} for c in levi.i_indices})
     with pytest.raises(ValueError, match="leaves the span"):
         ideal_endo_blocks(alg, leak, comps)
@@ -442,7 +442,6 @@ def test_raising_classifications():
     zero = Matrix.from_rows([[F(0)] * 3 for _ in range(3)])
     rep = raising_map_report(alg, levi, zero)
     assert rep.classification == "zero"
-    assert rep.violations == ()
 
     salg, slevi = simple_sl2_leibniz(2)
     survey = split_all(salg, slevi)
@@ -450,22 +449,21 @@ def test_raising_classifications():
                if not s.raising_map.is_zero()][0]
     rep = raising_map_report(salg, slevi, nonzero)
     assert rep.classification == "equals_squares_ideal"
-    assert rep.violations == ()
     assert rep.image_span == squares_ideal(salg)
 
 
 def test_raising_violation_detected():
-    # send e to x0 and nothing else: the one-sided identity
-    # raising([x,y]) = [raising(x), y] fails exactly on (e,f) and (h,e)
+    # send e to x0 and nothing else: its image, the line of x0, is neither
+    # zero nor the squares ideal (the split rejects this corner, below)
     alg, levi = simple_sl2_leibniz(2)
     rows = [[F(0)] * 6 for _ in range(6)]
     rows[3][0] = F(1)
     fabricated = Matrix.from_rows(rows)
     rep = raising_map_report(alg, levi, fabricated)
     assert rep.classification == "other"
-    assert rep.violations == ((0, 1), (2, 0))
     # each entry of the computed raising line's corner, raised by one in
-    # turn, against the identity on complement pairs from dense products
+    # turn: the split names the first complement pair, in row-major order,
+    # where the identity fails on dense products
     line = next(s.raising_map for s in split_all(alg, levi).splits
                 if not s.raising_map.is_zero())
     e = [alg.basis_vector(i) for i in range(alg.dim)]
@@ -478,7 +476,10 @@ def test_raising_violation_detected():
                 (i, j) for i in levi.g_indices for j in levi.g_indices
                 if m.apply(alg.product(e[i], e[j])) != alg.product(m.col(i), e[j]))
             assert want
-            assert raising_map_report(alg, levi, m).violations == want
+            x, y = (alg.basis_names[i] for i in want[0])
+            with pytest.raises(StructureError,
+                               match=rf"identity at \({x}, {y}\)$"):
+                split_derivation(alg, levi, m)
 
 
 def test_split_rejects_a_raising_corner_that_is_no_derivation():
@@ -487,7 +488,7 @@ def test_split_rejects_a_raising_corner_that_is_no_derivation():
     # complement pair where the raising corner fails the identity
     alg, levi = simple_sl2_leibniz(2)
     e, x0 = levi.g_indices[0], levi.i_indices[0]
-    fabricated = Matrix.from_columns(alg.dim, alg.dim, {e: {x0: F(1)}})
+    fabricated = Matrix(alg.dim, alg.dim, {e: {x0: F(1)}})
     assert not is_derivation(alg, fabricated)
     with pytest.raises(StructureError, match=r"raising corner fails the "
                                              r"derivation identity at \(e, f\)"):
@@ -634,20 +635,20 @@ def test_split_cost_follows_the_nonzeros(monkeypatch):
     # when every basis pair was scanned); dim**1.5 leaves room for that and
     # fails a scan that grows like dim**2.  No dense view is ever built.
     visits, dense = 0, 0
-    sides, rows = core._identity_sides, exactlin.Matrix._dense_rows
+    sides, view = core._identity_sides, exactlin.Matrix.data
 
     def counted_sides(*args):
         nonlocal visits
         visits += 1
         return sides(*args)
 
-    def counted_rows(m):
+    def counted_view(m):
         nonlocal dense
         dense += 1
-        return rows(m)
+        return view.fget(m)
 
     monkeypatch.setattr(core, "_identity_sides", counted_sides)
-    monkeypatch.setattr(exactlin.Matrix, "_dense_rows", counted_rows)
+    monkeypatch.setattr(exactlin.Matrix, "data", property(counted_view))
     counts = {}
     for m in (48, 96):
         alg, levi = simple_sl2_leibniz(m)

@@ -1,13 +1,16 @@
 """Maps stored as sparse columns: the pruned identity check against a full
-scan, and the two ways of building a matrix against each other."""
+scan, the two ways of building a matrix against each other, and no dense
+view read by any computation."""
 
 import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg import Matrix, derivation_algebra
-from leibnizalg.catalog import standard_catalog
+from leibnizalg import (Matrix, Sl2Triple, derivation_algebra,
+                        irreducible_decomposition_sl2, is_simple_certified,
+                        solvable_radical, split_all, squares_ideal)
+from leibnizalg.catalog import semisimple_pair, simple_sl2_leibniz, standard_catalog
 from leibnizalg.core import Algebra, identity_failures
 
 
@@ -89,12 +92,12 @@ def algebra_and_map(draw):
         r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         col = columns.setdefault(c, {})
         col[r] = col.get(r, F(0)) + draw(entries)
-        return alg, Matrix.from_columns(n, n, columns)
+        return alg, Matrix(n, n, columns)
     if kind == "raising" and levi is not None:
         columns = draw(sparse_columns(n, levi.i_indices, levi.g_indices))
     else:
         columns = draw(sparse_columns(n))
-    return alg, Matrix.from_columns(n, n, columns)
+    return alg, Matrix(n, n, columns)
 
 
 @given(algebra_and_map(), st.booleans(), st.data())
@@ -125,7 +128,7 @@ def test_sparse_and_dense_construction_agree(case):
     nrows = len(rows)
     dense = Matrix.from_rows(rows, ncols)
     columns = {c: {r: row[c] for r, row in enumerate(rows)} for c in range(ncols)}
-    sparse = Matrix.from_columns(nrows, ncols, columns)  # zeros included
+    sparse = Matrix(nrows, ncols, columns)  # zeros included
     # compared before either view is built on the other, then after
     for _ in range(2):
         assert sparse == dense and dense == sparse
@@ -137,3 +140,26 @@ def test_sparse_and_dense_construction_agree(case):
         assert sparse.data == dense.data
     assert sparse.columns == dense.columns
     assert all(col and all(col.values()) for col in sparse.columns.values())
+
+
+def test_no_computation_reads_a_dense_view(monkeypatch):
+    # the sl2 actions, the charpoly and eigenspaces, the Killing form, the
+    # radical and the splits all read sparse columns or rows
+    reads = 0
+    view = Matrix.data
+
+    def counted_view(m):
+        nonlocal reads
+        reads += 1
+        return view.fget(m)
+
+    monkeypatch.setattr(Matrix, "data", property(counted_view))
+    for (alg, levi), simple in ((simple_sl2_leibniz(16), "yes"),
+                                (semisimple_pair(4), "no")):
+        triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+        dec = irreducible_decomposition_sl2(alg, squares_ideal(alg), triple)
+        assert dec.components
+        assert is_simple_certified(alg, levi).verdict == simple
+        assert solvable_radical(alg) == squares_ideal(alg)
+        assert split_all(alg, levi).splits
+    assert reads == 0

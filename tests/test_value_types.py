@@ -31,8 +31,7 @@ TYPES = {
         ((F(1), F(0)), "endo", "raising", "d")),
     derivations.EndoBlockReport: (("blocks", "scalars", "offdiag_all_zero"),
                                   ((), (F(1), None), True)),
-    derivations.RaisingReport: (("image_span", "violations", "classification"),
-                                (SPACE, ((0, 1),), "other")),
+    derivations.RaisingReport: (("image_span", "classification"), (SPACE, "other")),
     derivations.SplitSurvey: (("basis", "splits", "raising_total"),
                               ("basis", (), SPACE)),
     sl2.WeightSpaces: (("pairs", "complete"), (((F(-1), SPACE),), True)),
