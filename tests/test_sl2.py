@@ -45,8 +45,15 @@ def test_scaled_h_fails():
     alg, levi = sl2()
     t = triple_of(alg, levi)
     scaled = Sl2Triple(t.e, t.f, tuple(2 * c for c in t.h))
-    bad = check_sl2_triple(alg, levi, scaled)
-    assert bad  # doubling h breaks [e,f] = h among others
+    # doubling h breaks every relation; the labels come in table order
+    assert check_sl2_triple(alg, levi, scaled) == (
+        "relation [e,h] = 2e fails",
+        "relation [h,e] = -2e fails",
+        "relation [h,f] = 2f fails",
+        "relation [f,h] = -2f fails",
+        "relation [e,f] = h fails",
+        "relation [f,e] = -h fails",
+    )
 
 
 def test_support_outside_semisimple_part_flagged():
