@@ -1,20 +1,22 @@
 """Built-in algebra families with their declared structure data.
 
-Two parametric families of right Leibniz algebras built over sl2 (one with a
-single sl2 acting on an irreducible module column, one with two commuting
-sl2 blocks acting on a pair of columns), plus small fixtures.  Basis order
-follows the standard listing for each family so printed reports line up
-with hand calculations.
+Each sl2 family is a semisimple Lie algebra S acting on a right module V,
+built as S ⋉ V (Kinyon and Weinstein, Amer. J. Math. 123, 2001): S's Lie
+table, [v, g] = v·g, and every other product zero.  Two of them are
+parametric (one sl2 on an irreducible module column, two commuting sl2
+copies on a pair of columns); small fixtures complete the list.  Basis order follows
+the standard listing for each family so printed reports line up with hand
+calculations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Mapping, Sequence
 
-from .core import Algebra, LeviDatum, direct_sum_many
+from .core import SL2_TABLE, Algebra, LeviDatum, direct_sum_many
 from .exactlin import value_type
 
-ONE = Fraction(1)
+Columns = dict[int, dict[int, int]]
 
 
 @value_type
@@ -32,41 +34,40 @@ class CatalogSpec:
                              f"choose from {', '.join(self.FAMILIES)}")
 
 
-def _sl2_block(products, e: int, f: int, h: int) -> None:
-    """Install one sl2 copy: [e,h]=2e, [h,f]=2f, [e,f]=h and the negatives."""
-    products[(e, h)] = [(e, Fraction(2))]
-    products[(h, e)] = [(e, Fraction(-2))]
-    products[(h, f)] = [(f, Fraction(2))]
-    products[(f, h)] = [(f, Fraction(-2))]
-    products[(e, f)] = [(h, ONE)]
-    products[(f, e)] = [(h, -ONE)]
+def _semidirect(lie: Mapping, actions: Sequence[Columns],
+                names: Sequence[str], name: str) -> Algebra:
+    """S ⋉ V on basis (S, V): the Lie table of S on its len(actions) basis
+    vectors, and [v, g] = v·g with column v of actions[g] (sparse columns
+    {v: {w: coefficient}} in V's coordinates) the image v·g."""
+    s = len(actions)
+    products = dict(lie)
+    for g, action in enumerate(actions):
+        for v, image in action.items():
+            products[(s + v, g)] = [(s + w, x) for w, x in image.items()]
+    return Algebra(len(names), products, names, name=name)
 
 
-def _sl2_column(products, m: int, x) -> None:
-    """Install the right action of the sl2 copy (e, f, h) = (0, 1, 2) on one
-    irreducible column x(0), ..., x(m) of highest weight m."""
-    for k in range(1, m + 1):
-        products[(x(k), 0)] = [(x(k - 1), Fraction(-k * (m + 1 - k)))]
-    for k in range(m):
-        products[(x(k), 1)] = [(x(k + 1), ONE)]
-    for k in range(m + 1):
-        coeff = Fraction(m - 2 * k)
-        if coeff:
-            products[(x(k), 2)] = [(x(k), coeff)]
+def _sl2_action(weights: Sequence[int]) -> tuple[Columns, Columns, Columns]:
+    """The right action of (e, f, h) on V(m_1) ⊕ V(m_2) ⊕ ...: on each
+    column x_0, ..., x_m of highest weight m, x_k·e = -k(m + 1 - k) x_(k-1),
+    x_k·f = x_(k+1) and x_k·h = (m - 2k) x_k."""
+    basis = list(enumerate((m, k) for m in weights for k in range(m + 1)))
+    e = {v: {v - 1: -k * (m + 1 - k)} for v, (m, k) in basis if k}
+    f = {v: {v + 1: 1} for v, (m, k) in basis if k < m}
+    h = {v: {v: m - 2 * k} for v, (m, k) in basis}
+    return e, f, h
 
 
 def sl2() -> tuple[Algebra, LeviDatum]:
     """The simple Lie algebra sl2 on basis (e, f, h)."""
-    products: dict = {}
-    _sl2_block(products, 0, 1, 2)
-    alg = Algebra(3, products, ("e", "f", "h"), name="sl2")
+    alg = _semidirect(SL2_TABLE, _sl2_action(()), ("e", "f", "h"), "sl2")
     return alg, LeviDatum((0, 1, 2), (), ((0, 1, 2),))
 
 
 def two_dim_solvable() -> Algebra:
     """Minimal non-Lie fixture: only nonzero product is the square of the
     first basis vector."""
-    return Algebra(2, {(0, 0): [(1, ONE)]}, ("a", "b"), name="two_dim_solvable")
+    return Algebra(2, {(0, 0): [(1, 1)]}, ("a", "b"), name="two_dim_solvable")
 
 
 def simple_sl2_leibniz(m: int, allow_uncertified: bool = False) -> tuple[Algebra, LeviDatum]:
@@ -82,12 +83,10 @@ def simple_sl2_leibniz(m: int, allow_uncertified: bool = False) -> tuple[Algebra
     if m == 1 and not allow_uncertified:
         raise ValueError("m = 1 lies outside the certified range; "
                          "pass allow_uncertified to build it anyway")
-    products: dict = {}
-    _sl2_block(products, 0, 1, 2)
-    _sl2_column(products, m, lambda k: 3 + k)
     names = ("e", "f", "h") + tuple(f"x{k}" for k in range(m + 1))
     tag = "_uncertified" if m == 1 else ""
-    alg = Algebra(m + 4, products, names, name=f"simple_sl2_leibniz_m{m}{tag}")
+    alg = _semidirect(SL2_TABLE, _sl2_action((m,)), names,
+                      f"simple_sl2_leibniz_m{m}{tag}")
     levi = LeviDatum((0, 1, 2), tuple(range(3, m + 4)), ((0, 1, 2),))
     return alg, levi
 
@@ -101,29 +100,19 @@ def semisimple_pair(m: int) -> tuple[Algebra, LeviDatum]:
     """
     if m < 1:
         raise ValueError("the module parameter m must be at least 1")
-    products: dict = {}
-    _sl2_block(products, 0, 1, 2)
-    _sl2_block(products, 3, 4, 5)
-
-    def x(col: int, k: int) -> int:
-        return 6 + (col - 1) * (m + 1) + k
-
-    for col in (1, 2):
-        _sl2_column(products, m, lambda k: x(col, k))
-    for j in range(m + 1):
-        products[(x(1, j), 3)] = [(x(2, j), ONE)]
-        products[(x(2, j), 5)] = [(x(2, j), ONE)]
-        products[(x(1, j), 5)] = [(x(1, j), -ONE)]
-        products[(x(2, j), 4)] = [(x(1, j), -ONE)]
+    d = m + 1  # x_k of the second column is d + k
+    lie = {**SL2_TABLE, **{(i + 3, j + 3): [(k + 3, c) for k, c in entries]
+                           for (i, j), entries in SL2_TABLE.items()}}
+    doublet = ({k: {d + k: 1} for k in range(d)},  # e2: x_k_1 -> x_k_2
+               {d + k: {k: -1} for k in range(d)},  # f2: x_k_2 -> -x_k_1
+               {k: {k: 1 if k >= d else -1} for k in range(2 * d)})  # h2
     names = ("e1", "f1", "h1", "e2", "f2", "h2") \
-        + tuple(f"x{k}_1" for k in range(m + 1)) \
-        + tuple(f"x{k}_2" for k in range(m + 1))
-    alg = Algebra(2 * (m + 4), products, names, name=f"semisimple_pair_m{m}")
-    levi = LeviDatum(
-        (0, 1, 2, 3, 4, 5),
-        tuple(range(6, 2 * (m + 4))),
-        ((0, 1, 2), (3, 4, 5)),
-    )
+        + tuple(f"x{k}_1" for k in range(d)) \
+        + tuple(f"x{k}_2" for k in range(d))
+    alg = _semidirect(lie, _sl2_action((m, m)) + doublet, names,
+                      f"semisimple_pair_m{m}")
+    levi = LeviDatum(tuple(range(6)), tuple(range(6, 2 * (m + 4))),
+                     ((0, 1, 2), (3, 4, 5)))
     return alg, levi
 
 

@@ -181,6 +181,15 @@ def _index(table: Mapping[tuple[int, int], tuple]) -> tuple[dict, dict]:
 
 # ----------------------------------------------------------- declared split
 
+# The sl2 sign convention on (e, f, h) = (0, 1, 2): [e,h] = 2e, [h,e] = -2e,
+# [h,f] = 2f, [f,h] = -2f, [e,f] = h, [f,e] = -h; every other product zero.
+SL2_TABLE = {
+    (0, 2): ((0, 2),), (2, 0): ((0, -2),),
+    (2, 1): ((1, 2),), (1, 2): ((1, -2),),
+    (0, 1): ((2, 1),), (1, 0): ((2, -1),),
+}
+
+
 @value_type
 class LeviDatum:
     """Declared split of the basis into a semisimple part and the ideal part.
@@ -188,7 +197,8 @@ class LeviDatum:
     ``g_indices`` span a subalgebra complementing the span of
     ``i_indices``, which must equal the ideal generated by squares.
     ``sl2_triples`` lists basis index triples (e, f, h) satisfying the
-    canonical sl2 relations of this package's sign convention.
+    canonical sl2 relations of this package's sign convention,
+    ``SL2_TABLE``.
     """
 
     g_indices: tuple[int, ...]
@@ -230,13 +240,14 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
     """Violated relations of the canonical sl2 presentation; empty means pass.
 
     The triple must be supported on the declared semisimple-part indices,
-    and the six products [e,h]=2e, [h,e]=-2e, [h,f]=2f, [f,h]=-2f,
-    [e,f]=h, [f,e]=-h must hold exactly.
+    and the six products of ``SL2_TABLE`` must hold exactly; failures are
+    named in table order.
     """
     problems = []
     g_set = set(levi.g_indices)
     rows = []
-    for label, vec in (("e", t.e), ("f", t.f), ("h", t.h)):
+    names = "efh"
+    for label, vec in zip(names, (t.e, t.f, t.h)):
         if len(vec) != alg.dim:
             return (f"vector {label} has the wrong length",)
         row = _row_to_dict(vec)
@@ -246,20 +257,13 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
                 f"vector {label} has support outside the semisimple part "
                 f"at indices {outside}")
         rows.append(row)
-    e, f, h = rows
-    expected = (
-        ("[e,h] = 2e", e, h, 2, e),
-        ("[h,e] = -2e", h, e, -2, e),
-        ("[h,f] = 2f", h, f, 2, f),
-        ("[f,h] = -2f", f, h, -2, f),
-        ("[e,f] = h", e, f, 1, h),
-        ("[f,e] = -h", f, e, -1, h),
-    )
-    for label, x, y, c, want in expected:
-        residual = _product(alg._by_left, x, y)
-        _accumulate(residual, -c, want.items())
+    for (x, y), ((k, c),) in SL2_TABLE.items():
+        residual = _product(alg._by_left, rows[x], rows[y])
+        _accumulate(residual, -c, rows[k].items())
         if any(residual.values()):
-            problems.append(f"relation {label} fails")
+            scale = {1: "", -1: "-"}.get(c, str(c))
+            problems.append(f"relation [{names[x]},{names[y]}] = "
+                            f"{scale}{names[k]} fails")
     return tuple(problems)
 
 
@@ -286,13 +290,15 @@ def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
 
 
 def per_algebra(fn):
-    """Compute fn(alg) once per algebra and keep it in ``alg._cache``; callers
-    only read the result.  ``__wrapped__`` is the uncached function."""
+    """Compute fn(alg, *args) once per algebra and hashable args, and keep it
+    in ``alg._cache``; callers only read the result.  ``__wrapped__`` is the
+    uncached function."""
     @functools.wraps(fn)
-    def cached(alg: Algebra):
-        if fn not in alg._cache:
-            alg._cache[fn] = fn(alg)
-        return alg._cache[fn]
+    def cached(alg: Algebra, *args):
+        key = (fn, args)
+        if key not in alg._cache:
+            alg._cache[key] = fn(alg, *args)
+        return alg._cache[key]
     return cached
 
 
@@ -609,11 +615,10 @@ def _identity_sides(by_left: Mapping, by_right: Mapping, i: int, j: int,
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
-                      pairs: Iterable[tuple[int, int]] | None = None,
                       ) -> Iterator[tuple[int, int]]:
-    """Basis pairs (default: all, row-major) where the n×n map m fails the
-    identity of identity_rows, contracted from the table and m's nonzero
-    columns; left=False checks m([x,y]) = [m(x), y] alone.
+    """Basis pairs, row-major, where the n×n map m fails the identity of
+    identity_rows, contracted from the table and m's nonzero columns;
+    left=False checks m([x,y]) = [m(x), y] alone.
 
     Only pairs where some term can be nonzero are visited: (i, j) whose
     product holds a nonzero column of m, (c, j) for each nonzero column c
@@ -638,11 +643,7 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
         live.update((c, j) for j in by_right)
         if left:
             live.update((i, c) for i in by_left)
-    if pairs is None:
-        pairs = sorted(live)
-    for i, j in pairs:
-        if (i, j) not in live:
-            continue
+    for i, j in sorted(live):
         acc: dict[int, int] = {}
         for l, x in table.get((i, j), ()):
             if l in images:

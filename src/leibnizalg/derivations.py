@@ -232,9 +232,9 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
         raise StructureError(
             "leftover diagonal part is not a module endomorphism of the ideal")
     # with the other two parts derivations, d is one exactly when the
-    # raising corner is; pairs that touch the ideal vanish on both sides
-    bad = next(identity_failures(alg, parts.raising, False,
-                                 itertools.product(levi.g_indices, repeat=2)), None)
+    # raising corner is; pairs that touch the ideal vanish on both sides,
+    # so the pruned scan visits complement pairs alone
+    bad = next(identity_failures(alg, parts.raising, False), None)
     if bad is not None:
         x, y = (alg.basis_names[i] for i in bad)
         raise StructureError(
@@ -276,11 +276,13 @@ def scalar_of(block: Matrix) -> Fraction | None:
     return lam if block.columns == want else None
 
 
-def _stacked_span(n: int, components: Sequence[Subspace],
+@per_algebra
+def _stacked_span(alg: Algebra, components: tuple[Subspace, ...],
                   ) -> tuple[list[dict[int, Fraction]], Subspace]:
     """The components' basis rows, stacked, and the span of each row t
     tagged with unit column n + t; ValueError unless they are
     independent."""
+    n = alg.dim
     stacked = [v for comp in components for v in comp.pivot_rows.values()]
     tagged = Subspace.span(
         n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
@@ -306,10 +308,7 @@ def ideal_endo_blocks(
         raise ValueError("matrix shape does not match the algebra dimension")
     if not components:
         return EndoBlockReport((), (), True)
-    key = (_stacked_span, tuple(components))
-    if key not in alg._cache:
-        alg._cache[key] = _stacked_span(n, components)
-    stacked, tagged = alg._cache[key]
+    stacked, tagged = _stacked_span(alg, tuple(components))
     cols = endo.columns
     coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
     for v in stacked:

@@ -14,10 +14,10 @@ Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
 new pivot reach only the rows that hold its column, so kernels of large,
 very sparse constraint systems cost what their nonzeros cost;
 ``charpoly`` clears one denominator for the whole matrix and runs
-Berkowitz's recursion on the nonzero entries.  ``Matrix`` is the value
-type that crosses the API.  Its one storage form is sparse columns, and
-``Matrix.row_dicts`` transposes them into the sparse rows that
-``charpoly``, ``rational_eigen``, ``nullspace`` and ``solve`` read, so
+Berkowitz's recursion on the nonzero integer entries.  ``Matrix`` is the
+value type that crosses the API.  Its one storage form is sparse columns,
+and ``Matrix.row_dicts`` transposes them into the sparse rows that
+``rational_eigen``, ``nullspace`` and ``solve`` read, so
 every computation reads a map at the cost of its nonzeros; its dense rows
 are a view for the reference alone.  ``solve`` has no caller in the
 package and stays as the reference the tests compare against.  Outside values become Fractions at the edge, in
@@ -556,14 +556,17 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     # cols[j]: (i, entry (i, j) of B) for its nonzero entries, i ascending
     cols = [sorted((i, int(x * den)) for i, x in m.columns.get(j, {}).items())
             for j in range(m.cols)]
-    rows = m.row_dicts()
+    rows: list[dict[int, int]] = [{} for _ in cols]  # the same entries by row
+    for j, col in enumerate(cols):
+        for i, b in col:
+            rows[i][j] = b
     p = [1]  # det(x·I - B_k) for the leading k×k block B_k of B
     for k, col in enumerate(cols):
         # B_(k+1) = [[B_k, c], [r, a]]; the Toeplitz column 1, -a, -r·c,
         # -r·B_k·c, ... is zero after -a if r = 0, and from the first
         # vanished B_k^s·c on
-        r = {j: int(x * den) for j, x in rows[k].items() if j < k}
-        t_col = [1, -int(rows[k].get(k, ZERO) * den)]
+        r = {j: b for j, b in rows[k].items() if j < k}
+        t_col = [1, -rows[k].get(k, 0)]
         v = {i: x for i, x in col if i < k}
         while r and v and len(t_col) < k + 2:
             t_col.append(-sum(r[i] * x for i, x in v.items() if i in r))

@@ -4,10 +4,14 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leibnizalg import dump_algebra_json, leibniz_check, squares_ideal, validate_levi
+from leibnizalg import (derivation_algebra, dump_algebra_json, leibniz_check,
+                        squares_ideal, validate_levi)
 from leibnizalg.catalog import (
     CatalogSpec,
+    _semidirect,
+    _sl2_action,
     build,
     direct_sum_sample,
     semisimple_pair,
@@ -16,6 +20,7 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
+from leibnizalg.core import SL2_TABLE
 
 
 def test_every_member_is_leibniz_with_valid_levi():
@@ -167,3 +172,18 @@ def test_family_tables_are_byte_identical(family, m):
     alg, levi = build(CatalogSpec(family, m), allow_uncertified=(m == 1))
     text = dump_algebra_json(alg, levi)
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_HASHES[family, m]
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@settings(max_examples=30)
+def test_sl2_module_derivation_count(weights):
+    # sl2 ⋉ (V(m_1) ⊕ ... ⊕ V(m_r)) is Leibniz, and its derivations are
+    # R(sl2) ⊕ End_sl2(V) ⊕ Hom_sl2(sl2, V): by Schur's lemma
+    # 3 + Σ mult(V(m))² + mult(V(2)), the adjoint sl2 being V(2)
+    dim_v = sum(m + 1 for m in weights)
+    names = ("e", "f", "h") + tuple(f"x{v}" for v in range(dim_v))
+    alg = _semidirect(SL2_TABLE, _sl2_action(weights), names, "sl2_module")
+    assert leibniz_check(alg) == ()
+    mult = {m: weights.count(m) for m in set(weights)}
+    want = 3 + sum(k * k for k in mult.values()) + mult.get(2, 0)
+    assert derivation_algebra(alg).dim == want

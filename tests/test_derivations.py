@@ -36,7 +36,7 @@ from leibnizalg.catalog import (
     two_dim_solvable,
 )
 from leibnizalg import core, exactlin
-from leibnizalg.core import Algebra, LeviDatum, identity_rows
+from leibnizalg.core import Algebra, LeviDatum, identity_rows, per_algebra
 from leibnizalg.sl2 import Sl2Triple
 
 
@@ -390,13 +390,13 @@ def test_component_span_is_built_once_per_decomposition(monkeypatch):
     # check still run on every call
     from leibnizalg import derivations
     builds = []
-    build = derivations._stacked_span
+    build = derivations._stacked_span.__wrapped__
 
-    def counted(n, components):
+    def counted(alg, components):
         builds.append(len(components))
-        return build(n, components)
+        return build(alg, components)
 
-    monkeypatch.setattr(derivations, "_stacked_span", counted)
+    monkeypatch.setattr(derivations, "_stacked_span", per_algebra(counted))
     alg, levi = semisimple_pair(2)
     comps = pair_components(alg, levi)
     survey = split_all(alg, levi)

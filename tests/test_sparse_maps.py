@@ -41,17 +41,14 @@ CATALOG += [(f"{label} mixed", mixed(alg), None) for label, alg, _ in CATALOG]
 entries = st.sampled_from([F(-3), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
 
 
-def reference_failures(alg, m, left, pairs=None):
-    """Every pair in order (all pairs row-major by default) where
-    m([x,y]) differs from [m(x), y] (+ [x, m(y)] when left is set),
-    evaluated densely with no pruning."""
+def reference_failures(alg, m, left):
+    """Every pair, row-major, where m([x,y]) differs from [m(x), y]
+    (+ [x, m(y)] when left is set), evaluated densely with no pruning."""
     n = alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
     images = [m.apply(v) for v in basis]
-    if pairs is None:
-        pairs = itertools.product(range(n), repeat=2)
     out = []
-    for i, j in pairs:
+    for i, j in itertools.product(range(n), repeat=2):
         want = alg.product(images[i], basis[j])
         if left:
             want = tuple(a + b for a, b in
@@ -100,17 +97,11 @@ def algebra_and_map(draw):
     return alg, Matrix(n, n, columns)
 
 
-@given(algebra_and_map(), st.booleans(), st.data())
+@given(algebra_and_map(), st.booleans())
 @settings(max_examples=150)
-def test_pruned_identity_check_matches_a_full_scan(case, left, data):
+def test_pruned_identity_check_matches_a_full_scan(case, left):
     alg, m = case
-    n = alg.dim
     assert list(identity_failures(alg, m, left)) == reference_failures(alg, m, left)
-    # an explicit list is visited in its own order, repeats included
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    pairs = data.draw(st.lists(pair, max_size=20))
-    assert (list(identity_failures(alg, m, left, pairs))
-            == reference_failures(alg, m, left, pairs))
 
 
 @st.composite
