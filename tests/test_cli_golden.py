@@ -2,7 +2,8 @@
 
 Every case writes a catalog algebra, runs one report command on it through
 ``cli.main`` and compares exit code, stdout and stderr with
-``data/cli_golden.json``.  A change that alters a report on purpose edits
+``data/cli_golden.json``.  Each command is pinned as ``--json`` and as
+text; catalog members carry names, so no temporary path enters the text.  A change that alters a report on purpose edits
 that file by hand and says so in CHANGES.md.
 """
 
@@ -30,6 +31,11 @@ COMMANDS = {
     "derive": ("derive", "--decompose", "--json"),
     "radical": ("radical", "--json"),
     "modules": ("modules", "--json"),
+    "check_text": ("check", "--seed", "0"),
+    "derive_text": ("derive",),
+    "derive_decompose_text": ("derive", "--decompose"),
+    "radical_text": ("radical",),
+    "modules_text": ("modules",),
 }
 
 CASES = [f"{alg}:{cmd}" for alg in ALGEBRAS for cmd in COMMANDS]
