@@ -116,10 +116,11 @@ def semisimple_pair(m: int) -> tuple[Algebra, LeviDatum]:
     return alg, levi
 
 
-def direct_sum_sample(m: int = 2) -> tuple[Algebra, LeviDatum]:
-    """Direct sum of the simple family members with parameters m and m + 1."""
-    a, la = simple_sl2_leibniz(m)
-    b, lb = simple_sl2_leibniz(m + 1)
+def direct_sum_sample(m: int = 2, allow_uncertified: bool = False) -> tuple[Algebra, LeviDatum]:
+    """Direct sum of the simple family members with parameters m and m + 1;
+    allow_uncertified is passed on to both."""
+    a, la = simple_sl2_leibniz(m, allow_uncertified=allow_uncertified)
+    b, lb = simple_sl2_leibniz(m + 1, allow_uncertified=allow_uncertified)
     total, levi = direct_sum_many([(a, la), (b, lb)])
     assert levi is not None
     return total, levi
@@ -142,7 +143,7 @@ def build(spec: CatalogSpec, allow_uncertified: bool = False) -> tuple[Algebra, 
         return semisimple_pair(m)
     if spec.family == "direct_sum":
         m = 2 if spec.m is None else spec.m
-        return direct_sum_sample(m)
+        return direct_sum_sample(m, allow_uncertified=allow_uncertified)
     raise AssertionError("unreachable")
 
 

@@ -3,16 +3,26 @@
 Subcommands load an algebra file, run the exact analyses, and emit either
 human-readable text or JSON reports.  Exit status is 0 for a clean pass, 1
 for a mathematical failure (identity violation, invalid declared split,
-undecidable module request), and 2 for I/O or schema problems.  Each
-command imports only the layers it runs: ``check`` and ``radical`` need
-neither ``derivations`` nor ``sl2``, ``modules`` needs ``sl2``,
-``derive`` needs ``derivations`` (and ``sl2`` with ``--decompose``), and
-only ``catalog`` needs ``catalog``.
+undecidable module request), and 2 for I/O or schema problems and for
+requests a command cannot serve (no levi block, an unknown catalog
+member).
+
+The four analysis commands (``check``, ``derive``, ``radical``,
+``modules``) share one report path, ``_analysis``: it loads and validates
+the file, starts the JSON doc with the ``command`` and ``algebra`` header,
+runs the command's body, which adds its fields and returns its text
+lines, and prints the doc under ``--json`` or the lines otherwise.  One
+parser helper gives each of them ``file`` and ``--json``.  Each command
+imports only the layers it runs: ``check`` and ``radical`` need neither
+``derivations`` nor ``sl2``, ``modules`` needs ``sl2``, ``derive`` needs
+``derivations`` (and ``sl2`` with ``--decompose``), and only ``catalog``
+needs ``catalog``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -113,31 +123,43 @@ def _spot_check(alg: Algebra, seed: int) -> None:
                 "random spot check found an identity violation")
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    alg, levi = _load(args.file)
-    lines = _validate(alg, levi)
+class _Refusal(Exception):
+    """A request the command cannot serve (no levi block, an unknown or
+    out-of-range catalog member); ``main`` prints the message, exit 2."""
+
+
+def _analysis(run):
+    """The report path of the module docstring around one command body.
+
+    ``run(args, alg, levi, doc, validation)`` gets the validation battery's
+    lines, adds its fields to ``doc`` and returns its text lines; the first
+    follows the algebra's name (or the file path)."""
+    @functools.wraps(run)
+    def command(args: argparse.Namespace) -> int:
+        alg, levi = _load(args.file)
+        validation = _validate(alg, levi)
+        doc: dict = {"command": args.command,
+                     "algebra": {"name": alg.name, "dim": alg.dim,
+                                 "basis": list(alg.basis_names)}}
+        text = run(args, alg, levi, doc, validation)
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        else:
+            print(f"{alg.name or args.file}: {text[0]}", *text[1:], sep="\n")
+        return PASS
+    return command
+
+
+@_analysis
+def cmd_check(args, alg, levi, doc, validation):
     _spot_check(alg, args.seed)
-    lines.append(f"random spot checks: {SPOT_CHECKS} triples with seed {args.seed}: pass")
-    if args.json:
-        doc = {
-            "command": "check",
-            "algebra": {"name": alg.name, "dim": alg.dim,
-                        "basis": list(alg.basis_names)},
-            "leibniz": True,
-            "squares_ideal_dim": squares_ideal(alg).dim,
-            "quotient_is_lie": True,
-            "levi_validated": levi is not None,
-            "random_spot_checks": SPOT_CHECKS,
-            "seed": args.seed,
-            "passed": True,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{alg.name or args.file}: dimension {alg.dim}")
-        for line in lines:
-            print("  " + line)
-        print("check: pass")
-    return PASS
+    validation.append(f"random spot checks: {SPOT_CHECKS} triples with "
+                      f"seed {args.seed}: pass")
+    doc.update(leibniz=True, squares_ideal_dim=squares_ideal(alg).dim,
+               quotient_is_lie=True, levi_validated=levi is not None,
+               random_spot_checks=SPOT_CHECKS, seed=args.seed, passed=True)
+    return [f"dimension {alg.dim}", *("  " + line for line in validation),
+            "check: pass"]
 
 
 def _components_for_scalars(alg: Algebra, levi: LeviDatum):
@@ -151,110 +173,77 @@ def _components_for_scalars(alg: Algebra, levi: LeviDatum):
         return None
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
+@_analysis
+def cmd_derive(args, alg, levi, doc, validation):
     from .derivations import (ideal_endo_blocks, outer_report,
                               raising_map_report, split_all)
-    alg, levi = _load(args.file)
-    _validate(alg, levi)
     rep = outer_report(alg)
-    doc = {
-        "command": "derive",
-        "algebra": {"name": alg.name, "dim": alg.dim,
-                    "basis": list(alg.basis_names)},
-        "dims": {"der": rep.dim_der, "inner": rep.dim_inner,
-                 "outer": rep.dim_outer},
-    }
-    text = [f"{alg.name or args.file}: dimension {alg.dim}",
+    doc["dims"] = {"der": rep.dim_der, "inner": rep.dim_inner,
+                   "outer": rep.dim_outer}
+    text = [f"dimension {alg.dim}",
             f"dim Der = {rep.dim_der}, inner = {rep.dim_inner}, "
             f"outer = {rep.dim_outer}"]
-    if args.decompose:
-        if levi is None:
-            print("derive --decompose needs a levi block in the input file",
-                  file=sys.stderr)
-            return IO_FAIL
-        survey = split_all(alg, levi)
-        dec = _components_for_scalars(alg, levi)
-        split_docs = []
-        for idx, sp in enumerate(survey.splits):
-            entry: dict = {"index": idx,
-                           "inner_element": _named(alg, sp.inner_element)}
-            text.append(f"derivation basis {idx}:")
-            text.append(f"  inner element a = {_named(alg, sp.inner_element)}")
-            if dec is not None:
-                blocks = ideal_endo_blocks(alg, sp.ideal_endo, dec.components)
-                scalars = [None if s is None else format_rational(s)
-                           for s in blocks.scalars]
-                entry["ideal_endo"] = {
-                    "scalars": scalars,
-                    "offdiag_all_zero": blocks.offdiag_all_zero,
-                }
-                text.append(
-                    "  ideal endomorphism scalars on components: "
-                    + ", ".join(s if s is not None else "non-scalar"
-                                for s in scalars)
-                    + ("" if blocks.offdiag_all_zero
-                       else " (nonzero off-diagonal blocks)"))
-            else:
-                entry["ideal_endo"] = None
-                text.append("  ideal endomorphism: module decomposition unavailable")
-            rr = raising_map_report(alg, levi, sp.raising_map)
-            entry["raising"] = {"classification": rr.classification,
-                                "image_dim": rr.image_span.dim}
-            text.append(f"  raising map: {rr.classification} "
-                        f"(image dimension {rr.image_span.dim})")
-            split_docs.append(entry)
-        doc["splits"] = split_docs
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text:
-            print(line)
-    return PASS
+    if not args.decompose:
+        return text
+    if levi is None:
+        raise _Refusal("derive --decompose needs a levi block in the input file")
+    survey = split_all(alg, levi)
+    dec = _components_for_scalars(alg, levi)
+    doc["splits"] = []
+    for idx, sp in enumerate(survey.splits):
+        inner = _named(alg, sp.inner_element)
+        entry: dict = {"index": idx, "inner_element": inner}
+        text.append(f"derivation basis {idx}:")
+        text.append(f"  inner element a = {inner}")
+        if dec is not None:
+            blocks = ideal_endo_blocks(alg, sp.ideal_endo, dec.components)
+            scalars = [None if s is None else format_rational(s)
+                       for s in blocks.scalars]
+            entry["ideal_endo"] = {
+                "scalars": scalars,
+                "offdiag_all_zero": blocks.offdiag_all_zero,
+            }
+            text.append(
+                "  ideal endomorphism scalars on components: "
+                + ", ".join(s if s is not None else "non-scalar"
+                            for s in scalars)
+                + ("" if blocks.offdiag_all_zero
+                   else " (nonzero off-diagonal blocks)"))
+        else:
+            entry["ideal_endo"] = None
+            text.append("  ideal endomorphism: module decomposition unavailable")
+        rr = raising_map_report(alg, levi, sp.raising_map)
+        entry["raising"] = {"classification": rr.classification,
+                            "image_dim": rr.image_span.dim}
+        text.append(f"  raising map: {rr.classification} "
+                    f"(image dimension {rr.image_span.dim})")
+        doc["splits"].append(entry)
+    return text
 
 
-def cmd_radical(args: argparse.Namespace) -> int:
-    alg, levi = _load(args.file)
-    _validate(alg, levi)
+@_analysis
+def cmd_radical(args, alg, levi, doc, validation):
     sq = squares_ideal(alg)
     rad = solvable_radical(alg)
     semi = is_semisimple(alg)
-    if args.json:
-        doc = {
-            "command": "radical",
-            "algebra": {"name": alg.name, "dim": alg.dim,
-                        "basis": list(alg.basis_names)},
-            "squares_ideal_dim": sq.dim,
-            "radical_dim": rad.dim,
-            "radical_equals_squares": rad == sq,
-            "semisimple": semi,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{alg.name or args.file}: dimension {alg.dim}")
-        print(f"  squares ideal dimension: {sq.dim}")
-        print(f"  solvable radical dimension: {rad.dim}")
-        print(f"  semisimple (radical equals squares ideal): "
-              f"{'yes' if semi else 'no'}")
-    return PASS
+    doc.update(squares_ideal_dim=sq.dim, radical_dim=rad.dim,
+               radical_equals_squares=rad == sq, semisimple=semi)
+    return [f"dimension {alg.dim}",
+            f"  squares ideal dimension: {sq.dim}",
+            f"  solvable radical dimension: {rad.dim}",
+            f"  semisimple (radical equals squares ideal): "
+            f"{'yes' if semi else 'no'}"]
 
 
-def cmd_modules(args: argparse.Namespace) -> int:
+@_analysis
+def cmd_modules(args, alg, levi, doc, validation):
     from .sl2 import (irreducible_decomposition_sl2, pair_structure_report,
                       weight_decomposition)
-    alg, levi = _load(args.file)
-    _validate(alg, levi)
     if levi is None or not levi.sl2_triples:
-        print("modules needs a levi block with at least one sl2 triple",
-              file=sys.stderr)
-        return IO_FAIL
+        raise _Refusal("modules needs a levi block with at least one sl2 triple")
     sq = squares_ideal(alg)
-    doc: dict = {
-        "command": "modules",
-        "algebra": {"name": alg.name, "dim": alg.dim,
-                    "basis": list(alg.basis_names)},
-        "triples": [],
-    }
-    text = [f"{alg.name or args.file}: squares ideal dimension {sq.dim}"]
+    doc["triples"] = []
+    text = [f"squares ideal dimension {sq.dim}"]
     for idx, raw in enumerate(levi.sl2_triples):
         triple = Sl2Triple.from_indices(alg.dim, raw)
         ws = weight_decomposition(alg, sq, triple)
@@ -278,24 +267,15 @@ def cmd_modules(args: argparse.Namespace) -> int:
     if len(levi.sl2_triples) == 2:
         rep = pair_structure_report(alg, levi)
         doc["pair_structure"] = {
-            "quotient_pair": {"ok": rep.quotient_pair.ok,
-                              "message": rep.quotient_pair.message},
-            "equal_columns": {"ok": rep.equal_columns.ok,
-                              "message": rep.equal_columns.message},
-            "doublet_rows": {"ok": rep.doublet_rows.ok,
-                             "message": rep.doublet_rows.message},
+            **{label: {"ok": check.ok, "message": check.message}
+               for label, check in rep.checks()},
             "all_pass": rep.all_pass(),
         }
         text.append("paired-column structure:")
         text.extend("  " + line for line in rep.lines())
     else:
         doc["pair_structure"] = None
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text:
-            print(line)
-    return PASS
+    return text
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -304,8 +284,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         alg, levi = build(CatalogSpec(args.family, args.m),
                           allow_uncertified=args.force)
     except ValueError as exc:
-        print(f"catalog: {exc}", file=sys.stderr)
-        return IO_FAIL
+        raise _Refusal(f"catalog: {exc}") from exc
     payload = dump_algebra_json(alg, levi)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -323,35 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "Leibniz algebras over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser(
-        "check", help="validate an algebra file and its identities")
-    p_check.add_argument("file")
+    def report(name, command, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=command)
+        return p
+
+    p_check = report("check", cmd_check,
+                     "validate an algebra file and its identities")
     p_check.add_argument("--seed", type=int, default=0,
                          help="seed for the random identity spot checks")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=cmd_check)
-
-    p_derive = sub.add_parser(
-        "derive", help="compute the derivation algebra and its split")
-    p_derive.add_argument("file")
+    p_derive = report("derive", cmd_derive,
+                      "compute the derivation algebra and its split")
     p_derive.add_argument("--decompose", action="store_true",
                           help="split each basis derivation along the "
                                "declared grading")
-    p_derive.add_argument("--json", action="store_true")
-    p_derive.set_defaults(func=cmd_derive)
-
-    p_radical = sub.add_parser(
-        "radical", help="squares ideal, solvable radical, semisimplicity")
-    p_radical.add_argument("file")
-    p_radical.add_argument("--json", action="store_true")
-    p_radical.set_defaults(func=cmd_radical)
-
-    p_modules = sub.add_parser(
-        "modules", help="weight and irreducible module structure of the "
-                        "squares ideal")
-    p_modules.add_argument("file")
-    p_modules.add_argument("--json", action="store_true")
-    p_modules.set_defaults(func=cmd_modules)
+    report("radical", cmd_radical,
+           "squares ideal, solvable radical, semisimplicity")
+    report("modules", cmd_modules,
+           "weight and irreducible module structure of the squares ideal")
 
     p_catalog = sub.add_parser(
         "catalog", help="emit a built-in algebra as schema JSON")
@@ -371,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return IO_FAIL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_FAIL

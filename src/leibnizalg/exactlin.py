@@ -20,9 +20,10 @@ and ``Matrix.row_dicts`` transposes them into the sparse rows that
 ``rational_eigen``, ``nullspace`` and ``solve`` read, so
 every computation reads a map at the cost of its nonzeros; its dense rows
 are a view for the reference alone.  ``solve`` has no caller in the
-package and stays as the reference the tests compare against.  Outside values become Fractions at the edge, in
-``parse_rational`` and ``Matrix.from_rows``; everything else takes
-entries as given (Fraction or int) and never re-wraps an exact vector.
+package and stays as the reference the tests compare against.  Outside
+values become Fractions at the edge, in ``parse_rational`` and
+``Matrix.from_rows``; everything else takes entries as given (Fraction or
+int) and never re-wraps an exact vector.
 """
 
 from __future__ import annotations

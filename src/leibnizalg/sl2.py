@@ -202,20 +202,18 @@ class PairStructureReport:
     equal_columns: ConditionCheck
     doublet_rows: ConditionCheck
 
+    def checks(self) -> tuple[tuple[str, ConditionCheck], ...]:
+        """The three checks under their labels, in report order."""
+        return (("quotient_pair", self.quotient_pair),
+                ("equal_columns", self.equal_columns),
+                ("doublet_rows", self.doublet_rows))
+
     def all_pass(self) -> bool:
-        return self.quotient_pair.ok and self.equal_columns.ok \
-            and self.doublet_rows.ok
+        return all(check.ok for _, check in self.checks())
 
     def lines(self) -> tuple[str, ...]:
-        out = []
-        for label, check in (
-            ("quotient_pair", self.quotient_pair),
-            ("equal_columns", self.equal_columns),
-            ("doublet_rows", self.doublet_rows),
-        ):
-            state = "pass" if check.ok else "FAIL"
-            out.append(f"{label}: {state} ({check.message})")
-        return tuple(out)
+        return tuple(f"{label}: {'pass' if check.ok else 'FAIL'} "
+                     f"({check.message})" for label, check in self.checks())
 
 
 def pair_structure_report(alg: Algebra, levi: LeviDatum) -> PairStructureReport:

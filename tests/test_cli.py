@@ -145,11 +145,19 @@ def test_modules_need_triples(tmp_path, capsys):
     assert code == IO_FAIL
 
 
-def test_catalog_refuses_unverified_size(capsys):
-    code, _, err = run(capsys, "catalog", "simple", "--m", "1")
-    assert code == IO_FAIL
-    code, out, _ = run(capsys, "catalog", "simple", "--m", "1", "--force")
-    assert code == PASS
+def test_catalog_refuses_unverified_size(tmp_path, capsys):
+    for family in ("simple", "direct_sum"):
+        code, _, err = run(capsys, "catalog", family, "--m", "1")
+        assert code == IO_FAIL
+        path = tmp_path / f"{family}1.json"
+        code, _, _ = run(capsys, "catalog", family, "--m", "1", "--force",
+                         "-o", str(path))
+        assert code == PASS
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == PASS
+        doc = json.loads(out)
+        assert doc["passed"] and doc["levi_validated"]
+        assert "_uncertified" in doc["algebra"]["name"]
 
 
 def test_catalog_rejects_bad_m(capsys):
@@ -171,6 +179,16 @@ def test_catalog_rejects_m_for_fixed_families(family, capsys):
     assert code == IO_FAIL
     assert out == ""
     assert err.startswith("catalog: ") and "takes no parameter m" in err
+
+
+@pytest.mark.parametrize("command", ["check", "derive", "radical", "modules"])
+def test_analysis_help_lists_file_and_json(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == PASS
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.startswith(f"usage: leibnizalg {command} ")
+    assert usage.endswith(" file") and "[--json]" in usage
 
 
 # ------------------------------------------------------------- text output
