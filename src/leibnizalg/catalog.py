@@ -82,7 +82,8 @@ def simple_sl2_leibniz(m: int, allow_uncertified: bool = False) -> tuple[Algebra
         raise ValueError("the module parameter m must be at least 1")
     if m == 1 and not allow_uncertified:
         raise ValueError("m = 1 lies outside the certified range; "
-                         "pass allow_uncertified to build it anyway")
+                         "pass allow_uncertified (--force on the command "
+                         "line) to build it anyway")
     names = ("e", "f", "h") + tuple(f"x{k}" for k in range(m + 1))
     tag = "_uncertified" if m == 1 else ""
     alg = _semidirect(SL2_TABLE, _sl2_action((m,)), names,

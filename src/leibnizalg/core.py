@@ -306,39 +306,24 @@ def per_algebra(fn):
 
 @per_algebra
 def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
-    """Violating basis triples (i, j, k, residual) of the right Leibniz identity.
+    """Violating basis triples (i, j, k, residual) of the right Leibniz
+    identity, row-major.
 
     Empty means the identity holds; by trilinearity checking basis triples
     is exhaustive.  The residual [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
-    + [[e_i, e_k], e_j] is contracted from the nonzero entries of the
-    integer table (the table times its common denominator D), where every
-    term is a product of two entries and so D² times its exact value.
-    Each term has a factor [e_j, e_k], [e_i, e_j] or [e_i, e_k], so only
-    the triples where one of them is in the table are visited.
+    + [[e_i, e_k], e_j] is minus the derivation residual of the right
+    multiplication R_k = [-, e_k] at (e_i, e_j): the identity at (i, j, k)
+    says exactly that R_k is a derivation there.  So the triples are the
+    failures of ``identity_failures`` on each nonzero R_k, whose pruned
+    pairs follow the table's nonzeros; a zero R_k leaves every term zero.
     """
     n = alg.dim
-    den, table, by_left, _ = _integer_table(alg)
-    rights = [{k for k, _ in by_left.get(i, ())} for i in range(n)]
     violations = []
-    for i in range(n):
-        for j in range(n):
-            cij = table.get((i, j), ())
-            for k in range(n) if cij else sorted(rights[i] | rights[j]):
-                acc: dict[int, int] = {}
-                for l, a in table.get((j, k), ()):
-                    for t, b in table.get((i, l), ()):
-                        acc[t] = acc.get(t, 0) + a * b
-                for l, a in cij:
-                    for t, b in table.get((l, k), ()):
-                        acc[t] = acc.get(t, 0) - a * b
-                for l, a in table.get((i, k), ()):
-                    for t, b in table.get((l, j), ()):
-                        acc[t] = acc.get(t, 0) + a * b
-                if any(acc.values()):
-                    residual = tuple(Fraction(acc.get(t, 0), den * den)
-                                     for t in range(n))
-                    violations.append((i, j, k, residual))
-    return tuple(violations)
+    for k, column in alg._by_right.items():
+        r_k = Matrix(n, n, {c: dict(entries) for c, entries in column})
+        violations.extend((i, j, k, tuple(-x for x in residual))
+                          for i, j, residual in identity_failures(alg, r_k, left=True))
+    return tuple(sorted(violations))
 
 
 def ensure_leibniz(alg: Algebra) -> None:
@@ -615,47 +600,52 @@ def _identity_sides(by_left: Mapping, by_right: Mapping, i: int, j: int,
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
-                      ) -> Iterator[tuple[int, int]]:
-    """Basis pairs, row-major, where the n×n map m fails the identity of
-    identity_rows, contracted from the table and m's nonzero columns;
-    left=False checks m([x,y]) = [m(x), y] alone.
+                      ) -> Iterator[tuple[int, int, Vec]]:
+    """Basis pairs (i, j), row-major, where the n×n map m fails the identity
+    of identity_rows, each with its residual m([e_i, e_j]) - [m(e_i), e_j]
+    - [e_i, m(e_j)]; left=False drops the last term and checks
+    m([x,y]) = [m(x), y] alone.
 
-    Only pairs where some term can be nonzero are visited: (i, j) whose
-    product holds a nonzero column of m, (c, j) for each nonzero column c
-    and each j with some [e_l, e_j] in the table, and, when left is set,
-    (i, c) for each i with some [e_i, e_l] in the table.  Every other pair
-    has zero residual by construction, so the failures, and their order,
-    are those of a scan over all pairs."""
+    The residual is contracted in integers, from the table times D and m's
+    nonzero columns times their common denominator den, and divided by
+    D·den at the end.  Every term has an entry m_(l,c) of a nonzero column
+    c and a table factor, so only these pairs are visited: (i, j) whose
+    product holds a nonzero column of m; (c, j) for each j with [e_l, e_j]
+    in the table, l a row of column c; and, when left is set, (i, c) for
+    each i with [e_i, e_l] in the table.  Every other pair has zero
+    residual, so the failures, and their order, are those of a scan over
+    all pairs."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
     columns = m.columns
     if not columns:  # the zero map satisfies the identity everywhere
         return
-    # D·den·residual in integers: the table times D, m's columns times den
     den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
     images = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
               for c, col in columns.items()}
-    _, table, by_left, by_right = _integer_table(alg)
+    scale, table, by_left, by_right = _integer_table(alg)
+    scale *= den
     live = {pair for pair, entries in table.items()
             if any(l in images for l, _ in entries)}
-    for c in images:
-        live.update((c, j) for j in by_right)
-        if left:
-            live.update((i, c) for i in by_left)
+    for c, image in images.items():
+        for l in image:
+            live.update((c, j) for j, _ in by_left.get(l, ()))
+            if left:
+                live.update((i, c) for i, _ in by_right.get(l, ()))
     for i, j in sorted(live):
         acc: dict[int, int] = {}
         for l, x in table.get((i, j), ()):
             if l in images:
-                _accumulate(acc, -x, images[l].items())
+                _accumulate(acc, x, images[l].items())
         for factors, moved in _identity_sides(by_left, by_right, i, j, True, left):
             image = images.get(moved)
             if image:
                 for l, entries in factors:
                     if l in image:
-                        _accumulate(acc, image[l], entries)
+                        _accumulate(acc, -image[l], entries)
         if any(acc.values()):
-            yield i, j
+            yield i, j, tuple(Fraction(acc.get(t, 0), scale) for t in range(n))
 
 
 def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:

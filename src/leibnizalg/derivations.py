@@ -29,6 +29,7 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    format_rational,
     kernel_of_constraints,
     value_type,
 )
@@ -236,9 +237,11 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     # so the pruned scan visits complement pairs alone
     bad = next(identity_failures(alg, parts.raising, False), None)
     if bad is not None:
-        x, y = (alg.basis_names[i] for i in bad)
+        i, j, residual = bad
+        x, y = alg.basis_names[i], alg.basis_names[j]
         raise StructureError(
-            f"raising corner fails the derivation identity at ({x}, {y})")
+            f"with residual ({', '.join(map(format_rational, residual))}), "
+            f"the raising corner fails the derivation identity at ({x}, {y})")
     rebuilt = Matrix.combination(
         n, n, [(ONE, inner), (ONE, endo), (ONE, parts.raising)])
     if rebuilt != m:

@@ -149,6 +149,7 @@ def test_catalog_refuses_unverified_size(tmp_path, capsys):
     for family in ("simple", "direct_sum"):
         code, _, err = run(capsys, "catalog", family, "--m", "1")
         assert code == IO_FAIL
+        assert "--force" in err
         path = tmp_path / f"{family}1.json"
         code, _, _ = run(capsys, "catalog", family, "--m", "1", "--force",
                          "-o", str(path))

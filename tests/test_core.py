@@ -165,6 +165,35 @@ def test_leibniz_check_residuals_after_one_changed_coefficient():
     assert violations == dense_leibniz_violations(bad)
 
 
+def test_identity_checks_visit_pairs_in_proportion_to_the_table(monkeypatch):
+    # core._identity_sides runs once per visited pair.  On simple m = 48, 96
+    # and 192 (150, 294 and 582 table entries), leibniz_check visits 450,
+    # 882 and 1746 pairs over all right multiplications, and the identity
+    # on the ideal visits 144, 288 and 576.  A scan of every pair that a
+    # nonzero column could reach visited 2695, 9991 and 38 407 for the
+    # identity, which grows like dim**2 while the table grows like dim.
+    visits = 0
+    sides = core._identity_sides
+
+    def counted_sides(*args):
+        nonlocal visits
+        visits += 1
+        return sides(*args)
+
+    monkeypatch.setattr(core, "_identity_sides", counted_sides)
+    for m in (48, 96, 192):
+        alg, levi = simple_sl2_leibniz(m)
+        entries = len(alg.table_items())
+        start = visits
+        assert leibniz_check.__wrapped__(alg) == ()
+        checked = visits - start
+        assert 0 < checked <= 3 * entries
+        identity = Matrix(alg.dim, alg.dim, {c: {c: F(1)} for c in levi.i_indices})
+        start = visits
+        assert next(core.identity_failures(alg, identity, left=True), None) is None
+        assert 0 < visits - start <= entries
+
+
 # ------------------------------------------------------------------ ideals
 
 def test_squares_ideal_of_catalog():

@@ -485,13 +485,15 @@ def test_raising_violation_detected():
 def test_split_rejects_a_raising_corner_that_is_no_derivation():
     # e -> x0 alone passes the lowering, inner-match and module checks (its
     # diagonal part is zero) but is no derivation; the split names the first
-    # complement pair where the raising corner fails the identity
+    # complement pair where the raising corner fails the identity, and its
+    # residual: the image of h is zero, so it is -[x0, f] = -x1
     alg, levi = simple_sl2_leibniz(2)
     e, x0 = levi.g_indices[0], levi.i_indices[0]
     fabricated = Matrix(alg.dim, alg.dim, {e: {x0: F(1)}})
     assert not is_derivation(alg, fabricated)
-    with pytest.raises(StructureError, match=r"raising corner fails the "
-                                             r"derivation identity at \(e, f\)"):
+    with pytest.raises(StructureError, match=r"^with residual \(0, 0, 0, 0, -1, 0\), "
+                                             r"the raising corner fails the "
+                                             r"derivation identity at \(e, f\)$"):
         split_derivation(alg, levi, fabricated)
     # the same corner added to a derivation is rejected as well
     der = derivation_algebra(alg).maps[0]
@@ -631,7 +633,7 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
 def test_split_cost_follows_the_nonzeros(monkeypatch):
     # the identity check behind every split visits only the pairs where a
     # term can be nonzero: core._identity_sides runs once per visited pair.
-    # Simple m = 48 and m = 96 visit 294 and 582 pairs (10 816 and 40 000
+    # Simple m = 48 and m = 96 visit 288 and 576 pairs (10 816 and 40 000
     # when every basis pair was scanned); dim**1.5 leaves room for that and
     # fails a scan that grows like dim**2.  No dense view is ever built.
     visits, dense = 0, 0

@@ -42,8 +42,9 @@ entries = st.sampled_from([F(-3), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
 
 
 def reference_failures(alg, m, left):
-    """Every pair, row-major, where m([x,y]) differs from [m(x), y]
-    (+ [x, m(y)] when left is set), evaluated densely with no pruning."""
+    """Every pair (i, j), row-major, where m([x,y]) differs from [m(x), y]
+    (+ [x, m(y)] when left is set), with the difference as its residual,
+    evaluated densely with no pruning."""
     n = alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
     images = [m.apply(v) for v in basis]
@@ -53,8 +54,10 @@ def reference_failures(alg, m, left):
         if left:
             want = tuple(a + b for a, b in
                          zip(want, alg.product(basis[i], images[j])))
-        if m.apply(alg.product(basis[i], basis[j])) != want:
-            out.append((i, j))
+        got = m.apply(alg.product(basis[i], basis[j]))
+        residual = tuple(a - b for a, b in zip(got, want))
+        if any(residual):
+            out.append((i, j, residual))
     return out
 
 

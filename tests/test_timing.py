@@ -2,7 +2,10 @@
 
 On ``semisimple_pair(12)`` (dim 32) the dense checks took 4.2 s
 (``leibniz_check``) and 29.5 s (``split_all``) on a 2-CPU Xeon VM; the
-sparse kernel takes 0.03 s and 0.15 s there.  On the same machine
+sparse kernel takes 0.03 s and 0.15 s there.  ``leibniz_check`` of
+``simple_sl2_leibniz(1000)`` took 7.1 s while it scanned the pairs of every
+row; read as the failures of each right multiplication as a derivation, it
+takes about 0.4 s.  On the same machine
 ``irreducible_decomposition_sl2`` of the squares ideal of
 ``simple_sl2_leibniz(m)`` ran past 60 s at m = 20 while the rational
 eigenvalues of h were found by a divisor search of the charpoly's constant
@@ -49,6 +52,13 @@ def timed(work):
 def test_leibniz_check_pair12_within_bound():
     alg, _ = semisimple_pair(12)
     # bypass the cache, which another test may have filled
+    violations, seconds = timed(lambda: leibniz_check.__wrapped__(alg))
+    assert violations == ()
+    assert seconds < BOUND_S
+
+
+def test_leibniz_check_simple_m1000_within_bound():
+    alg, _ = simple_sl2_leibniz(1000)
     violations, seconds = timed(lambda: leibniz_check.__wrapped__(alg))
     assert violations == ()
     assert seconds < BOUND_S
