@@ -8,12 +8,14 @@ import pytest
 
 from leibnizalg import (
     Algebra,
+    LeviDatum,
     ModuleError,
     Sl2Triple,
     Subspace,
     check_sl2_triple,
     highest_weight_vectors,
     irreducible_decomposition_sl2,
+    leibniz_check,
     pair_structure_report,
     squares_ideal,
     weight_decomposition,
@@ -339,3 +341,126 @@ def test_pair_report_shape_failures_for_direct_sum():
     assert not rep.doublet_rows.ok
     assert not rep.all_pass()
     assert any("FAIL" in line for line in rep.lines())
+
+
+def with_central_vector(alg):
+    """alg plus one basis vector z that multiplies everything to zero."""
+    return Algebra(alg.dim + 1, dict(alg.table_items()),
+                   alg.basis_names + ("z",))
+
+
+def sl3_with_two_triples():
+    """sl3 on a basis holding two sl2 triples that do not commute.
+
+    The matrix bracket XY - YX meets this package's sign convention on
+    (e, -f, -h) for a standard triple (e, f, h), so the first six basis
+    vectors are E12, -E21, E22 - E11, E23, -E32, E33 - E22; E13 and E31
+    follow.  [E12, E23] = E13, so the two triples do not commute.
+    """
+    def unit(r, c, x=1):
+        return {(r, c): F(x)}
+
+    basis = [unit(0, 1), unit(1, 0, -1), {(1, 1): F(1), (0, 0): F(-1)},
+             unit(1, 2), unit(2, 1, -1), {(2, 2): F(1), (1, 1): F(-1)},
+             unit(0, 2), unit(2, 0)]
+
+    def mul(x, y):
+        out = {}
+        for (r, k), a in x.items():
+            for (k2, c), b in y.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + a * b
+        return out
+
+    def coords(m):
+        # off-diagonal entries read off directly; the diagonal is
+        # a (E22 - E11) + b (E33 - E22) with a = -m[0,0], b = m[2,2]
+        signs = {(0, 1): (0, 1), (1, 0): (1, -1), (1, 2): (3, 1),
+                 (2, 1): (4, -1), (0, 2): (6, 1), (2, 0): (7, 1)}
+        out = [(k, s * m[rc]) for rc, (k, s) in signs.items() if m.get(rc)]
+        return out + [(2, -m.get((0, 0), 0)), (5, m.get((2, 2), 0))]
+
+    products = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            xy, yx = mul(x, y), mul(y, x)
+            bracket = {rc: xy.get(rc, 0) - yx.get(rc, 0)
+                       for rc in set(xy) | set(yx)}
+            products[(i, j)] = coords(bracket)
+    names = ("e1", "f1", "h1", "e2", "f2", "h2", "e13", "e31")
+    return Algebra(8, products, names)
+
+
+def pair_one():
+    return semisimple_pair(1)
+
+
+PAIR_REPORT_CASES = {
+    "five_dim_semisimple_part": (
+        pair_one, lambda alg, levi: LeviDatum(
+            levi.g_indices[:5], levi.g_indices[5:] + levi.i_indices,
+            levi.sl2_triples),
+        ("quotient_pair: FAIL (semisimple part has dimension 5, not 6)",
+         "equal_columns: pass (two irreducible components, each of "
+         "dimension 2)",
+         "doublet_rows: pass (2 two-dimensional irreducible components)")),
+    "first_triple_invalid": (
+        pair_one, lambda alg, levi: LeviDatum(
+            levi.g_indices, levi.i_indices, ((0, 1, 5), (3, 4, 5))),
+        ("quotient_pair: FAIL (first triple invalid: relation [e,h] = 2e "
+         "fails)",
+         "equal_columns: FAIL (decomposition failed: highest weight -1 is "
+         "not a non-negative integer; the action is not semisimple over Q)",
+         "doublet_rows: pass (2 two-dimensional irreducible components)")),
+    "dependent_triples": (
+        pair_one, lambda alg, levi: LeviDatum(
+            levi.g_indices, levi.i_indices, ((0, 1, 2), (0, 1, 2))),
+        # at m = 1 the first triple's two columns are doublets as well
+        ("quotient_pair: FAIL (the two triples do not span independently)",
+         "equal_columns: pass (two irreducible components, each of "
+         "dimension 2)",
+         "doublet_rows: pass (2 two-dimensional irreducible components)")),
+    "extra_central_vector": (
+        lambda: (with_central_vector(pair_one()[0]), pair_one()[1]),
+        lambda alg, levi: levi,
+        ("quotient_pair: FAIL (quotient dimension is 7, not 6)",
+         "equal_columns: pass (two irreducible components, each of "
+         "dimension 2)",
+         "doublet_rows: pass (2 two-dimensional irreducible components)")),
+    "swapped_e_and_f": (
+        pair_one, lambda alg, levi: LeviDatum(
+            levi.g_indices, levi.i_indices, ((1, 0, 2), (4, 3, 5))),
+        ("quotient_pair: FAIL (first triple invalid: relation [e,h] = 2e "
+         "fails)",
+         "equal_columns: FAIL (decomposition failed: highest weight -1 is "
+         "not a non-negative integer; the action is not semisimple over Q)",
+         "doublet_rows: FAIL (decomposition failed: highest weight -1 is "
+         "not a non-negative integer; the action is not semisimple over Q)")),
+    "noncommuting_blocks": (
+        lambda: (sl3_with_two_triples(), None),
+        lambda alg, levi: LeviDatum(
+            tuple(range(6)), (6, 7), ((0, 1, 2), (3, 4, 5))),
+        ("quotient_pair: FAIL (the two sl2 blocks do not commute)",
+         "equal_columns: FAIL (expected two components of equal dimension, "
+         "found ())",
+         "doublet_rows: FAIL (expected all components two-dimensional, "
+         "found ())")),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_REPORT_CASES)
+def test_pair_report_messages(case):
+    # hand-edited splits and tables reach each failure message of the
+    # report; the report itself never validates the split
+    make, edit, lines = PAIR_REPORT_CASES[case]
+    alg, levi = make()
+    assert pair_structure_report(alg, edit(alg, levi)).lines() == lines
+
+
+def test_sl3_fixture_is_lie_with_valid_triples():
+    alg = sl3_with_two_triples()
+    levi = LeviDatum(tuple(range(6)), (6, 7), ((0, 1, 2), (3, 4, 5)))
+    assert leibniz_check(alg) == ()
+    assert alg.is_lie()
+    for which in (0, 1):
+        assert check_sl2_triple(alg, levi, triple_of(alg, levi, which)) == ()
