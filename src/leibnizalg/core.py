@@ -419,8 +419,9 @@ def squares_ideal(alg: Algebra) -> Subspace:
 
 def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     """Span of all products of elements of the given subspace (default: all)."""
-    rows = ([{i: ONE} for i in range(alg.dim)] if sub is None
-            else list(sub.pivot_rows.values()))
+    if sub is None:  # the products of basis pairs are the table's entries
+        return Subspace.span(alg.dim, map(dict, alg._table.values()))
+    rows = list(sub.pivot_rows.values())
     return Subspace.span(alg.dim, (_product(alg._by_left, u, v)
                                    for u in rows for v in rows))
 

@@ -20,6 +20,7 @@ from .core import (
     _accumulate,
     _product,
     check_sl2_triple,
+    per_algebra,
     squares_ideal,
     squares_quotient,
 )
@@ -136,11 +137,13 @@ class ModuleDecomposition:
     highest_weights: tuple[int, ...]
 
 
+@per_algebra
 def irreducible_decomposition_sl2(
     alg: Algebra, sub: Subspace, t: Sl2Triple,
 ) -> ModuleDecomposition:
     """Decompose an invariant subspace by spinning highest-weight vectors
-    down with the right f-action."""
+    down with the right f-action.  Kept per subspace and triple; a
+    ModuleError is not kept, so each call raises it again."""
     f = _row_to_dict(t.f)
     components = []
     weights = []
@@ -221,18 +224,23 @@ def pair_structure_report(alg: Algebra, levi: LeviDatum) -> PairStructureReport:
         raise ModuleError(
             "the paired-column structure check needs exactly two sl2 triples; "
             f"the declared split carries {len(levi.sl2_triples)}")
-    t1 = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
-    t2 = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[1])
-    quotient_pair = _check_quotient_pair(alg, levi, t1, t2)
-    ideal = squares_ideal(alg)
-    equal_columns = _check_equal_columns(alg, ideal, t1)
-    doublet_rows = _check_doublet_rows(alg, ideal, t2)
-    return PairStructureReport(quotient_pair, equal_columns, doublet_rows)
+    t1, t2 = (Sl2Triple.from_indices(alg.dim, raw) for raw in levi.sl2_triples)
+    return PairStructureReport(
+        _check_quotient_pair(alg, levi, t1, t2),
+        _check_shape(alg, t1, lambda d: len(d) == 2 and d[0] == d[1],
+                     lambda d: "two irreducible components, each of "
+                               f"dimension {d[0]}",
+                     "two components of equal dimension"),
+        _check_shape(alg, t2, lambda d: set(d) == {2},
+                     lambda d: f"{len(d)} two-dimensional irreducible components",
+                     "all components two-dimensional"))
 
 
 def _check_quotient_pair(
     alg: Algebra, levi: LeviDatum, t1: Sl2Triple, t2: Sl2Triple,
 ) -> ConditionCheck:
+    """The triples are unit vectors at the declared indices: independent
+    when the six are distinct, commuting when no product links them."""
     if len(levi.g_indices) != 6:
         return ConditionCheck(
             False, f"semisimple part has dimension {len(levi.g_indices)}, not 6")
@@ -240,15 +248,11 @@ def _check_quotient_pair(
         bad = check_sl2_triple(alg, levi, t)
         if bad:
             return ConditionCheck(False, f"{name} triple invalid: {bad[0]}")
-    first = [_row_to_dict(v) for v in (t1.e, t1.f, t1.h)]
-    second = [_row_to_dict(v) for v in (t2.e, t2.f, t2.h)]
-    if Subspace.span(alg.dim, first + second).dim != 6:
+    first, second = levi.sl2_triples
+    if len(set(first + second)) != 6:
         return ConditionCheck(False, "the two triples do not span independently")
-    for u in first:
-        for v in second:
-            if any(_product(alg._by_left, u, v).values()) \
-                    or any(_product(alg._by_left, v, u).values()):
-                return ConditionCheck(False, "the two sl2 blocks do not commute")
+    if any(alg.c(a, b) or alg.c(b, a) for a in first for b in second):
+        return ConditionCheck(False, "the two sl2 blocks do not commute")
     quo = squares_quotient(alg)
     if quo.algebra.dim != 6:
         return ConditionCheck(
@@ -256,27 +260,15 @@ def _check_quotient_pair(
     return ConditionCheck(True, "two commuting sl2 blocks span the quotient")
 
 
-def _check_equal_columns(alg: Algebra, ideal: Subspace, t1: Sl2Triple) -> ConditionCheck:
+def _check_shape(alg: Algebra, t: Sl2Triple, fits, passed,
+                 expected: str) -> ConditionCheck:
+    """Do the squares ideal's component dimensions under t fit the shape?
+    They always sum to the ideal's dimension."""
     try:
-        dec = irreducible_decomposition_sl2(alg, ideal, t1)
+        dec = irreducible_decomposition_sl2(alg, squares_ideal(alg), t)
     except ModuleError as exc:
         return ConditionCheck(False, f"decomposition failed: {exc}")
     dims = tuple(c.dim for c in dec.components)
-    if len(dims) == 2 and dims[0] == dims[1]:
-        return ConditionCheck(
-            True, f"two irreducible components, each of dimension {dims[0]}")
-    return ConditionCheck(
-        False, f"expected two components of equal dimension, found {dims}")
-
-
-def _check_doublet_rows(alg: Algebra, ideal: Subspace, t2: Sl2Triple) -> ConditionCheck:
-    try:
-        dec = irreducible_decomposition_sl2(alg, ideal, t2)
-    except ModuleError as exc:
-        return ConditionCheck(False, f"decomposition failed: {exc}")
-    dims = tuple(c.dim for c in dec.components)
-    if dims and all(d == 2 for d in dims) and 2 * len(dims) == ideal.dim:
-        return ConditionCheck(
-            True, f"{len(dims)} two-dimensional irreducible components")
-    return ConditionCheck(
-        False, f"expected all components two-dimensional, found {dims}")
+    if fits(dims):
+        return ConditionCheck(True, passed(dims))
+    return ConditionCheck(False, f"expected {expected}, found {dims}")

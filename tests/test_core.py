@@ -225,6 +225,23 @@ def test_derived_subalgebra_simple_is_whole():
     assert derived_subalgebra(alg).dim == alg.dim
 
 
+def test_derived_subalgebra_matches_every_basis_pair_product():
+    # seeded random sparse tables, dims 0-6, Leibniz or not: the derived
+    # subalgebra of the whole algebra is the span of all n^2 products
+    # [e_i, e_j]
+    rng = random.Random(2207)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        table = {pair: [(rng.randrange(n), F(rng.randint(-2, 2), rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 3))]
+                 for pair in rng.sample(pairs, rng.randint(0, len(pairs)))}
+        alg = Algebra(n, table)
+        products = [alg.product(alg.basis_vector(i), alg.basis_vector(j))
+                    for i, j in pairs]
+        assert derived_subalgebra(alg) == Subspace.from_vectors(n, products)
+
+
 def test_derived_subalgebra_of_a_non_ideal():
     # span(e, f) in sl2 is not an ideal; its products [e, f] = h and
     # [f, e] = -h span the line of h

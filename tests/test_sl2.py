@@ -15,11 +15,13 @@ from leibnizalg import (
     check_sl2_triple,
     highest_weight_vectors,
     irreducible_decomposition_sl2,
+    is_simple_certified,
     leibniz_check,
     pair_structure_report,
     squares_ideal,
     weight_decomposition,
 )
+from leibnizalg import sl2 as sl2_module
 from leibnizalg.catalog import (
     direct_sum_sample,
     semisimple_pair,
@@ -27,6 +29,7 @@ from leibnizalg.catalog import (
     sl2,
     standard_catalog,
 )
+from leibnizalg.cli import PASS, main as cli_main
 
 
 def triple_of(alg, levi, which=0):
@@ -316,6 +319,55 @@ def test_decomposition_certified_or_refused(name, alg, levi):
                 total = total.sum(comp)
             assert total == sub
     assert successes >= len(levi.sl2_triples)  # the squares ideal at least
+
+
+def count_highest_weight_runs(monkeypatch):
+    """A list that gains one entry per run of highest_weight_vectors."""
+    runs = []
+    original = sl2_module.highest_weight_vectors
+
+    def counting(alg, sub, t):
+        runs.append(t)
+        return original(alg, sub, t)
+
+    monkeypatch.setattr(sl2_module, "highest_weight_vectors", counting)
+    return runs
+
+
+def test_modules_decomposes_each_pair_triple_once(monkeypatch, tmp_path, capsys):
+    # the triple lines, the pair report's shape checks and nothing else
+    # need the decompositions; each triple's is computed once
+    path = tmp_path / "pair2.json"
+    assert cli_main(["catalog", "pair", "--m", "2", "-o", str(path)]) == PASS
+    runs = count_highest_weight_runs(monkeypatch)
+    assert cli_main(["modules", str(path)]) == PASS
+    assert "doublet_rows: pass" in capsys.readouterr().out
+    assert len(runs) == 2
+
+
+def test_simplicity_verdict_reads_the_decomposition(monkeypatch):
+    runs = count_highest_weight_runs(monkeypatch)
+    alg, levi = simple_sl2_leibniz(3)
+    dec = irreducible_decomposition_sl2(
+        alg, squares_ideal(alg), triple_of(alg, levi))
+    assert is_simple_certified(alg, levi).verdict == "yes"
+    assert irreducible_decomposition_sl2(
+        alg, squares_ideal(alg), triple_of(alg, levi)) is dec
+    assert len(runs) == 1
+
+
+def test_failed_decomposition_raises_again(monkeypatch):
+    runs = count_highest_weight_runs(monkeypatch)
+    alg, _ = semisimple_pair(1)
+    swapped = Sl2Triple.from_indices(alg.dim, (1, 0, 2))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ModuleError) as err:
+            irreducible_decomposition_sl2(alg, squares_ideal(alg), swapped)
+        messages.append(str(err.value))
+    assert messages == ["highest weight -1 is not a non-negative integer; "
+                        "the action is not semisimple over Q"] * 2
+    assert len(runs) == 2
 
 
 # ------------------------------------------------------------- pair report
