@@ -14,7 +14,12 @@ Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
 new pivot reach only the rows that hold its column, so kernels of large,
 very sparse constraint systems cost what their nonzeros cost;
 ``charpoly`` clears one denominator for the whole matrix and runs
-Berkowitz's recursion on the nonzero integer entries.  ``Matrix`` is the
+Berkowitz's recursion on the nonzero integer entries.  ``rational_eigen``
+orders its matrix into block triangular form by the strongly connected
+components of its nonzero pattern (Tarjan, SIAM J. Comput. 1, 1972; Duff
+and Reid, ACM TOMS 4, 1978): only a block of size two or more takes a
+``charpoly``, and each eigenspace is a kernel on the blocks that reach its
+eigenvalue, so a diagonal matrix costs no elimination.  ``Matrix`` is the
 value type that crosses the API.  Its one storage form is sparse columns,
 and ``Matrix.row_dicts`` transposes them into the sparse rows that
 ``rational_eigen``, ``nullspace`` and ``solve`` read, so
@@ -762,18 +767,97 @@ class EigenDecomposition:
     complete: bool
 
 
+def _sccs(rows: Sequence[Mapping[int, Fraction]]) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge i -> j for
+    each key j of rows[i], every component after all those it reaches.
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972) in O(n + nnz), with a
+    stack of (vertex, edge iterator) frames in place of recursion.  A
+    vertex whose component is out gets low n, which no min() then picks."""
+    n = len(rows)
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    comps = []
+    for root in range(n):
+        if root in order:
+            continue
+        low[root] = order[root] = len(order)
+        stack.append(root)
+        frames = [(root, iter(rows[root]))]
+        while frames:
+            v, edges = frames[-1]
+            for w in edges:
+                if w not in order:
+                    low[w] = order[w] = len(order)
+                    stack.append(w)
+                    frames.append((w, iter(rows[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = n
+                    comps.append(comp)
+    return comps
+
+
 def rational_eigen(m: Matrix) -> EigenDecomposition:
+    """Rational eigenvalues and eigenspaces of a square matrix, read off its
+    block triangular form.
+
+    The strongly connected components of the nonzero pattern (``_sccs``)
+    are the diagonal blocks of a symmetric permutation of m to block
+    triangular form, the first step of sparse direct solvers (I. S. Duff
+    and J. K. Reid, "An implementation of Tarjan's algorithm for the block
+    triangularization of a matrix", ACM TOMS 4, 1978).  The eigenvalues are
+    those of the blocks: a 1×1 block's entry, else the rational roots of
+    the block's ``charpoly``.  An eigenvector v for λ is zero on every
+    block B that reaches no block with eigenvalue λ.  By induction over the
+    blocks, successors first: B's successors reach no such block either,
+    so v is zero on them, B's rows of (m - λ)·v = 0 say (B - λ)·v_B = 0,
+    and B - λ is invertible.  So each eigenspace is the kernel of m - λ on
+    the rows and columns of the blocks that reach λ, renumbered in
+    ascending order (which keeps the RREF) and lifted back; on a diagonal
+    matrix no row is eliminated.  ``complete`` is True when the
+    eigenspaces fill the space.
+    """
     if m.rows != m.cols:
         raise ValueError("eigen decomposition of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return EigenDecomposition((), True)
     rows = m.row_dicts()
+    block: dict[int, int] = {}  # index -> position of its component
+    reach: list[set[Fraction]] = []  # eigenvalues of the blocks each reaches
+    support: dict[Fraction, list[int]] = {}  # eigenvalue -> indices reaching it
+    for b, comp in enumerate(_sccs(rows)):
+        block.update(dict.fromkeys(comp, b))
+        if len(comp) == 1:
+            lams = {Fraction(rows[comp[0]].get(comp[0], 0))}
+        else:
+            pos = {i: k for k, i in enumerate(sorted(comp))}
+            lams = set(_rational_roots(charpoly(Matrix(len(pos), len(pos), {
+                pos[c]: {pos[r]: x for r, x in m.columns.get(c, {}).items()
+                         if r in pos} for c in pos}))))
+        for s in {block[j] for i in comp for j in rows[i]} - {b}:
+            lams |= reach[s]
+        reach.append(lams)
+        for lam in lams:
+            support.setdefault(lam, []).extend(comp)
     pairs = []
-    total = 0
-    for lam in _rational_roots(charpoly(m)):
-        shifted = ({**row, i: row.get(i, ZERO) - lam} for i, row in enumerate(rows))
-        space = kernel_of_constraints(shifted, n)
-        pairs.append((lam, space))
-        total += space.dim
-    return EigenDecomposition(tuple(pairs), total == n)
+    for lam in sorted(support):
+        idx = sorted(support[lam])
+        pos = {i: k for k, i in enumerate(idx)}
+        shifted = ({**{pos[j]: x for j, x in rows[i].items() if j in pos},
+                    pos[i]: rows[i].get(i, ZERO) - lam} for i in idx)
+        local = kernel_of_constraints(shifted, len(idx))
+        pairs.append((lam, Subspace(n, {
+            idx[p]: {idx[c]: x for c, x in row.items()}
+            for p, row in local.pivot_rows.items()})))
+    return EigenDecomposition(tuple(pairs),
+                              sum(space.dim for _, space in pairs) == n)

@@ -10,10 +10,18 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from leibnizalg import (
+    Sl2Triple,
+    exactlin,
+    is_simple_certified,
+    squares_ideal,
+    weight_decomposition,
+)
 from leibnizalg.exactlin import (
+    EigenDecomposition,
     Matrix,
     SparseRref,
     Subspace,
@@ -567,6 +575,7 @@ def permuted_block_triangular(draw):
 @settings(max_examples=25)
 def test_berkowitz_permuted_block_triangular_matches_sympy(m):
     assert_eigen_matches_sympy(m)
+    assert rational_eigen(m) == whole_matrix_eigen(m)
 
 
 def test_berkowitz_vector_vanishing_mid_step():
@@ -623,6 +632,117 @@ def test_berkowitz_conjugated_weight_operator(m, seed):
     ed = rational_eigen(dense)
     assert [lam for lam, _ in ed.pairs] == list(range(-m, m + 1, 2))
     assert ed.complete
+
+
+# ------------------------------------------ eigenspaces from the block form
+# rational_eigen reads each diagonal block of the matrix's block triangular
+# form on its own; the whole-matrix computation it replaced stays here as
+# the reference.
+
+def whole_matrix_eigen(m: Matrix) -> EigenDecomposition:
+    """The rational roots of the charpoly of all of m, each with the kernel
+    of every shifted row of m."""
+    rows = m.row_dicts()
+    pairs = []
+    for lam in _rational_roots(charpoly(m)) if m.rows else ():
+        shifted = ({**row, i: row.get(i, F(0)) - lam} for i, row in enumerate(rows))
+        pairs.append((lam, kernel_of_constraints(shifted, m.rows)))
+    return EigenDecomposition(tuple(pairs),
+                              sum(space.dim for _, space in pairs) == m.rows)
+
+
+@st.composite
+def block_triangular(draw):
+    """P·B·P^T for B block upper triangular and P a permutation.
+
+    Unlike ``permuted_block_triangular``'s random entries, the diagonal
+    blocks come from a small pool: the scalars 0, 1 or 2 (so two blocks
+    can share an eigenvalue, and an entry above two 1s is a Jordan pair
+    split across two 1×1 blocks), the rotation [[0, -1], [1, 0]] (no
+    rational eigenvalue) or a 2×2 over {0, 1, 2}.  Entries above the
+    blocks are sparse, so a 0 block can leave a zero row or column."""
+    small = st.sampled_from([F(0), F(1), F(2)])
+    blocks = draw(st.lists(st.one_of(
+        small.map(lambda d: [[d]]),
+        st.just([[F(0), F(-1)], [F(1), F(0)]]),
+        st.lists(st.lists(small, min_size=2, max_size=2), min_size=2, max_size=2)),
+        min_size=1, max_size=5))
+    which = [b for b, blk in enumerate(blocks) for _ in blk]
+    n = len(which)
+    a = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for blk in blocks:
+        for r, row in enumerate(blk):
+            a[start + r][start:start + len(blk)] = row
+        start += len(blk)
+    for r in range(n):
+        for c in range(n):
+            if which[r] < which[c] and draw(st.integers(0, 2)) == 0:
+                a[r][c] = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(3)]))
+    perm = draw(st.permutations(range(n)))
+    return Matrix.from_rows([[a[perm[r]][perm[c]] for c in range(n)]
+                             for r in range(n)])
+
+
+JORDAN_SPLIT = Matrix.from_rows([[1, 0], [1, 1]])
+SHARED_COUPLED = Matrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
+SHARED_APART = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+ROTATION_ABOVE = Matrix.from_rows([[0, -1, 1], [1, 0, 0], [0, 0, 2]])
+ZERO_ROW_AND_COLUMN = Matrix.from_rows([[0, 0, 0], [1, 2, 0], [0, 0, 0]])
+
+
+@given(block_triangular())
+@example(JORDAN_SPLIT)
+@example(SHARED_COUPLED)
+@example(SHARED_APART)
+@example(ROTATION_ABOVE)
+@example(ZERO_ROW_AND_COLUMN)
+@settings(max_examples=60)
+def test_block_eigen_matches_sympy_and_the_whole_matrix(m):
+    assert_eigen_matches_sympy(m)
+    assert rational_eigen(m) == whole_matrix_eigen(m)
+
+
+@pytest.mark.parametrize("m, dims, complete", [
+    # 1 -> 1 across two 1×1 blocks: one eigenvector, not two
+    (JORDAN_SPLIT, {1: 1}, False),
+    # 1 is an eigenvalue of the swap block and of the 1×1 block it reaches
+    (SHARED_COUPLED, {-1: 1, 1: 1}, False),
+    (SHARED_APART, {-1: 1, 1: 2}, True),
+    # the rotation block adds no eigenvalue but reaches the block of 2
+    (ROTATION_ABOVE, {2: 1}, False),
+    (ZERO_ROW_AND_COLUMN, {0: 2, 2: 1}, True),
+])
+def test_block_eigen_named_cases(m, dims, complete):
+    ed = rational_eigen(m)
+    assert {lam: space.dim for lam, space in ed.pairs} == dims
+    assert ed.complete == complete
+    for lam, space in ed.pairs:
+        for v in space.basis.data:
+            assert m.apply(v) == tuple(lam * x for x in v)
+
+
+def test_eigen_takes_a_charpoly_of_irreducible_blocks_only(monkeypatch):
+    # h acts diagonally on the squares ideal of the simple family, so its
+    # weights and the simplicity verdict take no characteristic polynomial;
+    # a dense irreducible matrix is one block and takes one, of itself
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(exactlin, "charpoly", counted)
+    alg, levi = simple_sl2_leibniz(16)
+    triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    spaces = weight_decomposition(alg, squares_ideal(alg), triple)
+    assert spaces.weights() == tuple(range(-16, 17, 2))
+    assert seen == []
+    assert is_simple_certified(alg, levi).verdict == "yes"
+    assert seen == []
+    dense = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    assert rational_eigen(dense) == whole_matrix_eigen(dense)
+    assert seen == [dense]
 
 
 def test_matrix_flatten_round_trip():

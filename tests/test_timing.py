@@ -15,7 +15,10 @@ m = 24.  It then still solved the weight eigenproblem of the whole ideal:
 highest weights from the kernel of e brings both to about 0.01 s and 0.2 s
 at m = 48.  ``weight_decomposition`` of the whole m = 48 ideal, which lists
 the weights for ``modules``, still took 6.4-6.8 s in the dense Berkowitz
-``charpoly``; on sparse integer columns it takes about 0.15 s.  The
+``charpoly``; on sparse integer columns it took about 0.15 s, but 2.5 s at
+m = 192 and 34 s at m = 384, since the charpoly and every weight's kernel
+covered the whole ideal.  Read off the block triangular form of the
+h-action, which is diagonal there, it takes about 0.04 s at m = 384.  The
 derivation nullspace of ``simple_sl2_leibniz(96)`` (dim 100, 10 000
 unknowns) took 3.3-4.0 s while each new pivot probed every stored row;
 with the column-occurrence index and integer rows from the table it took
@@ -101,5 +104,15 @@ def test_weight_decomposition_m48_within_bound():
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
     spaces, seconds = timed(lambda: weight_decomposition(alg, sq, triple))
     assert spaces.weights() == tuple(range(-48, 49, 2))
+    assert spaces.complete
+    assert seconds < BOUND_S
+
+
+def test_weight_decomposition_m384_within_bound():
+    alg, levi = simple_sl2_leibniz(384)
+    sq = squares_ideal(alg)
+    triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    spaces, seconds = timed(lambda: weight_decomposition(alg, sq, triple))
+    assert spaces.weights() == tuple(range(-384, 385, 2))
     assert spaces.complete
     assert seconds < BOUND_S
