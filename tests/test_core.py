@@ -498,7 +498,8 @@ def test_simple_certified_yes_for_simple_family():
 
 def test_simple_certified_yes_for_sl2():
     alg, levi = sl2()
-    assert is_simple_certified(alg, levi).verdict == "yes"
+    cert = is_simple_certified(alg, levi)
+    assert (cert.verdict, cert.witness) == ("yes", None)
 
 
 def test_simple_certified_no_for_pair_with_witness():
@@ -528,7 +529,29 @@ def test_simple_certified_no_for_solvable_lie():
     alg = Algebra(1, {}, ("z",), name="line")
     levi = LeviDatum((0,), ())
     cert = is_simple_certified(alg, levi)
+    assert (cert.verdict, cert.witness) == ("no", None)
+
+
+def test_simple_certified_no_for_sl2_sum_with_a_summand_witness():
+    # a Lie input: the squares ideal is zero and the witness is the first
+    # simple summand, a proper ideal
+    alg, levi = direct_sum_many([sl2()] * 2)
+    assert levi.i_indices == ()
+    cert = is_simple_certified(alg, levi)
     assert cert.verdict == "no"
+    assert cert.witness == Subspace.coordinate(6, range(3))
+    assert quotient_algebra(alg, cert.witness).algebra.dim == 3
+
+
+def test_simple_certified_no_for_nonabelian_solvable_lie():
+    # [x, y] = y: the radical is everything, so the witness is the derived
+    # subalgebra span(y)
+    alg = Algebra(2, {(0, 1): [(1, F(1))], (1, 0): [(1, F(-1))]}, ("x", "y"),
+                  name="affine_lie")
+    assert alg.is_lie()
+    cert = is_simple_certified(alg, LeviDatum((0, 1), ()))
+    assert cert.verdict == "no"
+    assert cert.witness == Subspace.coordinate(2, [1])
 
 
 def test_simple_certified_no_when_derived_equals_squares():
