@@ -19,7 +19,11 @@ orders its matrix into block triangular form by the strongly connected
 components of its nonzero pattern (Tarjan, SIAM J. Comput. 1, 1972; Duff
 and Reid, ACM TOMS 4, 1978): only a block of size two or more takes a
 ``charpoly``, and each eigenspace is a kernel on the blocks that reach its
-eigenvalue, so a diagonal matrix costs no elimination.  ``Matrix`` is the
+eigenvalue, so a diagonal matrix costs no elimination.  A subspace's
+coordinates (coordinate k weights its k-th pivot row) come back to ambient
+rows through ``Subspace.lift``, which eliminates nothing: the combinations
+of RREF rows that an RREF coordinate basis names are RREF themselves.
+``Subspace.coordinate`` writes its unit rows directly.  ``Matrix`` is the
 value type that crosses the API.  Its one storage form is sparse columns,
 and ``Matrix.row_dicts`` transposes them into the sparse rows that
 ``rational_eigen``, ``nullspace`` and ``solve`` read, so
@@ -478,11 +482,17 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, {c: {c: ONE} for c in range(ambient_dim)})
+        return Subspace.coordinate(ambient_dim, range(ambient_dim))
 
     @staticmethod
     def coordinate(ambient_dim: int, cols: Iterable[int]) -> "Subspace":
-        return Subspace.span(ambient_dim, [{c: ONE} for c in cols])
+        """Span of the unit vectors at cols; unit rows are already RREF, so
+        none is eliminated.  ValueError for a column outside [0, ambient_dim),
+        as ``span`` raises."""
+        cols = sorted(set(cols))
+        if cols and (cols[0] < 0 or cols[-1] >= ambient_dim):
+            raise ValueError("spanning row has a column outside the ambient space")
+        return Subspace(ambient_dim, {c: {c: ONE} for c in cols})
 
     @property
     def dim(self) -> int:
@@ -499,6 +509,29 @@ class Subspace:
 
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(self.pivot_rows)
+
+    def lift(self, coords: "Subspace") -> "Subspace":
+        """The subspace of this one whose coordinates span ``coords``, where
+        coordinate k weights the k-th pivot row.  No row is eliminated: a
+        row of ``coords`` led by k lifts to a row that is 1 at the k-th pivot
+        column and 0 at the pivot columns of the other rows of ``coords``,
+        so the lifted rows are already RREF.  A unit row {k: 1} lifts to the
+        k-th pivot row itself."""
+        if coords.ambient_dim != self.dim:
+            raise ValueError("coordinates do not match the subspace dimension")
+        pivots = list(self.pivot_rows)
+        rows = list(self.pivot_rows.values())
+        lifted = {}
+        for k, c in coords.pivot_rows.items():
+            if len(c) == 1:
+                lifted[pivots[k]] = rows[k]
+                continue
+            acc: dict[int, Fraction] = {}
+            for j, x in c.items():
+                for col, y in rows[j].items():
+                    acc[col] = acc.get(col, ZERO) + x * y
+            lifted[pivots[k]] = {col: v for col, v in acc.items() if v}
+        return Subspace(self.ambient_dim, lifted)
 
     def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """A sparse row reduced modulo the RREF basis, zeros dropped: zero at
@@ -593,9 +626,7 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
 
 def _primitive_poly(p: list[int]) -> list[int]:
     """Divide an integer polynomial by the (positive) gcd of its coefficients."""
-    g = 0
-    for v in p:
-        g = math.gcd(g, v)
+    g = math.gcd(*p)
     return [v // g for v in p] if g > 1 else p
 
 
@@ -713,9 +744,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     polynomials at a dyadic point.  The cost is polynomial in n and b; a
     search over the divisors of the constant term is exponential in b.
     """
-    denlcm = 1
-    for q in coeffs:
-        denlcm = denlcm * q.denominator // math.gcd(denlcm, q.denominator)
+    denlcm = math.lcm(*(q.denominator for q in coeffs))
     ints = _strip([int(q * denlcm) for q in coeffs])
     if not ints:
         raise ValueError("zero polynomial")
@@ -855,9 +884,7 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
         pos = {i: k for k, i in enumerate(idx)}
         shifted = ({**{pos[j]: x for j, x in rows[i].items() if j in pos},
                     pos[i]: rows[i].get(i, ZERO) - lam} for i in idx)
-        local = kernel_of_constraints(shifted, len(idx))
-        pairs.append((lam, Subspace(n, {
-            idx[p]: {idx[c]: x for c, x in row.items()}
-            for p, row in local.pivot_rows.items()})))
+        pairs.append((lam, Subspace.coordinate(n, idx).lift(
+            kernel_of_constraints(shifted, len(idx)))))
     return EigenDecomposition(tuple(pairs),
                               sum(space.dim for _, space in pairs) == n)

@@ -17,7 +17,6 @@ from .core import (
     LeviDatum,
     ModuleError,
     Sl2Triple,
-    _accumulate,
     _product,
     check_sl2_triple,
     per_algebra,
@@ -59,29 +58,17 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
 
     An image inside the RREF span is the sum of the basis rows weighted by
     its own entries at the pivot columns, so those entries are its
-    coordinates: column c holds the image of basis row c."""
+    coordinates: column c holds the image of basis row c, read through the
+    position of each pivot column."""
+    position = {p: r for r, p in enumerate(sub.pivot_rows)}
     columns = {}
     for c, v in enumerate(sub.pivot_rows.values()):
         image = _product(alg._by_left, v, g)
         if sub.reduce(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
-        columns[c] = {r: image[p] for r, p in enumerate(sub.pivot_rows)
-                      if p in image}
+        columns[c] = {position[p]: x for p, x in image.items() if p in position}
     return Matrix(sub.dim, sub.dim, columns)
-
-
-def _to_ambient(sub: Subspace, coords: Subspace) -> Subspace:
-    """The subspace of sub whose coordinates in sub's canonical basis span
-    ``coords``."""
-    rows = list(sub.pivot_rows.values())
-    lifted = []
-    for c in coords.pivot_rows.values():
-        acc: dict[int, Fraction] = {}
-        for k, x in c.items():
-            _accumulate(acc, x, rows[k].items())
-        lifted.append(acc)
-    return Subspace.span(sub.ambient_dim, lifted)
 
 
 def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpaces:
@@ -90,7 +77,7 @@ def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpa
         return WeightSpaces((), True)
     eigen = rational_eigen(_restricted_action(alg, sub, _row_to_dict(t.h)))
     return WeightSpaces(
-        tuple((value, _to_ambient(sub, space)) for value, space in eigen.pairs),
+        tuple((value, sub.lift(space)) for value, space in eigen.pairs),
         eigen.complete)
 
 
@@ -113,7 +100,7 @@ def highest_weight_vectors(
     vectors ascend by leading index, as ``ModuleDecomposition`` promises.
     """
     kernel = nullspace(_restricted_action(alg, sub, _row_to_dict(t.e)))
-    spaces = weight_decomposition(alg, _to_ambient(sub, kernel), t)
+    spaces = weight_decomposition(alg, sub.lift(kernel), t)
     if not spaces.complete:
         raise ModuleError("weight decomposition is incomplete over the rationals")
     return tuple(HighestWeightVector(

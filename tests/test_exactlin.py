@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from leibnizalg import (
     Sl2Triple,
     exactlin,
+    highest_weight_vectors,
     is_simple_certified,
     squares_ideal,
     weight_decomposition,
@@ -333,6 +334,73 @@ def test_span_rejects_columns_outside_the_ambient_space():
     for row in ({3: F(1)}, {-1: F(2)}, {0: F(1), 5: F(1)}):
         with pytest.raises(ValueError, match="outside the ambient space"):
             Subspace.span(3, [row])
+
+
+@given(subspaces(5), st.data())
+@settings(max_examples=60)
+def test_lift_is_the_span_of_the_combinations(s, data):
+    coords = data.draw(subspaces(s.dim))
+    combos = [tuple(sum((x * row[k] for x, row in zip(c, s.basis.data)), F(0))
+                    for k in range(5))
+              for c in coords.basis.data]
+    assert s.lift(coords) == Subspace.from_vectors(5, combos)
+    assert s.lift(coords).dim == coords.dim
+
+
+@given(st.lists(st.integers(0, 5), max_size=8))
+def test_coordinate_is_the_span_of_its_unit_rows(cols):
+    assert Subspace.coordinate(6, cols) == Subspace.span(6, [{c: F(1)} for c in cols])
+    assert Subspace.coordinate(6, range(6)) == Subspace.full(6)
+
+
+def test_coordinate_rejects_columns_outside_the_ambient_space():
+    for cols in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError) as from_span:
+            Subspace.span(3, [{c: F(1)} for c in cols])
+        with pytest.raises(ValueError) as direct:
+            Subspace.coordinate(3, cols)
+        assert str(direct.value) == str(from_span.value)
+
+
+def test_lift_and_coordinate_run_no_elimination(monkeypatch):
+    # the combination cancels at column 3, which the lift drops
+    s = Subspace.from_vectors(4, [(1, 2, 0, 3), (0, 0, 1, -1)])
+    coords = Subspace.from_vectors(2, [(1, 3)])
+    built = []
+    engine_init = SparseRref.__init__
+
+    def counted(self, ncols):
+        built.append(ncols)
+        engine_init(self, ncols)
+
+    monkeypatch.setattr(SparseRref, "__init__", counted)
+    assert s.lift(coords) == Subspace(4, {0: {0: F(1), 1: F(2), 2: F(3)}})
+    assert Subspace.coordinate(4, [3, 1]).lift(coords) == Subspace(4, {1: {1: F(1), 3: F(3)}})
+    assert built == []
+    Subspace.span(4, [{0: F(1)}])
+    assert built == [4]
+    with pytest.raises(ValueError, match="subspace dimension"):
+        s.lift(Subspace.zero(3))
+
+
+def test_weights_span_once_per_weight_space(monkeypatch):
+    # each span is the kernel of one weight space or of e; the lifts back to
+    # the ambient coordinates add none
+    alg, levi = simple_sl2_leibniz(16)
+    sq = squares_ideal(alg)
+    triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    calls = []
+    span = Subspace.span
+
+    def counted(ambient_dim, rows):
+        calls.append(ambient_dim)
+        return span(ambient_dim, rows)
+
+    monkeypatch.setattr(Subspace, "span", staticmethod(counted))
+    weights = weight_decomposition(alg, sq, triple).weights()
+    highest = highest_weight_vectors(alg, sq, triple)
+    assert len(weights) == 17 and [hw.weight for hw in highest] == [16]
+    assert len(calls) == len(weights) + 1 + len(highest)
 
 
 def test_residue_rejects_wrong_length():
