@@ -19,10 +19,11 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     Matrix,
+    SparseRref,
     Subspace,
     Vec,
     ONE,
@@ -472,8 +473,13 @@ def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
 @per_algebra
 def squares_quotient(alg: Algebra) -> Quotient:
     """Quotient by ``squares_ideal``, whose verified right closure and left
-    annihilation already make it two-sided, so no closure test runs here."""
-    return _quotient_by(alg, squares_ideal(alg))
+    annihilation already make it two-sided, so no closure test runs here.
+    A zero ideal gives the algebra itself on every column, so the quotient
+    shares its per-algebra cache."""
+    sq = squares_ideal(alg)
+    if not sq.dim:
+        return Quotient(alg, sq, tuple(range(alg.dim)))
+    return _quotient_by(alg, sq)
 
 
 def _quotient_by(alg: Algebra, ideal: Subspace) -> Quotient:
@@ -555,14 +561,16 @@ def is_semisimple(alg: Algebra) -> bool:
 # ------------------------------------------------ identity rows, centroid
 
 def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
-                  ) -> Iterator[dict[int, int]]:
+                  pinned: Container[int] = frozenset()) -> Iterator[dict[int, int]]:
     """Integer linear rows whose kernel is the derivations: at each basis
     pair (i, j), row k dotted with a map d flattened row-major is D times
-    coordinate k of d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)], empty
-    rows left out, where D is the table's common denominator (every term
-    is linear in the table, so the kernel is the same).  right=False or
-    left=False drops that side's term; each term alone gives one half of
-    the centroid."""
+    coordinate k of d([e_i, e_j]) - [d(e_i), e_j] - [e_i, d(e_j)], where D
+    is the table's common denominator (every term is linear in the table,
+    so the kernel is the same).  right=False or left=False drops that
+    side's term; each term alone gives one half of the centroid.
+    Columns in ``pinned`` (unknowns known to be 0; the consumer may grow
+    the set while it reads) are left out as rows are built, and an empty
+    row is never yielded."""
     n = alg.dim
     _, table, by_left, by_right = _integer_table(alg)
     for i, j in itertools.product(range(n), repeat=2):
@@ -570,14 +578,29 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
         cij = table.get((i, j))
         if cij:
             for k in range(n):
-                rows[k] = {k * n + l: coeff for l, coeff in cij}
+                row = {col: coeff for l, coeff in cij
+                       if (col := k * n + l) not in pinned}
+                if row:
+                    rows[k] = row
         for factors, moved in _identity_sides(by_left, by_right, i, j, right, left):
             for l, entries in factors:
                 col = l * n + moved  # where d_(l, moved) sits
+                if col in pinned:
+                    continue
                 for k, coeff in entries:
                     row = rows.setdefault(k, {})
                     row[col] = row[col] - coeff if col in row else -coeff
         yield from rows.values()
+
+
+def _identity_kernel(alg: Algebra, sides: Iterable[tuple[bool, bool]]) -> Subspace:
+    """Kernel of the ``identity_rows`` of each (right, left) in sides; the
+    rows read the engine's live pinned set as they are built."""
+    ncols = alg.dim ** 2
+    eng = SparseRref(ncols)
+    eng.extend(row for right, left in sides
+               for row in identity_rows(alg, right, left, eng.pinned))
+    return Subspace.span(ncols, eng.kernel_rows())
 
 
 @per_algebra
@@ -664,10 +687,7 @@ def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
 
 def centroid(alg: Algebra) -> tuple[Matrix, ...]:
     """Canonical basis of the maps commuting with all multiplications."""
-    n = alg.dim
-    rows = (row for right in (True, False)
-            for row in identity_rows(alg, right=right, left=not right))
-    return kernel_maps(kernel_of_constraints(rows, n * n), n)
+    return kernel_maps(_identity_kernel(alg, ((True, False), (False, True))), alg.dim)
 
 
 # ------------------------------------------------------------ simple parts
@@ -689,7 +709,11 @@ _SWEEP_LIMIT = 20
 
 
 def simple_summands(alg: Algebra) -> SummandSplit:
-    """Split a radical-free Lie algebra into ideals via centroid eigenspaces."""
+    """Split a radical-free Lie algebra into ideals via centroid eigenspaces.
+
+    The projections onto the simple ideals are independent centroid
+    elements, so a centroid of Q·id leaves one summand, the whole algebra,
+    and no eigenspace is computed."""
     if not alg.is_lie():
         raise StructureError("summand split requested on a non-Lie algebra")
     if solvable_radical(alg).dim != 0:
@@ -697,6 +721,8 @@ def simple_summands(alg: Algebra) -> SummandSplit:
     n = alg.dim
     cents = centroid(alg)
     want = len(cents)
+    if want == 1:
+        return SummandSplit((Subspace.full(n),), True)
     for t in range(1, _SWEEP_LIMIT + 1):
         combo = Matrix.combination(
             n, n, ((t ** power, c) for power, c in enumerate(cents)))

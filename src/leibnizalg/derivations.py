@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (Algebra, LeviDatum, StructureError, _accumulate,
-                   identity_failures, identity_rows, kernel_maps, per_algebra,
+                   _identity_kernel, identity_failures, kernel_maps, per_algebra,
                    squares_ideal)
 from .exactlin import (
     Matrix,
@@ -30,7 +30,6 @@ from .exactlin import (
     Vec,
     ZERO,
     format_rational,
-    kernel_of_constraints,
     value_type,
 )
 
@@ -68,9 +67,8 @@ class DerivationBasis:
 @per_algebra
 def derivation_algebra(alg: Algebra) -> DerivationBasis:
     """Solve the derivation identity d([x,y]) = [d(x),y] + [x,d(y)] exactly."""
-    n = alg.dim
-    span = kernel_of_constraints(identity_rows(alg), n * n)
-    return DerivationBasis(alg, kernel_maps(span, n), span)
+    span = _identity_kernel(alg, ((True, True),))
+    return DerivationBasis(alg, kernel_maps(span, alg.dim), span)
 
 
 def is_derivation(alg: Algebra, m: Matrix) -> bool:

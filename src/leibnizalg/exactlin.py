@@ -11,8 +11,10 @@ denominators in integer arithmetic (an ``int`` row is only copied) and
 keeps each row primitive, which keeps intermediate entries small.  A
 column-occurrence index over its stored rows (Davis, *Direct Methods for
 Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
-new pivot reach only the rows that hold its column, so kernels of large,
-very sparse constraint systems cost what their nonzeros cost;
+new pivot reach only the rows that hold its column, and a row with one
+term pins its unknown to zero before any other row is eliminated
+(singleton presolve), so kernels of large, very sparse constraint systems
+cost what their nonzeros cost;
 ``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero integer entries.  ``rational_eigen``
 orders its matrix into block triangular form by the strongly connected
@@ -322,18 +324,20 @@ class SparseRref:
     nonzeros it meets, not the rank.
 
     ``pinned`` holds the pivot columns whose stored row is a unit row
-    {p: ±1}: the rows say x_p = 0.  Such a row never changes again (it
-    holds no free column), and reducing by it only deletes column p, so
-    ``add_row`` drops pinned columns before it clears denominators, and a
-    row left empty costs no arithmetic at all.  This is the singleton-row
+    {p: ±1}: the rows say x_p = 0.  Such a row never changes again, and
+    reducing by it only deletes column p.  This is the singleton-row
     reduction of sparse presolve (E. D. Andersen and K. D. Andersen,
-    "Presolving in linear programming", Math. Programming 71, 1995).  A
+    "Presolving in linear programming", Math. Programming 71, 1995):
+    ``add_row`` drops pinned columns before it clears denominators, and a
     new unit pivot c is back-substituted by deleting column c from the
-    rows of ``holders[c]``.  Either shortcut gives the row that the
-    arithmetic would give, up to sign, so the same rows are stored and the
-    RREF is the same.
+    rows of ``holders[c]``.  ``extend`` pins the column of a row with one
+    live entry at once, with no arithmetic, and holds each other row until
+    the stream ends, so it is eliminated once every pin of the stream is
+    known.  The shortcuts give the rows the arithmetic would give, up to
+    sign, and the RREF does not depend on the order of the rows.
     ``_store`` is the one place a row is written and keeps both indexes in
-    step.  ``pivots`` and ``fraction_rows`` are what callers read.
+    step.  ``pivots``, ``pinned`` and ``fraction_rows`` are what callers
+    read.
     """
 
     def __init__(self, ncols: int):
@@ -355,7 +359,7 @@ class SparseRref:
             held.remove(p)
             if not held:
                 del holders[c]
-        for c in row.keys() - old.keys():
+        for c in row.keys() - old.keys() if old else row:
             if c != p:
                 holders.setdefault(c, set()).add(p)
 
@@ -371,10 +375,15 @@ class SparseRref:
         for c in sorted(row.keys() & pivots.keys()):
             p = pivots[c]
             row = _primitive(_axpy(p[c], row, -row[c], p))
-        if not row:
-            return
+        if row:
+            self._place(row)
+
+    def _place(self, row: dict[int, int]) -> None:
+        """Store a reduced row under its leading column c after
+        back-substituting it into the rows of ``holders[c]``."""
         c = min(row)
         lead = row[c]
+        pivots = self.pivots
         for p in tuple(self.holders.get(c, ())):
             q = pivots[p]
             if len(row) == 1:  # x_c = 0, so the reduction deletes column c
@@ -385,18 +394,31 @@ class SparseRref:
         self._store(c, row)
 
     def extend(self, frows: Iterable[Mapping[int, Fraction | int]]) -> None:
-        for r in frows:
-            self.add_row(r)
+        """Add the rows: one with a single live entry (nonzero, unpinned,
+        at no pivot) pins its column at once; the others wait for the end
+        of the stream."""
+        pinned, pivots = self.pinned, self.pivots
+        held = []
+        for frow in frows:
+            live = [c for c, v in frow.items() if v and c not in pinned]
+            if len(live) == 1 and live[0] not in pivots:
+                self._place({live[0]: 1})
+            elif live:
+                held.append(frow)
+        for frow in held:
+            self.add_row(frow)
 
-    def fraction_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """(pivot column, leading-1 row) pairs, ordered by pivot column.
-
-        Raises ValueError when a row has a column outside [0, ncols): the
-        stored rows span the input rows, so some stored row holds every
-        column an input row held."""
+    def _check_columns(self) -> None:
+        # the stored rows span the input rows, so some stored row holds
+        # every column an input row held
         cols = self.pivots.keys() | self.holders.keys()
         if cols and (min(cols) < 0 or max(cols) >= self.ncols):
             raise ValueError("spanning row has a column outside the ambient space")
+
+    def fraction_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """(pivot column, leading-1 row) pairs, ordered by pivot column.
+        ValueError when a row has a column outside [0, ncols)."""
+        self._check_columns()
         out = []
         for c in sorted(self.pivots):
             row = self.pivots[c]
@@ -406,12 +428,18 @@ class SparseRref:
 
     def kernel_rows(self) -> list[dict[int, Fraction]]:
         """Basis of the solution set of (rows)·x = 0 as sparse rows, one per
-        free column f: 1 at f, minus each pivot row's entry at f at its pivot."""
-        kernel = {f: {f: ONE} for f in range(self.ncols) if f not in self.pivots}
-        for c, row in self.fraction_rows():
-            for f, coeff in row.items():
+        free column f: 1 at f, minus each pivot row's entry at f at its
+        pivot.  A unit row has no entry at a free column, so it is skipped
+        and no Fraction is built for it."""
+        self._check_columns()
+        pivots = self.pivots
+        kernel = {f: {f: ONE} for f in range(self.ncols) if f not in pivots}
+        for c in sorted(pivots.keys() - self.pinned):
+            row = pivots[c]
+            lead = row[c]
+            for f, v in row.items():
                 if f != c:
-                    kernel[f][c] = -coeff
+                    kernel[f][c] = Fraction(-v, lead)
         return list(kernel.values())
 
 

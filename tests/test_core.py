@@ -19,6 +19,7 @@ from leibnizalg import (
     SchemaError,
     StructureError,
     Subspace,
+    SummandSplit,
     algebra_from_json_dict,
     centroid,
     derived_series,
@@ -33,6 +34,7 @@ from leibnizalg import (
     load_algebra_json,
     pair_structure_report,
     quotient_algebra,
+    rational_eigen,
     simple_summands,
     solvable_radical,
     split_all,
@@ -487,6 +489,52 @@ def test_simple_summands_requires_zero_radical():
         simple_summands(two_dim_solvable())
 
 
+def sweep_split(alg):
+    """The centroid eigenspace sweep of simple_summands, run whatever the
+    centroid's dimension."""
+    n, cents = alg.dim, centroid(alg)
+    for t in range(1, core._SWEEP_LIMIT + 1):
+        combo = Matrix.combination(n, n, ((F(t) ** p, c) for p, c in enumerate(cents)))
+        eigen = rational_eigen(combo)
+        spaces = tuple(space for _, space in eigen.pairs)
+        if (eigen.complete and len(spaces) == len(cents)
+                and all(core._is_ideal(alg, s) for s in spaces)):
+            return SummandSplit(spaces, True)
+    return SummandSplit((), False)
+
+
+def test_simple_summands_match_the_sweep_on_catalog_quotients():
+    cases = [(name, core.squares_quotient(alg).algebra)
+             for name, alg, _ in standard_catalog()]
+    cases += [(f"sl2^{k}", direct_sum_many([sl2()] * k)[0]) for k in (1, 2, 3)]
+    checked = set()
+    for name, quo in cases:
+        if solvable_radical(quo).dim == 0:
+            assert simple_summands(quo) == sweep_split(quo), name
+            checked.add(len(centroid(quo)))
+    assert checked == {1, 2, 3}
+
+
+def test_simple_summands_skip_the_eigenspaces_of_a_one_dimensional_centroid(
+        monkeypatch):
+    # a radical-free Lie algebra whose centroid is Q·id is simple: the
+    # verdict on simple m = 16 takes no eigen decomposition (one at the
+    # centroid sweep)
+    calls = []
+    original = core.rational_eigen
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(core, "rational_eigen", counted)
+    cert = is_simple_certified(*simple_sl2_leibniz(16))
+    assert cert.verdict == "yes"
+    assert calls == []
+    assert simple_summands(sl2()[0]) == SummandSplit((Subspace.full(3),), True)
+    assert calls == []
+
+
 # ------------------------------------------------------------- simplicity
 
 def test_simple_certified_yes_for_simple_family():
@@ -552,6 +600,32 @@ def test_simple_certified_no_for_nonabelian_solvable_lie():
     cert = is_simple_certified(alg, LeviDatum((0, 1), ()))
     assert cert.verdict == "no"
     assert cert.witness == Subspace.coordinate(2, [1])
+
+
+def test_simple_certified_on_a_lie_input_shares_its_radical(monkeypatch):
+    # the squares quotient of a Lie algebra is the algebra itself, so the
+    # summand split reads the radical the verdict already computed: one run
+    # each of the identity check and the radical on 8 copies of sl2 (two
+    # each while the quotient was a fresh copy)
+    runs = {"leibniz_check": 0, "solvable_radical": 0}
+
+    def counted(name):
+        fn = getattr(core, name).__wrapped__
+
+        def run(alg):
+            runs[name] += 1
+            return fn(alg)
+        return core.per_algebra(run)
+
+    for name in runs:
+        monkeypatch.setattr(core, name, counted(name))
+    alg, levi = direct_sum_many([sl2()] * 8)
+    cert = is_simple_certified(alg, levi)
+    assert (cert.verdict, cert.witness) == ("no", Subspace.coordinate(24, range(3)))
+    assert cert.detail == "quotient splits into multiple simple ideals"
+    assert runs == {"leibniz_check": 1, "solvable_radical": 1}
+    quo = core.squares_quotient(alg)
+    assert quo.algebra is alg and quo.complement_cols == tuple(range(24))
 
 
 def test_simple_certified_no_when_derived_equals_squares():

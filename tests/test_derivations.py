@@ -630,6 +630,35 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
     assert count2 < 20_000
 
 
+def test_one_term_rows_pin_before_any_row_is_eliminated(monkeypatch):
+    # at semisimple_pair(5) 1 600 of 2 360 identity rows have one term and
+    # pin 268 unknowns; the other rows wait for every pin, and 195 of them
+    # reach the elimination (463 when each row was eliminated on arrival)
+    cleared = 0
+    int_row = exactlin._int_row
+
+    def counted(row):
+        nonlocal cleared
+        cleared += 1
+        return int_row(row)
+
+    monkeypatch.setattr(exactlin, "_int_row", counted)
+    alg, _ = semisimple_pair(5)
+    der = derivation_algebra.__wrapped__(alg)
+    assert der.dim == 7
+    assert cleared <= 250
+    # the builder leaves pinned columns out and yields no empty row
+    everything = range(alg.dim ** 2)
+    assert next(identity_rows(alg, pinned=set(everything)), None) is None
+    some = set(everything[::3])
+
+    def listed(rows):
+        return sorted(tuple(sorted(row.items())) for row in rows if row)
+
+    assert listed(identity_rows(alg, pinned=some)) == listed(
+        {c: v for c, v in row.items() if c not in some} for row in identity_rows(alg))
+
+
 def test_split_cost_follows_the_nonzeros(monkeypatch):
     # the identity check behind every split visits only the pairs where a
     # term can be nonzero: core._identity_sides runs once per visited pair.

@@ -246,6 +246,59 @@ def test_sparse_rref_pins_the_columns_unit_rows_force_to_zero(rows, pinned, kern
     assert_rref_matches_sympy(eng, 3, rows)
 
 
+@st.composite
+def presolve_systems(draw):
+    """(ncols, rows): sparse integer rows with explicit zeros, rows whose
+    entries cancel at a shared column, and unit rows {c: x}, each column's
+    drawn once or more and placed before, between or after the rows that
+    hold c; and a cut that splits the rows into two streams."""
+    ncols = draw(st.integers(1, 8))
+    rows: list[dict[int, int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            shared = sorted(r1.keys() & r2.keys())
+            if shared:  # a cancelling combination keeps c as an explicit zero
+                c = draw(st.sampled_from(shared))
+                a, b = r2[c], -r1[c]
+                rows.append({k: a * r1.get(k, 0) + b * r2.get(k, 0)
+                             for k in r1.keys() | r2.keys()})
+                continue
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+        rows.append({c: draw(st.integers(-4, 4)) for c in cols})
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))),
+                        {c: draw(st.integers(-3, 3).filter(bool))})
+    return ncols, rows, draw(st.integers(0, len(rows)))
+
+
+@given(presolve_systems())
+@settings(max_examples=150)
+def test_presolve_keeps_the_kernel_and_the_indexes(system):
+    # extend pins each one-term row's column as it arrives and holds the
+    # other rows until the stream ends; the kernel is sympy's.  A second
+    # stream meets the first one's stored rows, where a one-term row at a
+    # pivot that is not pinned must be eliminated
+    ncols, rows, cut = system
+    eng = SparseRref(ncols)
+    eng.extend(rows[:cut])
+    assert_indexes(eng)
+    eng.extend(rows[cut:])
+    assert_indexes(eng)
+    assert_rref_matches_sympy(eng, ncols, rows)
+    dense = sympy.Matrix(len(rows), ncols, [row.get(c, 0) for row in rows
+                                            for c in range(ncols)])
+    null = dense.nullspace()
+    expected = Subspace.zero(ncols)
+    if null:
+        reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
+        expected = Subspace(ncols, {p: {c: F(int(x.p), int(x.q))
+                                        for c, x in enumerate(reduced.row(i)) if x}
+                                    for i, p in enumerate(pivots)})
+    assert Subspace.span(ncols, eng.kernel_rows()) == expected
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_identity():
