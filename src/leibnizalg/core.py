@@ -26,7 +26,6 @@ from .exactlin import (
     SparseRref,
     Subspace,
     Vec,
-    ONE,
     ZERO,
     _row_to_dict,
     format_rational,
@@ -226,6 +225,12 @@ class Sl2Triple:
     f: Vec
     h: Vec
 
+    def __hash__(self) -> int:
+        """Of the nonzero entries alone: a triple is a ``per_algebra`` key,
+        hashed on every lookup, and its vectors are mostly zeros."""
+        return hash(tuple((i, x) for v in (self.e, self.f, self.h)
+                          for i, x in enumerate(v) if x))
+
     @staticmethod
     def from_indices(dim: int, indices: Sequence[int]) -> "Sl2Triple":
         """The basis vectors at a declared (e, f, h) index triple; LeviError
@@ -268,8 +273,17 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
     return tuple(problems)
 
 
+def _require_levi(levi: LeviDatum | None) -> None:
+    """LeviError for a missing datum, which ``direct_sum_many`` returns when
+    a part has none, rather than an AttributeError further in."""
+    if levi is None:
+        raise LeviError("no declared split: this needs the semisimple-part "
+                        "and ideal indices (a levi block)")
+
+
 def validate_levi(alg: Algebra, levi: LeviDatum) -> None:
     """Raise LeviError unless the declared split holds for this algebra."""
+    _require_levi(levi)
     n = alg.dim
     if not levi.partitions(n):
         raise LeviError("declared index sets do not partition the basis")
@@ -315,15 +329,17 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     + [[e_i, e_k], e_j] is minus the derivation residual of the right
     multiplication R_k = [-, e_k] at (e_i, e_j): the identity at (i, j, k)
     says exactly that R_k is a derivation there.  So the triples are the
-    failures of ``identity_failures`` on each nonzero R_k, whose pruned
-    pairs follow the table's nonzeros; a zero R_k leaves every term zero.
+    failures of the identity check on each nonzero R_k, whose pruned pairs
+    follow the table's nonzeros; a zero R_k leaves every term zero.  The
+    columns of D·R_k are the integer table's entries as they stand, so the
+    contraction carries D twice and divides by D² at the end.
     """
-    n = alg.dim
+    den, _, _, by_right = _integer_table(alg)
     violations = []
-    for k, column in alg._by_right.items():
-        r_k = Matrix(n, n, {c: dict(entries) for c, entries in column})
+    for k, column in by_right.items():
+        images = {c: dict(entries) for c, entries in column}
         violations.extend((i, j, k, tuple(-x for x in residual))
-                          for i, j, residual in identity_failures(alg, r_k, left=True))
+                          for i, j, residual in _failures(alg, images, den, True))
     return tuple(sorted(violations))
 
 
@@ -365,14 +381,16 @@ def _product(by_left: Mapping, u: Mapping[int, Fraction],
 
 
 def _basis_products(alg: Algebra, sub: Subspace
-                    ) -> Iterator[tuple[dict[int, Fraction], dict[int, Fraction]]]:
-    """([v, e_j], [e_j, v]) as sparse rows for each basis vector v of sub and
-    each j in turn.
+                    ) -> Iterator[tuple[int, dict[int, Fraction], dict[int, Fraction]]]:
+    """(j, [v, e_j], [e_j, v]) with sparse rows, for each basis vector v of
+    sub and each j, ascending, that a table entry [e_l, e_j] or [e_j, e_l]
+    with l in v's support touches.
 
     The one closure test behind every ideal check: sub is a two-sided ideal
-    exactly when it contains both products of every pair.  Both images, for
-    every j, come from one pass over v's nonzero coordinates l, reading the
-    table entries [e_l, e_j] and [e_j, e_l].
+    exactly when it contains both products of every pair, and both products
+    are zero at every j not yielded.  Both images come from one pass over
+    v's nonzero coordinates l, reading the table entries [e_l, e_j] and
+    [e_j, e_l].
     """
     for v in sub.pivot_rows.values():
         right: dict[int, dict[int, Fraction]] = {}
@@ -382,17 +400,19 @@ def _basis_products(alg: Algebra, sub: Subspace
                 _accumulate(right.setdefault(j, {}), x, entries)
             for j, entries in alg._by_right.get(l, ()):
                 _accumulate(left.setdefault(j, {}), x, entries)
-        for j in range(alg.dim):
-            yield right.get(j, {}), left.get(j, {})
+        for j in sorted(right.keys() | left.keys()):
+            yield j, right.get(j, {}), left.get(j, {})
 
 
-def _square_sums(alg: Algebra) -> Iterator[dict[int, Fraction]]:
-    """Nonzero sums [e_i, e_j] + [e_j, e_i], i <= j, as sparse {k: coeff}
-    maps merged from the table (2·[e_i, e_i] for i = j); they span the
-    squares, and each is a difference of squares."""
-    for i, j in {(min(pair), max(pair)) for pair in alg._table}:
-        acc: dict[int, Fraction] = {}
-        _accumulate(acc, ONE, alg.c(i, j) + alg.c(j, i))
+def _square_sums(alg: Algebra) -> Iterator[dict[int, int]]:
+    """Nonzero sums [e_i, e_j] + [e_j, e_i], i <= j, times the table's
+    common denominator D, as sparse {k: int} maps merged from the integer
+    table (2·[e_i, e_i] for i = j); they span the squares, and each is a
+    difference of squares."""
+    _, table, _, _ = _integer_table(alg)
+    for i, j in {(min(pair), max(pair)) for pair in table}:
+        acc: dict[int, int] = {}
+        _accumulate(acc, 1, table.get((i, j), ()) + table.get((j, i), ()))
         sums = {k: v for k, v in acc.items() if v}
         if sums:
             yield sums
@@ -400,7 +420,7 @@ def _square_sums(alg: Algebra) -> Iterator[dict[int, Fraction]]:
 
 def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
     return all(not sub.reduce(right) and not sub.reduce(left)
-               for right, left in _basis_products(alg, sub))
+               for _, right, left in _basis_products(alg, sub))
 
 
 @per_algebra
@@ -408,7 +428,7 @@ def squares_ideal(alg: Algebra) -> Subspace:
     """Span of all squares [x, x], verified to be a left-annihilated ideal."""
     ensure_leibniz(alg)
     span = Subspace.span(alg.dim, _square_sums(alg))
-    for right, left in _basis_products(alg, span):
+    for _, right, left in _basis_products(alg, span):
         if span.reduce(right):
             raise StructureError(
                 "span of squares is not closed under right multiplication")
@@ -419,12 +439,20 @@ def squares_ideal(alg: Algebra) -> Subspace:
 
 
 def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
-    """Span of all products of elements of the given subspace (default: all)."""
+    """Span of all products of elements of the given subspace (default: all).
+
+    A basis vector u of sub with no coordinate in a row of the table
+    multiplies every vector to zero from the left, and a v with no
+    coordinate in a column does so from the right; only the products of
+    the other pairs are formed."""
     if sub is None:  # the products of basis pairs are the table's entries
         return Subspace.span(alg.dim, map(dict, alg._table.values()))
-    rows = list(sub.pivot_rows.values())
-    return Subspace.span(alg.dim, (_product(alg._by_left, u, v)
-                                   for u in rows for v in rows))
+    by_left, by_right = alg._by_left, alg._by_right
+    rows = sub.pivot_rows.values()
+    lefts = [u for u in rows if any(i in by_left for i in u)]
+    rights = [v for v in rows if any(j in by_right for j in v)]
+    return Subspace.span(alg.dim, (_product(by_left, u, v)
+                                   for u in lefts for v in rights))
 
 
 def derived_series(alg: Algebra, start: Subspace | None = None) -> list[Subspace]:
@@ -582,7 +610,8 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
                        if (col := k * n + l) not in pinned}
                 if row:
                     rows[k] = row
-        for factors, moved in _identity_sides(by_left, by_right, i, j, right, left):
+        for factors, moved in _identity_sides(table, by_left, by_right, i, j,
+                                              right, left):
             for l, entries in factors:
                 col = l * n + moved  # where d_(l, moved) sits
                 if col in pinned:
@@ -614,13 +643,38 @@ def _integer_table(alg: Algebra) -> tuple[int, dict, dict, dict]:
     return (den, table, *_index(table))
 
 
-def _identity_sides(by_left: Mapping, by_right: Mapping, i: int, j: int,
-                    right: bool, left: bool,
+@per_algebra
+def _pairs_holding(alg: Algebra) -> dict[int, list[tuple[int, int]]]:
+    """The basis pairs whose product has a nonzero coordinate l, by l."""
+    holding: dict[int, list[tuple[int, int]]] = {}
+    for pair, entries in alg._table.items():
+        for l, _ in entries:
+            holding.setdefault(l, []).append(pair)
+    return holding
+
+
+def _identity_sides(table: Mapping, by_left: Mapping, by_right: Mapping,
+                    i: int, j: int, right: bool, left: bool,
+                    images: Mapping[int, Iterable[int]] | None = None,
                     ) -> list[tuple[Sequence[tuple[int, Sequence[TableEntry]]], int]]:
     """Side terms at (i, j) as (table factors, column of d): [d(e_i), e_j]
-    sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums d_(l,j)·[e_i, e_l]."""
-    return (([(by_right.get(j, ()), i)] if right else [])
-            + ([(by_left.get(i, ()), j)] if left else []))
+    sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums d_(l,j)·[e_i, e_l].
+
+    Without ``images`` every factor in the table is listed, for a d whose
+    entries are unknowns.  ``images`` maps d's nonzero columns to their
+    rows; then only the rows l of the moved column are looked up in the
+    table, so a pair costs the size of two columns of d, however many
+    entries the table's row i or column j holds."""
+    sides = []
+    if right:
+        sides.append((by_right.get(j, ()) if images is None else
+                      [(l, entries) for l in images.get(i, ())
+                       if (entries := table.get((l, j)))], i))
+    if left:
+        sides.append((by_left.get(i, ()) if images is None else
+                      [(l, entries) for l in images.get(j, ())
+                       if (entries := table.get((i, l)))], j))
+    return sides
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
@@ -632,13 +686,7 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
 
     The residual is contracted in integers, from the table times D and m's
     nonzero columns times their common denominator den, and divided by
-    D·den at the end.  Every term has an entry m_(l,c) of a nonzero column
-    c and a table factor, so only these pairs are visited: (i, j) whose
-    product holds a nonzero column of m; (c, j) for each j with [e_l, e_j]
-    in the table, l a row of column c; and, when left is set, (i, c) for
-    each i with [e_i, e_l] in the table.  Every other pair has zero
-    residual, so the failures, and their order, are those of a scan over
-    all pairs."""
+    D·den at the end (see ``_failures``)."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
@@ -648,10 +696,27 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
     images = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
               for c, col in columns.items()}
+    yield from _failures(alg, images, den, left)
+
+
+def _failures(alg: Algebra, images: Mapping[int, Mapping[int, int]], den: int,
+              left: bool) -> Iterator[tuple[int, int, Vec]]:
+    """``identity_failures`` of the map whose nonzero columns, times den,
+    are the integer ``images``; the residual is divided by D·den.
+
+    Every term has an entry m_(l,c) of a nonzero column c and a table
+    factor, so only these pairs are visited: (i, j) whose product holds a
+    nonzero column of m; (c, j) for each j with [e_l, e_j] in the table, l
+    a row of column c; and, when left is set, (i, c) for each i with
+    [e_i, e_l] in the table.  Every other pair has zero residual, so the
+    failures, and their order, are those of a scan over all pairs.  At a
+    visited pair the side terms read the table at the rows of two columns
+    of m alone."""
+    n = alg.dim
     scale, table, by_left, by_right = _integer_table(alg)
     scale *= den
-    live = {pair for pair, entries in table.items()
-            if any(l in images for l, _ in entries)}
+    holding = _pairs_holding(alg)
+    live = {pair for c in images for pair in holding.get(c, ())}
     for c, image in images.items():
         for l in image:
             live.update((c, j) for j, _ in by_left.get(l, ()))
@@ -662,12 +727,10 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
         for l, x in table.get((i, j), ()):
             if l in images:
                 _accumulate(acc, x, images[l].items())
-        for factors, moved in _identity_sides(by_left, by_right, i, j, True, left):
-            image = images.get(moved)
-            if image:
-                for l, entries in factors:
-                    if l in image:
-                        _accumulate(acc, -image[l], entries)
+        for factors, moved in _identity_sides(table, by_left, by_right, i, j,
+                                              True, left, images):
+            for l, entries in factors:
+                _accumulate(acc, -images[moved][l], entries)
         if any(acc.values()):
             yield i, j, tuple(Fraction(acc.get(t, 0), scale) for t in range(n))
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (Algebra, LeviDatum, StructureError, _accumulate,
-                   _identity_kernel, identity_failures, kernel_maps, per_algebra,
-                   squares_ideal)
+                   _identity_kernel, _require_levi, identity_failures, kernel_maps,
+                   per_algebra, squares_ideal)
 from .exactlin import (
     Matrix,
     ONE,
@@ -142,6 +142,7 @@ class GradedParts:
 
 
 def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
+    _require_levi(levi)
     n = m.rows
     if m.cols != n:
         raise ValueError("grading requires a square matrix")
@@ -375,6 +376,7 @@ class SplitSurvey:
 
 
 def split_all(alg: Algebra, levi: LeviDatum) -> SplitSurvey:
+    _require_levi(levi)
     der = derivation_algebra(alg)
     splits = tuple(split_derivation(alg, levi, m) for m in der.maps)
     # a raising corner has complement columns only

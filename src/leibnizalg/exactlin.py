@@ -547,8 +547,7 @@ class Subspace:
         k-th pivot row itself."""
         if coords.ambient_dim != self.dim:
             raise ValueError("coordinates do not match the subspace dimension")
-        pivots = list(self.pivot_rows)
-        rows = list(self.pivot_rows.values())
+        pivots, rows = self._positions
         lifted = {}
         for k, c in coords.pivot_rows.items():
             if len(c) == 1:
@@ -560,6 +559,12 @@ class Subspace:
                     acc[col] = acc.get(col, ZERO) + x * y
             lifted[pivots[k]] = {col: v for col, v in acc.items() if v}
         return Subspace(self.ambient_dim, lifted)
+
+    @functools.cached_property
+    def _positions(self) -> tuple[tuple[int, ...], tuple[dict[int, Fraction], ...]]:
+        """The pivot columns and their rows by position, for ``lift``, which
+        runs once per weight space on the same subspace."""
+        return tuple(self.pivot_rows), tuple(self.pivot_rows.values())
 
     def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """A sparse row reduced modulo the RREF basis, zeros dropped: zero at

@@ -18,6 +18,7 @@ from .core import (
     ModuleError,
     Sl2Triple,
     _product,
+    _require_levi,
     check_sl2_triple,
     per_algebra,
     squares_ideal,
@@ -207,6 +208,7 @@ class PairStructureReport:
 
 
 def pair_structure_report(alg: Algebra, levi: LeviDatum) -> PairStructureReport:
+    _require_levi(levi)
     if len(levi.sl2_triples) != 2:
         raise ModuleError(
             "the paired-column structure check needs exactly two sl2 triples; "

@@ -9,6 +9,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
     Algebra,
@@ -16,6 +17,7 @@ from leibnizalg import (
     LeviDatum,
     LeviError,
     Matrix,
+    Sl2Triple,
     SchemaError,
     StructureError,
     Subspace,
@@ -40,6 +42,7 @@ from leibnizalg import (
     split_all,
     squares_ideal,
     validate_levi,
+    weight_decomposition,
 )
 from leibnizalg import core
 from leibnizalg.catalog import (
@@ -154,6 +157,63 @@ def test_leibniz_check_flags_violations():
     assert failing > 30
 
 
+# scales with non-unit denominators, as the benchmark's relabeled inputs use
+SCALES = [F(p, q) * sign for p, q in ((1, 1), (2, 3), (3, 2), (5, 4), (1, 3), (2, 1))
+          for sign in (1, -1)]
+
+
+@st.composite
+def rescaled_tables(draw):
+    """A small catalog member in the basis s_i e_i, each s_i drawn from
+    SCALES, so that its constants have non-unit denominators; about half
+    the time one constant is then multiplied by another scale, which
+    mostly breaks the identity and leaves residuals with denominators.
+    Or, for supports that no catalog member has, a random sparse table
+    with constants from SCALES."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        index = st.integers(0, n - 1)
+        table = draw(st.dictionaries(
+            st.tuples(index, index),
+            st.lists(st.tuples(index, st.sampled_from(SCALES)), min_size=1, max_size=2),
+            min_size=1, max_size=6))
+        return Algebra(n, table)
+    alg = draw(st.sampled_from([sl2()[0], two_dim_solvable(), simple_sl2_leibniz(2)[0],
+                                semisimple_pair(1)[0]]))
+    n = alg.dim
+    s = draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+    products = {(i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in entries]
+                for (i, j), entries in alg.table_items()}
+    if draw(st.booleans()):
+        pair = draw(st.sampled_from(sorted(products)))
+        factor = draw(st.sampled_from(SCALES))
+        products[pair] = [(k, c * factor) for k, c in products[pair]]
+    return Algebra(n, products)
+
+
+@given(rescaled_tables(), st.data())
+@settings(max_examples=60)
+def test_integer_contractions_match_the_fraction_oracles(alg, data):
+    # leibniz_check, the squares' span and the derived subalgebra run on
+    # the integer table; each equals its Fraction reference exactly
+    n = alg.dim
+    e = [alg.basis_vector(i) for i in range(n)]
+    violations = leibniz_check(alg)
+    assert violations == dense_leibniz_violations(alg)
+    sums = Subspace.from_vectors(n, [
+        tuple(a + b for a, b in zip(alg.product(e[i], e[j]), alg.product(e[j], e[i])))
+        for i in range(n) for j in range(i, n)])
+    assert Subspace.span(n, core._square_sums(alg)) == sums
+    if not violations:
+        assert squares_ideal(alg) == sums
+    entry = st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 4)])
+    sub = Subspace.from_vectors(n, data.draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
+    for space, rows in ((sub, sub.basis.data), (Subspace.full(n), e), (None, e)):
+        assert derived_subalgebra(alg, space) == Subspace.from_vectors(
+            n, [alg.product(u, v) for u in rows for v in rows])
+
+
 def test_leibniz_check_residuals_after_one_changed_coefficient():
     alg, _ = semisimple_pair(1)
     table = dict(alg.table_items())
@@ -194,6 +254,84 @@ def test_identity_checks_visit_pairs_in_proportion_to_the_table(monkeypatch):
         start = visits
         assert next(core.identity_failures(alg, identity, left=True), None) is None
         assert 0 < visits - start <= entries
+
+
+def test_verification_reads_follow_the_table(monkeypatch):
+    # The work of each verification pass, counted deterministically: every
+    # table lookup, every entry met while walking a row or column of the
+    # table's index (exact or integer), and every product the closure tests
+    # reduce.  On simple m = 48, 96 and 192 (150, 294 and 582 entries) the
+    # passes cost about 18, 5, 1.1 and 1.3 per entry at every size.  Walking
+    # the whole column by_right[j] at each visited pair cost leibniz_check
+    # 168, 312 and 600 per entry, multiplying every pair of the radical's
+    # basis cost solvable_radical 48, 96 and 192, and testing every j in
+    # range(n) cost squares_ideal 21, 37 and 69: each grows like dim.
+    work = 0
+
+    class Entries(list):  # one row or column of an index
+        def __iter__(self):
+            nonlocal work
+            for entry in list.__iter__(self):
+                work += 1
+                yield entry
+
+    class Table(dict):
+        def get(self, key, default=None):
+            nonlocal work
+            work += 1
+            return dict.get(self, key, default)
+
+        def items(self):
+            nonlocal work
+            for item in dict.items(self):
+                work += 1
+                yield item
+
+        def values(self):
+            return (entries for _, entries in self.items())
+
+        def __iter__(self):
+            return (pair for pair, _ in self.items())
+
+    index, integer_table, reduce = core._index, core._integer_table, Subspace.reduce
+
+    def counted_index(table):
+        by_left, by_right = index(table)
+        return ({i: Entries(row) for i, row in by_left.items()},
+                {j: Entries(col) for j, col in by_right.items()})
+
+    @core.per_algebra
+    def counted_integer_table(alg):
+        den, table, _, _ = integer_table.__wrapped__(alg)
+        table = Table(table)
+        return (den, table, *counted_index(table))
+
+    def counted_reduce(self, row):
+        nonlocal work
+        work += 1
+        return reduce(self, row)
+
+    monkeypatch.setattr(core, "_index", counted_index)
+    monkeypatch.setattr(core, "_integer_table", counted_integer_table)
+    monkeypatch.setattr(Subspace, "reduce", counted_reduce)
+    per_entry: dict[str, list[float]] = {}
+    for m in (48, 96, 192):
+        alg, levi = simple_sl2_leibniz(m)
+        alg._table = Table(alg._table)
+        entries = len(alg.table_items())
+        triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+        for name, stage in (
+                ("leibniz_check", lambda: leibniz_check(alg)),
+                ("squares_ideal", lambda: squares_ideal(alg)),
+                ("solvable_radical", lambda: solvable_radical(alg)),
+                ("weight_decomposition",
+                 lambda: weight_decomposition(alg, squares_ideal(alg), triple))):
+            start = work
+            stage()
+            per_entry.setdefault(name, []).append((work - start) / entries)
+    for name, costs in per_entry.items():
+        assert 0 < max(costs) <= 25, (name, costs)
+        assert costs[-1] <= 1.1 * costs[0], (name, costs)
 
 
 # ------------------------------------------------------------------ ideals
@@ -685,6 +823,21 @@ def test_validate_levi_rejects_malformed_triple(triple):
     with pytest.raises(LeviError, match=message):
         pair_structure_report(
             pair, LeviDatum(levi.g_indices, levi.i_indices, (triple, (3, 4, 5))))
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(validate_levi, id="validate_levi"),
+    pytest.param(is_simple_certified, id="is_simple_certified"),
+    pytest.param(split_all, id="split_all"),
+    pytest.param(pair_structure_report, id="pair_structure_report"),
+])
+def test_a_missing_levi_datum_is_a_named_error(entry):
+    # direct_sum_many returns no datum when a part has none, so a library
+    # caller can pass None on; each entry point names the gap
+    total, levi = direct_sum_many([semisimple_pair(1), (two_dim_solvable(), None)])
+    assert levi is None
+    with pytest.raises(LeviError, match="no declared split"):
+        entry(total, levi)
 
 
 # -------------------------------------------------------------- direct sum

@@ -128,9 +128,25 @@ def test_sparse_products_match_dense_products(pair, data):
     sub = Subspace.from_vectors(n, data.draw(st.lists(
         st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
     basis = [moved.basis_vector(j) for j in range(n)]
-    products = [(dense(r, n), dense(l, n)) for r, l in core._basis_products(moved, sub)]
-    assert products == [(moved.product(v, e), moved.product(e, v))
-                        for v in sub.basis.data for e in basis]
+    zero = (F(0),) * n
+    # each basis vector v alone: the yielded j ascend, their products are
+    # the dense ones, and every pair (v, e_j) not yielded has zero products
+    # on both sides; together that is every pair's products
+    each = []
+    for p, row in sub.pivot_rows.items():
+        v = dense(row, n)
+        yielded = [(j, dense(r, n), dense(l, n))
+                   for j, r, l in core._basis_products(moved, Subspace(n, {p: row}))]
+        js = [j for j, _, _ in yielded]
+        assert js == sorted(set(js))
+        assert yielded == [(j, moved.product(v, basis[j]), moved.product(basis[j], v))
+                           for j in js]
+        assert all(moved.product(v, e) == zero == moved.product(e, v)
+                   for j, e in enumerate(basis) if j not in js)
+        each.extend(yielded)
+    # the whole subspace yields the same, basis vector by basis vector
+    assert [(j, dense(r, n), dense(l, n))
+            for j, r, l in core._basis_products(moved, sub)] == each
     for s, rows in ((None, basis), (sub, sub.basis.data)):
         assert derived_subalgebra(moved, s) == Subspace.from_vectors(
             n, [moved.product(u, v) for u in rows for v in rows])

@@ -60,10 +60,11 @@ def test_value_type_semantics(cls):
     fields, values = TYPES[cls]
     x = cls(*values)
     assert tuple(getattr(x, f) for f in fields) == values
-    # equal fields: equal values, equal hashes (Subspace hashes its pivots)
+    # equal fields: equal values, equal hashes (Subspace hashes its pivots,
+    # Sl2Triple its nonzero entries)
     y = cls(*values)
     assert x == y and not x != y
-    if cls is not Subspace:
+    if cls not in (Subspace, core.Sl2Triple):
         assert hash(x) == hash(y) == hash(values)
     else:
         assert hash(x) == hash(y)
@@ -90,6 +91,23 @@ def test_value_type_semantics(cls):
                          (values[:1], {fields[0]: values[0]}), ((), {})):
         with pytest.raises(TypeError, match=cls.__name__):
             cls(*args, **kwargs)
+
+
+def test_sl2_triple_hash_reads_the_nonzero_entries():
+    # equal triples hash alike whatever zeros they hold or how their entries
+    # are typed, and a zero entry is never hashed
+    sparse = core.Sl2Triple.from_indices(4, (0, 1, 2))
+    typed = core.Sl2Triple((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert sparse == typed and hash(sparse) == hash(typed)
+    assert hash(sparse) != hash(core.Sl2Triple.from_indices(4, (1, 0, 2)))
+
+    class Unhashable(F):
+        def __hash__(self):
+            raise AssertionError("a zero entry was hashed")
+
+    zero = Unhashable(0)
+    assert hash(core.Sl2Triple((F(1), zero), (zero, F(1)), (zero, zero))) == hash(
+        core.Sl2Triple((F(1), F(0)), (F(0), F(1)), (F(0), F(0))))
 
 
 def test_defaults_and_post_init_checks():
