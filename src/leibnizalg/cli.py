@@ -100,6 +100,8 @@ def _spot_check(alg: Algebra, seed: int) -> None:
     """Random rational triples through the identity; belt over the exhaustive
     basis check.
 
+    A vector's coordinates are p/q, p uniform in -6..6 and q in 1..4, its
+    numerators and its denominators drawn by one ``rng.choices`` call each.
     Each drawn vector is scaled to integers by the lcm of its denominators
     and multiplied over the integer table (the table times its common
     denominator D).  Every term of [x,[y,z]] - [[x,y],z] + [[x,z],y] then
@@ -108,9 +110,10 @@ def _spot_check(alg: Algebra, seed: int) -> None:
     _, _, by_left, _ = _integer_table(alg)
 
     def rand_row() -> dict[int, int]:
-        drawn = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.dim)]
-        scale = math.lcm(*(q for _, q in drawn))
-        return {i: p * (scale // q) for i, (p, q) in enumerate(drawn) if p}
+        nums = rng.choices(range(-6, 7), k=alg.dim)
+        dens = rng.choices(range(1, 5), k=alg.dim)
+        scale = math.lcm(*dens)
+        return {i: p * (scale // q) for i, (p, q) in enumerate(zip(nums, dens)) if p}
 
     for _ in range(SPOT_CHECKS):
         x, y, z = rand_row(), rand_row(), rand_row()

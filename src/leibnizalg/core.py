@@ -381,24 +381,26 @@ def _product(by_left: Mapping, u: Mapping[int, Fraction],
 
 
 def _basis_products(alg: Algebra, sub: Subspace
-                    ) -> Iterator[tuple[int, dict[int, Fraction], dict[int, Fraction]]]:
-    """(j, [v, e_j], [e_j, v]) with sparse rows, for each basis vector v of
-    sub and each j, ascending, that a table entry [e_l, e_j] or [e_j, e_l]
-    with l in v's support touches.
+                    ) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
+    """(j, D·s·[v, e_j], D·s·[e_j, v]) with sparse int rows, for each basis
+    vector v of sub and each j, ascending, that a table entry [e_l, e_j] or
+    [e_j, e_l] with l in v's support touches; D is the table's common
+    denominator and s·v the row ``sub.integer_rows`` holds.
 
     The one closure test behind every ideal check: sub is a two-sided ideal
     exactly when it contains both products of every pair, and both products
     are zero at every j not yielded.  Both images come from one pass over
-    v's nonzero coordinates l, reading the table entries [e_l, e_j] and
-    [e_j, e_l].
+    v's nonzero coordinates l, reading the integer table's entries
+    [e_l, e_j] and [e_j, e_l].
     """
-    for v in sub.pivot_rows.values():
-        right: dict[int, dict[int, Fraction]] = {}
-        left: dict[int, dict[int, Fraction]] = {}
+    _, _, by_left, by_right = _integer_table(alg)
+    for v in sub.integer_rows.values():
+        right: dict[int, dict[int, int]] = {}
+        left: dict[int, dict[int, int]] = {}
         for l, x in v.items():
-            for j, entries in alg._by_left.get(l, ()):
+            for j, entries in by_left.get(l, ()):
                 _accumulate(right.setdefault(j, {}), x, entries)
-            for j, entries in alg._by_right.get(l, ()):
+            for j, entries in by_right.get(l, ()):
                 _accumulate(left.setdefault(j, {}), x, entries)
         for j in sorted(right.keys() | left.keys()):
             yield j, right.get(j, {}), left.get(j, {})
@@ -419,7 +421,7 @@ def _square_sums(alg: Algebra) -> Iterator[dict[int, int]]:
 
 
 def _is_ideal(alg: Algebra, sub: Subspace) -> bool:
-    return all(not sub.reduce(right) and not sub.reduce(left)
+    return all(sub.holds(right) and sub.holds(left)
                for _, right, left in _basis_products(alg, sub))
 
 
@@ -429,7 +431,7 @@ def squares_ideal(alg: Algebra) -> Subspace:
     ensure_leibniz(alg)
     span = Subspace.span(alg.dim, _square_sums(alg))
     for _, right, left in _basis_products(alg, span):
-        if span.reduce(right):
+        if not span.holds(right):
             raise StructureError(
                 "span of squares is not closed under right multiplication")
         if any(left.values()):
@@ -444,11 +446,12 @@ def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     A basis vector u of sub with no coordinate in a row of the table
     multiplies every vector to zero from the left, and a v with no
     coordinate in a column does so from the right; only the products of
-    the other pairs are formed."""
+    the other pairs are formed, from the integer table and rows, which
+    scale each product and keep the span."""
+    _, table, by_left, by_right = _integer_table(alg)
     if sub is None:  # the products of basis pairs are the table's entries
-        return Subspace.span(alg.dim, map(dict, alg._table.values()))
-    by_left, by_right = alg._by_left, alg._by_right
-    rows = sub.pivot_rows.values()
+        return Subspace.span(alg.dim, map(dict, table.values()))
+    rows = sub.integer_rows.values()
     lefts = [u for u in rows if any(i in by_left for i in u)]
     rights = [v for v in rows if any(j in by_right for j in v)]
     return Subspace.span(alg.dim, (_product(by_left, u, v)
@@ -568,9 +571,9 @@ def solvable_radical(alg: Algebra) -> Subspace:
     gram = killing_form(qalg)
     derived = derived_subalgebra(qalg)
     # gram is symmetric, so the functional of w is the w-combination of
-    # columns
+    # columns; a multiple of w, its integer row, gives the same constraint
     constraint_rows = []
-    for w in derived.pivot_rows.values():
+    for w in derived.integer_rows.values():
         functional: dict[int, Fraction] = {}
         for k, x in w.items():
             _accumulate(functional, x, gram.columns.get(k, {}).items())
@@ -781,6 +784,11 @@ def simple_summands(alg: Algebra) -> SummandSplit:
         raise StructureError("summand split requested on a non-Lie algebra")
     if solvable_radical(alg).dim != 0:
         raise StructureError("summand split requested with a nonzero radical")
+    return _split_summands(alg)
+
+
+def _split_summands(alg: Algebra) -> SummandSplit:
+    """``simple_summands`` of a Lie algebra known to be radical free."""
     n = alg.dim
     cents = centroid(alg)
     want = len(cents)
@@ -837,8 +845,10 @@ def is_simple_certified(alg: Algebra, levi: LeviDatum) -> SimplicityCertificate:
         witness = rad if rad.dim < n else derived if derived.dim < n else None
         return SimplicityCertificate(
             "no", witness, "solvable radical exceeds the ideal of squares")
+    # the radical has proved the quotient Lie, and radical free as the
+    # radical is the squares ideal
     quo = squares_quotient(alg)
-    split = simple_summands(quo.algebra)
+    split = _split_summands(quo.algebra)
     if not split.determined:
         return SimplicityCertificate(
             "unknown", None, "quotient summand split unresolved")

@@ -119,7 +119,7 @@ def outer_candidates(alg: Algebra) -> tuple[Matrix, ...]:
     grown = inner_derivation_span(alg)
     picked: list[Matrix] = []
     for m, row in zip(der.maps, der.span.pivot_rows.values()):
-        if grown.reduce(row):
+        if not grown.holds(row):
             picked.append(m)
             grown = grown.sum(Subspace.span(grown.ambient_dim, [row]))
     return tuple(picked)

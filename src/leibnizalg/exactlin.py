@@ -25,10 +25,13 @@ eigenvalue, so a diagonal matrix costs no elimination.  A subspace's
 coordinates (coordinate k weights its k-th pivot row) come back to ambient
 rows through ``Subspace.lift``, which eliminates nothing: the combinations
 of RREF rows that an RREF coordinate basis names are RREF themselves.
-``Subspace.coordinate`` writes its unit rows directly.  ``Matrix`` is the
-value type that crosses the API.  Its one storage form is sparse columns,
-and ``Matrix.row_dicts`` transposes them into the sparse rows that
-``rational_eigen``, ``nullspace`` and ``solve`` read, so
+``Subspace.coordinate`` writes its unit rows directly.  Membership is
+decided in integers: ``Subspace.holds`` eliminates fraction-free against
+``integer_rows``, the RREF rows with their denominators cleared, cached
+per subspace; callers that need only a span multiply those rows too.
+``Matrix`` is the value type that crosses the API.  Its one storage form
+is sparse columns, and ``Matrix.row_dicts`` transposes them into the
+sparse rows that ``rational_eigen``, ``nullspace`` and ``solve`` read, so
 every computation reads a map at the cost of its nonzeros; its dense rows
 are a view for the reference alone.  ``solve`` has no caller in the
 package and stays as the reference the tests compare against.  Outside
@@ -277,15 +280,19 @@ class Matrix:
 
 # ------------------------------------------------- sparse elimination engine
 
+def _cleared(frow: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
+    """(d, d·frow) for a sparse row, d the lcm of its denominators.
+
+    Each entry is scaled as numerator·(d // denominator), so an ``int``
+    row (denominators 1) is copied with no Fraction arithmetic."""
+    den = math.lcm(*(v.denominator for v in frow.values()))
+    return den, {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
+
+
 def _int_row(frow: Mapping[int, Fraction | int]) -> dict[int, int]:
     """Clear the denominators of a row with no zero entries; the row scale
-    is irrelevant.
-
-    Each entry is scaled as numerator·(lcm // denominator), so an ``int``
-    row (denominators 1) is copied with no Fraction arithmetic."""
-    denlcm = math.lcm(*(v.denominator for v in frow.values()))
-    return _primitive({c: v.numerator * (denlcm // v.denominator)
-                       for c, v in frow.items()})
+    is irrelevant."""
+    return _primitive(_cleared(frow)[1])
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -566,6 +573,29 @@ class Subspace:
         runs once per weight space on the same subspace."""
         return tuple(self.pivot_rows), tuple(self.pivot_rows.values())
 
+    @functools.cached_property
+    def integer_rows(self) -> dict[int, dict[int, int]]:
+        """Each pivot row times the lcm of its denominators, by pivot: a
+        primitive integer row whose lead, that lcm, is positive."""
+        return {p: _cleared(row)[1] for p, row in self.pivot_rows.items()}
+
+    def holds(self, row: Mapping[int, Fraction | int]) -> bool:
+        """``not reduce(row)`` in integers, by fraction-free elimination
+        (Bareiss, Math. Comp. 22, 1968): L times the cleared row, L the lcm
+        of the leads of the integer rows at its pivots, less each of those
+        rows times its entry and L / lead, is zero exactly in the span."""
+        _, acc = _cleared({c: v for c, v in row.items() if v})
+        ints = self.integer_rows
+        at = [(ints[p], p, t) for p, t in acc.items() if p in ints]
+        lead = math.lcm(*(r[p] for r, p, _ in at))
+        if lead > 1:
+            acc = {c: lead * v for c, v in acc.items()}
+        for r, p, t in at:
+            f = t * (lead // r[p])
+            for c, e in r.items():
+                acc[c] = acc.get(c, 0) - f * e
+        return not any(acc.values())
+
     def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """A sparse row reduced modulo the RREF basis, zeros dropped: zero at
         every pivot column, and empty exactly when the row lies in the
@@ -592,7 +622,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(not self.reduce(r) for r in other.pivot_rows.values())
+        return all(map(self.holds, other.integer_rows.values()))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)

@@ -17,6 +17,7 @@ from .core import (
     LeviDatum,
     ModuleError,
     Sl2Triple,
+    _integer_table,
     _product,
     _require_levi,
     check_sl2_triple,
@@ -29,6 +30,7 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    _cleared,
     _row_to_dict,
     format_rational,
     nullspace,
@@ -60,15 +62,20 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
     An image inside the RREF span is the sum of the basis rows weighted by
     its own entries at the pivot columns, so those entries are its
     coordinates: column c holds the image of basis row c, read through the
-    position of each pivot column."""
+    position of each pivot column.  The image is formed from the integer
+    table, row and g, and divided by their scales once."""
+    den, _, by_left, _ = _integer_table(alg)
+    gden, g = _cleared(g)
     position = {p: r for r, p in enumerate(sub.pivot_rows)}
     columns = {}
-    for c, v in enumerate(sub.pivot_rows.values()):
-        image = _product(alg._by_left, v, g)
-        if sub.reduce(image):
+    for c, (p, v) in enumerate(sub.integer_rows.items()):
+        image = _product(by_left, v, g)
+        if not sub.holds(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
-        columns[c] = {position[p]: x for p, x in image.items() if p in position}
+        scale = den * gden * v[p]
+        columns[c] = {position[q]: Fraction(x, scale)
+                      for q, x in image.items() if x and q in position}
     return Matrix(sub.dim, sub.dim, columns)
 
 
@@ -130,28 +137,31 @@ def irreducible_decomposition_sl2(
     alg: Algebra, sub: Subspace, t: Sl2Triple,
 ) -> ModuleDecomposition:
     """Decompose an invariant subspace by spinning highest-weight vectors
-    down with the right f-action.  Kept per subspace and triple; a
-    ModuleError is not kept, so each call raises it again."""
-    f = _row_to_dict(t.f)
+    down with the right f-action, in integers: each chain vector is a
+    multiple of the exact one, which leaves the spans as they are.  Kept per
+    subspace and triple; a ModuleError is not kept, so each call raises it
+    again."""
+    _, _, by_left, _ = _integer_table(alg)
+    f = _cleared(_row_to_dict(t.f))[1]
     components = []
     weights = []
-    all_rows: list[dict[int, Fraction]] = []
+    all_rows: list[dict[int, int]] = []
     for hw in highest_weight_vectors(alg, sub, t):
         if hw.weight.denominator != 1 or hw.weight < 0:
             raise ModuleError(
                 f"highest weight {format_rational(hw.weight)} is not a "
                 "non-negative integer; the action is not semisimple over Q")
         w = int(hw.weight)
-        current = _row_to_dict(hw.vector)
+        current = _cleared(_row_to_dict(hw.vector))[1]
         chain = [current]
         for _ in range(w):
-            current = _product(alg._by_left, current, f)
+            current = _product(by_left, current, f)
             if not any(current.values()):
                 raise ModuleError(
                     "lowering chain stopped before filling the expected "
                     f"{w + 1}-dimensional component")
             chain.append(current)
-        if any(_product(alg._by_left, current, f).values()):
+        if any(_product(by_left, current, f).values()):
             raise ModuleError(
                 "lowering chain exceeds the dimension allowed by its weight")
         comp = Subspace.span(sub.ambient_dim, chain)

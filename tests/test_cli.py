@@ -293,8 +293,9 @@ def fraction_spot_check_passes(alg, seed):
     rng = random.Random(seed)
 
     def rand_vec():
-        return tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
-                     for _ in range(alg.dim))
+        nums = rng.choices(range(-6, 7), k=alg.dim)
+        dens = rng.choices(range(1, 5), k=alg.dim)
+        return tuple(F(p, q) for p, q in zip(nums, dens))
 
     for _ in range(SPOT_CHECKS):
         x, y, z = rand_vec(), rand_vec(), rand_vec()

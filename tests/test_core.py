@@ -766,6 +766,75 @@ def test_simple_certified_on_a_lie_input_shares_its_radical(monkeypatch):
     assert quo.algebra is alg and quo.complement_cols == tuple(range(24))
 
 
+YES_MODULE = ("radical-free quotient is one simple summand and the ideal of "
+              "squares is an irreducible module over it")
+SPLITS = "quotient splits into multiple simple ideals"
+
+
+def verdict_cases():
+    """Every catalog member with a split, then sl2 sums and two small Lie
+    algebras, each with its (verdict, witness columns, detail); every
+    witness here is a coordinate subspace."""
+    pinned = {
+        "sl2": ("yes", None, "simple as a Lie algebra"),
+        "simple_m2": ("yes", None, YES_MODULE),
+        "simple_m3": ("yes", None, YES_MODULE),
+        "simple_m4": ("yes", None, YES_MODULE),
+        "pair_m1": ("no", (0, 1, 2, 6, 7, 8, 9), SPLITS),
+        "pair_m2": ("no", (0, 1, 2, 6, 7, 8, 9, 10, 11), SPLITS),
+        "direct_sum_m2_m3": ("no", (0, 1, 2, 3, 4, 5, 9, 10, 11, 12), SPLITS),
+    }
+    for name, alg, levi in standard_catalog():
+        if levi is not None:
+            yield pytest.param(alg, levi, pinned.pop(name), id=name)
+    assert not pinned
+    for copies in (2, 3):
+        yield pytest.param(*direct_sum_many([sl2()] * copies),
+                           ("no", (0, 1, 2), SPLITS), id=f"sl2_x{copies}")
+    affine = Algebra(2, {(0, 1): [(1, F(1))], (1, 0): [(1, F(-1))]}, ("x", "y"))
+    yield pytest.param(affine, LeviDatum((0, 1), ()),
+                       ("no", (1,), "solvable radical exceeds the ideal of squares"),
+                       id="affine_lie")
+    yield pytest.param(Algebra(1, {}, ("z",)), LeviDatum((0,), ()),
+                       ("no", None, "derived subalgebra equals the ideal of squares"),
+                       id="line")
+
+
+@pytest.mark.parametrize("alg, levi, want", verdict_cases())
+def test_simple_certified_pins_verdict_witness_and_detail(alg, levi, want):
+    verdict, cols, detail = want
+    cert = is_simple_certified(alg, levi)
+    witness = None if cols is None else Subspace.coordinate(alg.dim, cols)
+    assert (cert.verdict, cert.witness, cert.detail) == (verdict, witness, detail)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: simple_sl2_leibniz(4), id="simple_m4"),
+    pytest.param(lambda: semisimple_pair(2), id="pair_m2"),
+])
+def test_simple_certified_proves_nothing_twice_after_the_radical(make, monkeypatch):
+    # the radical has proved that the squares quotient is Lie and radical
+    # free, so the verdict runs the identity check and the radical on no
+    # other algebra, the quotient included
+    seen = []
+
+    def recorded(name):
+        fn = getattr(core, name).__wrapped__
+
+        def run(a):
+            seen.append((name, a))
+            return fn(a)
+        return core.per_algebra(run)
+
+    for name in ("leibniz_check", "solvable_radical"):
+        monkeypatch.setattr(core, name, recorded(name))
+    alg, levi = make()
+    solvable_radical(alg)
+    is_simple_certified(alg, levi)
+    assert [name for name, a in seen if a is not alg] == []
+    assert sorted(name for name, _ in seen) == ["leibniz_check", "solvable_radical"]
+
+
 def test_simple_certified_no_when_derived_equals_squares():
     # [c, a] = c: solvable, non-nilpotent, and the derived subalgebra is
     # exactly the squares ideal

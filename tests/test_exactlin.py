@@ -383,6 +383,39 @@ def test_residue_matches_dense_reference(s, data):
     assert s.contains(inside)
 
 
+big_entries = st.one_of(
+    entries,
+    st.integers(2 ** 64, 2 ** 80).flatmap(lambda b: st.sampled_from([b, -b])),
+    st.builds(F, st.integers(-2 ** 80, 2 ** 80), st.integers(2 ** 64, 2 ** 80)))
+
+
+def row_forms(v):
+    """A dense vector as sparse rows: with every zero explicit, with none,
+    and (scaled by its denominators' lcm) with int entries."""
+    den = math.lcm(*(F(x).denominator for x in v))
+    return [dict(enumerate(v)), {c: x for c, x in enumerate(v) if x},
+            {c: int(x * den) for c, x in enumerate(v) if x}]
+
+
+@given(st.lists(st.lists(big_entries, min_size=5, max_size=5), max_size=6),
+       st.data())
+@settings(max_examples=80)
+def test_holds_agrees_with_reduce(vectors, data):
+    s = Subspace.from_vectors(5, vectors)
+    coeffs = data.draw(st.lists(big_entries, min_size=s.dim, max_size=s.dim))
+    inside = [sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), F(0))
+              for k in range(5)]
+    nudged = list(inside)
+    nudged[data.draw(st.integers(0, 4))] += data.draw(big_entries)
+    outside = data.draw(st.lists(big_entries, min_size=5, max_size=5))
+    for v in (inside, nudged, outside, [0] * 5):
+        for row in row_forms(v):
+            assert s.holds(row) == (not s.reduce(row))
+    assert all(map(s.holds, row_forms(inside)))
+    assert s.holds({})
+    assert s.contains_subspace(Subspace.from_vectors(5, [inside]))
+
+
 def test_span_rejects_columns_outside_the_ambient_space():
     for row in ({3: F(1)}, {-1: F(2)}, {0: F(1), 5: F(1)}):
         with pytest.raises(ValueError, match="outside the ambient space"):

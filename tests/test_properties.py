@@ -129,17 +129,22 @@ def test_sparse_products_match_dense_products(pair, data):
         st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
     basis = [moved.basis_vector(j) for j in range(n)]
     zero = (F(0),) * n
+    den = core._integer_table(moved)[0]
     # each basis vector v alone: the yielded j ascend, their products are
-    # the dense ones, and every pair (v, e_j) not yielded has zero products
-    # on both sides; together that is every pair's products
+    # D·s times the dense ones (D the table's denominator, s the scale of
+    # v's integer row), and every pair (v, e_j) not yielded has zero
+    # products on both sides; together that is every pair's products
     each = []
     for p, row in sub.pivot_rows.items():
         v = dense(row, n)
-        yielded = [(j, dense(r, n), dense(l, n))
-                   for j, r, l in core._basis_products(moved, Subspace(n, {p: row}))]
+        scale = den * sub.integer_rows[p][p]
+        raw = list(core._basis_products(moved, Subspace(n, {p: row})))
+        assert all(type(x) is int for _, r, l in raw for x in [*r.values(), *l.values()])
+        yielded = [(j, dense(r, n), dense(l, n)) for j, r, l in raw]
         js = [j for j, _, _ in yielded]
         assert js == sorted(set(js))
-        assert yielded == [(j, moved.product(v, basis[j]), moved.product(basis[j], v))
+        assert yielded == [(j, tuple(scale * x for x in moved.product(v, basis[j])),
+                            tuple(scale * x for x in moved.product(basis[j], v)))
                            for j in js]
         assert all(moved.product(v, e) == zero == moved.product(e, v)
                    for j, e in enumerate(basis) if j not in js)

@@ -48,3 +48,14 @@ def test_export_catalog_files_round_trip(tmp_path):
     for path in files:
         text = path.read_text(encoding="utf-8")
         assert dump_algebra_json(*load_algebra_json(text)) == text
+
+
+def test_ab_ops_runs_a_checkout_against_itself():
+    out = run_script("ab_ops.py", str(ROOT), str(ROOT), "sl2-modules", "1")
+    lines = out.splitlines()
+    assert lines[0].split() == ["class", "parent", "ms", "change", "ms", "ratio"]
+    classes = [line.split()[0] for line in lines[1:-1]]
+    assert classes == ["simple16", "simple12", "pair4", "simple14", "simple15",
+                       "pair6"]
+    assert re.fullmatch(r"cycle time ratio \d\.\d{3} \(ops/s [+-]\d+\.\d%\); "
+                        r"median per-op ratio \d\.\d{3} over 8 pairs", lines[-1])
