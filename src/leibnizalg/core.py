@@ -14,10 +14,10 @@ multiplication, with a Lie algebra as quotient.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
+from collections import defaultdict
 from fractions import Fraction
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
@@ -329,17 +329,16 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     + [[e_i, e_k], e_j] is minus the derivation residual of the right
     multiplication R_k = [-, e_k] at (e_i, e_j): the identity at (i, j, k)
     says exactly that R_k is a derivation there.  So the triples are the
-    failures of the identity check on each nonzero R_k, whose pruned pairs
-    follow the table's nonzeros; a zero R_k leaves every term zero.  The
-    columns of D·R_k are the integer table's entries as they stand, so the
-    contraction carries D twice and divides by D² at the end.
+    failures of the identity check on each nonzero R_k, which adds each
+    term once into the pair it reaches; a zero R_k leaves every term zero.
+    The nonzero columns of D·R_k are the integer table's column k as it
+    stands, so the check carries D twice and divides by D² at the end.
     """
     den, _, _, by_right = _integer_table(alg)
     violations = []
     for k, column in by_right.items():
-        images = {c: dict(entries) for c, entries in column}
         violations.extend((i, j, k, tuple(-x for x in residual))
-                          for i, j, residual in _failures(alg, images, den, True))
+                          for i, j, residual in _failures(alg, column, den, True))
     return tuple(sorted(violations))
 
 
@@ -604,25 +603,27 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
     row is never yielded."""
     n = alg.dim
     _, table, by_left, by_right = _integer_table(alg)
-    for i, j in itertools.product(range(n), repeat=2):
-        rows: dict[int, dict[int, int]] = {}
-        cij = table.get((i, j))
-        if cij:
-            for k in range(n):
-                row = {col: coeff for l, coeff in cij
-                       if (col := k * n + l) not in pinned}
-                if row:
-                    rows[k] = row
-        for factors, moved in _identity_sides(table, by_left, by_right, i, j,
-                                              right, left):
-            for l, entries in factors:
-                col = l * n + moved  # where d_(l, moved) sits
-                if col in pinned:
-                    continue
-                for k, coeff in entries:
-                    row = rows.setdefault(k, {})
-                    row[col] = row[col] - coeff if col in row else -coeff
-        yield from rows.values()
+    for i in range(n):
+        for j in range(n):
+            rows: dict[int, dict[int, int]] = {}
+            cij = table.get((i, j))
+            if cij:
+                for k in range(n):
+                    row = {col: coeff for l, coeff in cij
+                           if (col := k * n + l) not in pinned}
+                    if row:
+                        rows[k] = row
+            # [d(e_i), e_j] sums d_(l,i)·[e_l, e_j], [e_i, d(e_j)] d_(l,j)·[e_i, e_l]
+            for factors, moved in ((by_right.get(j, ()) if right else (), i),
+                                   (by_left.get(i, ()) if left else (), j)):
+                for l, entries in factors:
+                    col = l * n + moved  # where d_(l, moved) sits
+                    if col in pinned:
+                        continue
+                    for k, coeff in entries:
+                        row = rows.setdefault(k, {})
+                        row[col] = row[col] - coeff if col in row else -coeff
+            yield from rows.values()
 
 
 def _identity_kernel(alg: Algebra, sides: Iterable[tuple[bool, bool]]) -> Subspace:
@@ -648,36 +649,15 @@ def _integer_table(alg: Algebra) -> tuple[int, dict, dict, dict]:
 
 @per_algebra
 def _pairs_holding(alg: Algebra) -> dict[int, list[tuple[int, int]]]:
-    """The basis pairs whose product has a nonzero coordinate l, by l."""
+    """The basis pairs whose product has a nonzero coordinate l, by l, each
+    as (i·n + j, coordinate l of D·[e_i, e_j]) from the integer table."""
+    n = alg.dim
+    _, table, _, _ = _integer_table(alg)
     holding: dict[int, list[tuple[int, int]]] = {}
-    for pair, entries in alg._table.items():
-        for l, _ in entries:
-            holding.setdefault(l, []).append(pair)
+    for (i, j), entries in table.items():
+        for l, x in entries:
+            holding.setdefault(l, []).append((i * n + j, x))
     return holding
-
-
-def _identity_sides(table: Mapping, by_left: Mapping, by_right: Mapping,
-                    i: int, j: int, right: bool, left: bool,
-                    images: Mapping[int, Iterable[int]] | None = None,
-                    ) -> list[tuple[Sequence[tuple[int, Sequence[TableEntry]]], int]]:
-    """Side terms at (i, j) as (table factors, column of d): [d(e_i), e_j]
-    sums d_(l,i)·[e_l, e_j] and [e_i, d(e_j)] sums d_(l,j)·[e_i, e_l].
-
-    Without ``images`` every factor in the table is listed, for a d whose
-    entries are unknowns.  ``images`` maps d's nonzero columns to their
-    rows; then only the rows l of the moved column are looked up in the
-    table, so a pair costs the size of two columns of d, however many
-    entries the table's row i or column j holds."""
-    sides = []
-    if right:
-        sides.append((by_right.get(j, ()) if images is None else
-                      [(l, entries) for l in images.get(i, ())
-                       if (entries := table.get((l, j)))], i))
-    if left:
-        sides.append((by_left.get(i, ()) if images is None else
-                      [(l, entries) for l in images.get(j, ())
-                       if (entries := table.get((i, l)))], j))
-    return sides
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
@@ -687,9 +667,9 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     - [e_i, m(e_j)]; left=False drops the last term and checks
     m([x,y]) = [m(x), y] alone.
 
-    The residual is contracted in integers, from the table times D and m's
-    nonzero columns times their common denominator den, and divided by
-    D·den at the end (see ``_failures``)."""
+    m's nonzero columns are scaled to integers by their common denominator
+    den and pushed through the integer table (see ``_failures``); the
+    residual is divided by D·den at the end."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
@@ -697,45 +677,50 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     if not columns:  # the zero map satisfies the identity everywhere
         return
     den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
-    images = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
-              for c, col in columns.items()}
+    images = [(c, [(r, x.numerator * (den // x.denominator)) for r, x in col.items()])
+              for c, col in columns.items()]
     yield from _failures(alg, images, den, left)
 
 
-def _failures(alg: Algebra, images: Mapping[int, Mapping[int, int]], den: int,
-              left: bool) -> Iterator[tuple[int, int, Vec]]:
-    """``identity_failures`` of the map whose nonzero columns, times den,
-    are the integer ``images``; the residual is divided by D·den.
+def _failures(alg: Algebra, images: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+              den: int, left: bool) -> Iterator[tuple[int, int, Vec]]:
+    """``identity_failures`` of the map whose nonzero columns c, times den,
+    have the integer entries image, given as (c, image) pairs; the residual
+    is divided by D·den.
 
-    Every term has an entry m_(l,c) of a nonzero column c and a table
-    factor, so only these pairs are visited: (i, j) whose product holds a
-    nonzero column of m; (c, j) for each j with [e_l, e_j] in the table, l
-    a row of column c; and, when left is set, (i, c) for each i with
-    [e_i, e_l] in the table.  Every other pair has zero residual, so the
-    failures, and their order, are those of a scan over all pairs.  At a
-    visited pair the side terms read the table at the rows of two columns
-    of m alone."""
+    Push form, with a sparse accumulator per pair (Gustavson, ACM TOMS 4,
+    1978): each term, an entry m_(l,c) times a table factor, is added once
+    into the residual of the one pair it belongs to, keyed i·n + j and
+    opened by the first term that reaches it.  m([e_i, e_j]) goes to each
+    pair whose product holds c (``_pairs_holding``), [m(e_c), e_j] to
+    (c, j) for each [e_l, e_j] in row l of the table, and, when left is
+    set, [e_i, m(e_c)] to (i, c) for each [e_i, e_l] in column l.  A pair
+    no term reaches has zero residual, so the nonzero residuals, sorted,
+    are those of a scan over all pairs, in its order."""
     n = alg.dim
-    scale, table, by_left, by_right = _integer_table(alg)
-    scale *= den
+    scale, _, by_left, by_right = _integer_table(alg)
     holding = _pairs_holding(alg)
-    live = {pair for c in images for pair in holding.get(c, ())}
-    for c, image in images.items():
-        for l in image:
-            live.update((c, j) for j, _ in by_left.get(l, ()))
+    acc: dict[int, dict[int, int]] = defaultdict(dict)
+    for c, image in images:
+        for pair, x in holding.get(c, ()):
+            row = acc[pair]
+            for t, y in image:
+                row[t] = row.get(t, 0) + x * y
+        for l, x in image:
+            for j, entries in by_left.get(l, ()):
+                row = acc[c * n + j]
+                for t, y in entries:
+                    row[t] = row.get(t, 0) - x * y
             if left:
-                live.update((i, c) for i, _ in by_right.get(l, ()))
-    for i, j in sorted(live):
-        acc: dict[int, int] = {}
-        for l, x in table.get((i, j), ()):
-            if l in images:
-                _accumulate(acc, x, images[l].items())
-        for factors, moved in _identity_sides(table, by_left, by_right, i, j,
-                                              True, left, images):
-            for l, entries in factors:
-                _accumulate(acc, -images[moved][l], entries)
-        if any(acc.values()):
-            yield i, j, tuple(Fraction(acc.get(t, 0), scale) for t in range(n))
+                for i, entries in by_right.get(l, ()):
+                    row = acc[i * n + c]
+                    for t, y in entries:
+                        row[t] = row.get(t, 0) - x * y
+    scale *= den
+    for pair in sorted(pair for pair, row in acc.items() if any(row.values())):
+        i, j = divmod(pair, n)
+        row = acc[pair]
+        yield i, j, tuple(Fraction(row.get(t, 0), scale) for t in range(n))
 
 
 def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
@@ -1041,8 +1026,10 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
 
 
 def load_algebra_json(text: str) -> tuple[Algebra, LeviDatum | None]:
+    """Parse and validate an algebra file; SchemaError for text that is not
+    JSON, including nesting too deep for the decoder."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return algebra_from_json_dict(doc)

@@ -28,7 +28,8 @@ of RREF rows that an RREF coordinate basis names are RREF themselves.
 ``Subspace.coordinate`` writes its unit rows directly.  Membership is
 decided in integers: ``Subspace.holds`` eliminates fraction-free against
 ``integer_rows``, the RREF rows with their denominators cleared, cached
-per subspace; callers that need only a span multiply those rows too.
+per subspace (``Subspace.span`` seeds it with the engine's integer rows);
+callers that need only a span multiply those rows too.
 ``Matrix`` is the value type that crosses the API.  Its one storage form
 is sparse columns, and ``Matrix.row_dicts`` transposes them into the
 sparse rows that ``rational_eigen``, ``nullspace`` and ``solve`` read, so
@@ -499,10 +500,18 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-        """Span of sparse {column: value} rows; zero values may be present."""
+        """Span of sparse {column: value} rows; zero values may be present.
+
+        The engine stores primitive integer rows, so each, with its lead
+        made positive, is already the row ``integer_rows`` would clear from
+        the RREF row, and it seeds that cache."""
         eng = SparseRref(ambient_dim)
         eng.extend(rows)
-        return Subspace(ambient_dim, dict(eng.fraction_rows()))
+        sub = Subspace(ambient_dim, dict(eng.fraction_rows()))
+        sub.__dict__["integer_rows"] = {
+            c: row if row[c] > 0 else {k: -v for k, v in row.items()}
+            for c, row in sorted(eng.pivots.items())}
+        return sub
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":

@@ -78,6 +78,18 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("command", ["check", "radical", "derive", "modules"])
+def test_deeply_nested_json_is_schema_error(command, tmp_path, capsys):
+    # deeper than the decoder's recursion limit: no traceback, and the
+    # exit code of an unreadable file, not of a mathematical failure
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, str(bad))
+    assert code == IO_FAIL
+    assert out == ""
+    assert err.startswith("schema error: not valid JSON")
+
+
 def test_non_utf8_file_is_schema_error(tmp_path, capsys):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -228,21 +228,24 @@ def test_leibniz_check_residuals_after_one_changed_coefficient():
 
 
 def test_identity_checks_visit_pairs_in_proportion_to_the_table(monkeypatch):
-    # core._identity_sides runs once per visited pair.  On simple m = 48, 96
-    # and 192 (150, 294 and 582 table entries), leibniz_check visits 450,
-    # 882 and 1746 pairs over all right multiplications, and the identity
-    # on the ideal visits 144, 288 and 576.  A scan of every pair that a
-    # nonzero column could reach visited 2695, 9991 and 38 407 for the
-    # identity, which grows like dim**2 while the table grows like dim.
+    # The identity check opens a residual for each pair that some term
+    # reaches; its accumulator, a defaultdict, is replaced by one that
+    # counts the openings.  On simple m = 48, 96 and 192 (150, 294 and 582
+    # table entries), leibniz_check opens 450, 882 and 1746 pairs over all
+    # right multiplications, and the identity on the ideal opens 144, 288
+    # and 576.  A scan of every pair that a nonzero column could reach
+    # visited 2695, 9991 and 38 407 for the identity, which grows like
+    # dim**2 while the table grows like dim.
     visits = 0
-    sides = core._identity_sides
 
-    def counted_sides(*args):
-        nonlocal visits
-        visits += 1
-        return sides(*args)
+    class Residuals(dict):
+        def __missing__(self, pair):
+            nonlocal visits
+            visits += 1
+            row = self[pair] = {}
+            return row
 
-    monkeypatch.setattr(core, "_identity_sides", counted_sides)
+    monkeypatch.setattr(core, "defaultdict", lambda factory: Residuals())
     for m in (48, 96, 192):
         alg, levi = simple_sl2_leibniz(m)
         entries = len(alg.table_items())
@@ -261,9 +264,10 @@ def test_verification_reads_follow_the_table(monkeypatch):
     # table lookup, every entry met while walking a row or column of the
     # table's index (exact or integer), and every product the closure tests
     # reduce.  On simple m = 48, 96 and 192 (150, 294 and 582 entries) the
-    # passes cost about 18, 5, 1.1 and 1.3 per entry at every size.  Walking
-    # the whole column by_right[j] at each visited pair cost leibniz_check
-    # 168, 312 and 600 per entry, multiplying every pair of the radical's
+    # passes cost about 10, 4, 1.1 and 3 per entry at every size (18 for
+    # leibniz_check when each visited pair looked its terms up again).
+    # Walking the whole column by_right[j] at each visited pair cost
+    # leibniz_check 168, 312 and 600 per entry, multiplying every pair of the radical's
     # basis cost solvable_radical 48, 96 and 192, and testing every j in
     # range(n) cost squares_ideal 21, 37 and 69: each grows like dim.
     work = 0

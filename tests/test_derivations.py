@@ -660,25 +660,28 @@ def test_one_term_rows_pin_before_any_row_is_eliminated(monkeypatch):
 
 
 def test_split_cost_follows_the_nonzeros(monkeypatch):
-    # the identity check behind every split visits only the pairs where a
-    # term can be nonzero: core._identity_sides runs once per visited pair.
-    # Simple m = 48 and m = 96 visit 288 and 576 pairs (10 816 and 40 000
-    # when every basis pair was scanned); dim**1.5 leaves room for that and
-    # fails a scan that grows like dim**2.  No dense view is ever built.
+    # the identity check behind every split opens a residual only for the
+    # pairs that a term reaches; its accumulator, a defaultdict, is replaced
+    # by one that counts the openings.  Simple m = 48 and m = 96 open 288
+    # and 576 pairs (10 816 and 40 000 when every basis pair was scanned);
+    # dim**1.5 leaves room for that and fails a scan that grows like
+    # dim**2.  No dense view is ever built.
     visits, dense = 0, 0
-    sides, view = core._identity_sides, exactlin.Matrix.data
+    view = exactlin.Matrix.data
 
-    def counted_sides(*args):
-        nonlocal visits
-        visits += 1
-        return sides(*args)
+    class Residuals(dict):
+        def __missing__(self, pair):
+            nonlocal visits
+            visits += 1
+            row = self[pair] = {}
+            return row
 
     def counted_view(m):
         nonlocal dense
         dense += 1
         return view.fget(m)
 
-    monkeypatch.setattr(core, "_identity_sides", counted_sides)
+    monkeypatch.setattr(core, "defaultdict", lambda factory: Residuals())
     monkeypatch.setattr(exactlin.Matrix, "data", property(counted_view))
     counts = {}
     for m in (48, 96):

@@ -36,7 +36,7 @@ from leibnizalg.exactlin import (
 )
 from leibnizalg.catalog import simple_sl2_leibniz
 from leibnizalg.core import kernel_maps
-from leibnizalg.exactlin import _rational_roots, _root_bound
+from leibnizalg.exactlin import _cleared, _rational_roots, _root_bound
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -414,6 +414,19 @@ def test_holds_agrees_with_reduce(vectors, data):
     assert all(map(s.holds, row_forms(inside)))
     assert s.holds({})
     assert s.contains_subspace(Subspace.from_vectors(5, [inside]))
+
+
+@given(st.lists(st.lists(big_entries, min_size=5, max_size=5), max_size=6),
+       st.sampled_from([0, 1, 2]))
+@settings(max_examples=80)
+def test_span_seeds_the_cleared_pivot_rows(vectors, form):
+    # rows as Fractions with explicit zeros, without zeros, or as ints
+    s = Subspace.span(5, (row_forms(v)[form] for v in vectors))
+    assert "integer_rows" in s.__dict__  # seeded, not computed on read
+    seeded = s.integer_rows
+    assert list(seeded) == list(s.pivot_rows)
+    assert seeded == {p: _cleared(row)[1] for p, row in s.pivot_rows.items()}
+    assert all(seeded[p][p] > 0 for p in seeded)
 
 
 def test_span_rejects_columns_outside_the_ambient_space():

@@ -54,8 +54,10 @@ def test_ab_ops_runs_a_checkout_against_itself():
     out = run_script("ab_ops.py", str(ROOT), str(ROOT), "sl2-modules", "1")
     lines = out.splitlines()
     assert lines[0].split() == ["class", "parent", "ms", "change", "ms", "ratio"]
-    classes = [line.split()[0] for line in lines[1:-1]]
+    classes = [line.split()[0] for line in lines[1:-2]]
     assert classes == ["simple16", "simple12", "pair4", "simple14", "simple15",
                        "pair6"]
-    assert re.fullmatch(r"cycle time ratio \d\.\d{3} \(ops/s [+-]\d+\.\d%\); "
-                        r"median per-op ratio \d\.\d{3} over 8 pairs", lines[-1])
+    assert re.fullmatch(r"mean op time ratio \d\.\d{3} \(ops/s [+-]\d+\.\d%\); "
+                        r"median per-op ratio \d\.\d{3} over 8 pairs", lines[-2])
+    assert re.fullmatch(r"ops/s by round, quartiles: parent( \d+\.\d){3}; "
+                        r"change( \d+\.\d){3}; change won [01] of 1 rounds", lines[-1])
