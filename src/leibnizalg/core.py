@@ -9,6 +9,10 @@ module assume (and where documented, verify) the right Leibniz identity
 which makes every right multiplication a derivation and gives the span of
 squares its special role: an abelian two-sided ideal annihilated by left
 multiplication, with a Lie algebra as quotient.
+
+Every contraction of the structure constants reads the algebra's one
+integer table, and ``_product`` returns D times a product, so the table's
+layout and its scale D live in this module alone.
 """
 
 from __future__ import annotations
@@ -66,12 +70,15 @@ class Algebra:
     ``products`` maps a basis index pair (i, j) to the coordinates of the
     product of basis vectors i and j; absent pairs multiply to zero.  The
     table is canonicalized on construction (coefficients merged, zeros
-    dropped, entries sorted), so equal algebras compare equal.  ``_cache``
-    holds what ``per_algebra`` functions derive, so it dies with the algebra.
+    dropped, entries sorted), so equal algebras compare equal.  It also
+    builds ``_ints``, the table times D = ``_den``, the lcm of its
+    denominators, with ``int`` entries, and its three ``_index`` indexes.
+    ``_cache`` holds what ``per_algebra`` functions derive, so it dies with
+    the algebra.
     """
 
-    __slots__ = ("dim", "name", "basis_names", "_table", "_by_left", "_by_right",
-                 "_key", "_cache")
+    __slots__ = ("dim", "name", "basis_names", "_table", "_den", "_ints",
+                 "_by_left", "_by_right", "_holding", "_key", "_cache")
 
     def __init__(
         self,
@@ -104,7 +111,10 @@ class Algebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self._table = table
-        self._by_left, self._by_right = _index(table)
+        den = self._den = math.lcm(*(c.denominator for es in table.values() for _, c in es))
+        self._ints = {pair: tuple((k, c.numerator * (den // c.denominator)) for k, c in es)
+                      for pair, es in table.items()}
+        self._by_left, self._by_right, self._holding = _index(self._ints, dim)
         self._key = (dim, basis_names, tuple(sorted(table.items())))
         self._cache: dict = {}
 
@@ -121,11 +131,14 @@ class Algebra:
         return unit_vec(self.dim, i)
 
     def product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        """Bilinear extension of the table to arbitrary coordinate vectors."""
+        """Bilinear extension of the table to arbitrary coordinate vectors,
+        summed over the exact table: the integer contractions' reference."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the dimension")
-        out = _product(self._by_left, {i: a for i, a in enumerate(x) if a},
-                       dict(enumerate(y)))
+        out: dict[int, Fraction] = {}
+        for (i, j), entries in self._table.items():
+            if x[i] and y[j]:
+                _accumulate(out, x[i] * y[j], entries)
         return tuple(out.get(k, ZERO) for k in range(self.dim))
 
     def right_mult(self, z: Sequence[Fraction]) -> Matrix:
@@ -138,13 +151,14 @@ class Algebra:
 
     def _mult(self, index: Mapping, z: Sequence[Fraction]) -> Matrix:
         """Columns of x -> [x, z] (index ``_by_right``) or x -> [z, x]
-        (``_by_left``): column c sums z_s times the product of e_c and e_s
-        that index[s] lists, over z's nonzero coordinates s."""
+        (``_by_left``): column c sums z_s / D times D times the product of
+        e_c and e_s that index[s] lists, over z's nonzero coordinates s."""
         if len(z) != self.dim:
             raise ValueError("vector length does not match the dimension")
         cols: dict[int, dict[int, Fraction]] = {}
         for s, x in enumerate(z):
             if x:
+                x = Fraction(x, self._den)
                 for c, entries in index.get(s, ()):
                     _accumulate(cols.setdefault(c, {}), x, entries)
         return Matrix(self.dim, self.dim, cols)
@@ -167,16 +181,20 @@ class Algebra:
         return f"Algebra({label}, dim {self.dim})"
 
 
-def _index(table: Mapping[tuple[int, int], tuple]) -> tuple[dict, dict]:
-    """(by_left, by_right) of a table: by_left[i] lists (j, entries of
-    [e_i, e_j]) and by_right[j] lists (i, entries of [e_i, e_j]), each by
-    ascending other index."""
+def _index(table: Mapping[tuple[int, int], tuple], n: int) -> tuple[dict, dict, dict]:
+    """(by_left, by_right, holding) of an n-dimensional table: by_left[i]
+    lists (j, entries of [e_i, e_j]) and by_right[j] (i, entries of
+    [e_i, e_j]), each by ascending other index, and holding[l] the pairs
+    whose product holds l, each as (i·n + j, coordinate l)."""
     by_left: dict[int, list[tuple[int, tuple]]] = {}
     by_right: dict[int, list[tuple[int, tuple]]] = {}
+    holding: dict[int, list[tuple[int, int]]] = {}
     for (i, j), entries in sorted(table.items()):
         by_left.setdefault(i, []).append((j, entries))
         by_right.setdefault(j, []).append((i, entries))
-    return by_left, by_right
+        for l, x in entries:
+            holding.setdefault(l, []).append((i * n + j, x))
+    return by_left, by_right, holding
 
 
 # ----------------------------------------------------------- declared split
@@ -264,8 +282,8 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
                 f"at indices {outside}")
         rows.append(row)
     for (x, y), ((k, c),) in SL2_TABLE.items():
-        residual = _product(alg._by_left, rows[x], rows[y])
-        _accumulate(residual, -c, rows[k].items())
+        residual = _product(alg, rows[x], rows[y])
+        _accumulate(residual, -c * alg._den, rows[k].items())
         if any(residual.values()):
             scale = {1: "", -1: "-"}.get(c, str(c))
             problems.append(f"relation [{names[x]},{names[y]}] = "
@@ -334,11 +352,10 @@ def leibniz_check(alg: Algebra) -> tuple[tuple[int, int, int, Vec], ...]:
     The nonzero columns of D·R_k are the integer table's column k as it
     stands, so the check carries D twice and divides by D² at the end.
     """
-    den, _, _, by_right = _integer_table(alg)
     violations = []
-    for k, column in by_right.items():
+    for k, column in alg._by_right.items():
         violations.extend((i, j, k, tuple(-x for x in residual))
-                          for i, j, residual in _failures(alg, column, den, True))
+                          for i, j, residual in _failures(alg, column, alg._den, True))
     return tuple(sorted(violations))
 
 
@@ -365,14 +382,14 @@ def _accumulate(acc: dict[int, Fraction], x: Fraction,
         acc[k] = acc.get(k, 0) + x * coeff
 
 
-def _product(by_left: Mapping, u: Mapping[int, Fraction],
+def _product(alg: Algebra, u: Mapping[int, Fraction],
              v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """[u, v] for sparse rows, contracted from the nonzero table entries
-    that by_left indexes: ``alg._by_left`` gives the exact product, the
-    index of ``_integer_table(alg)`` gives D times it."""
+    """D·[u, v] for sparse rows, D the table's common denominator,
+    contracted from the nonzero entries of the integer table; integer rows
+    give an integer product."""
     out: dict[int, Fraction] = {}
     for i, x in u.items():
-        for j, entries in by_left.get(i, ()):
+        for j, entries in alg._by_left.get(i, ()):
             y = v.get(j)
             if y:
                 _accumulate(out, x * y, entries)
@@ -392,7 +409,7 @@ def _basis_products(alg: Algebra, sub: Subspace
     v's nonzero coordinates l, reading the integer table's entries
     [e_l, e_j] and [e_j, e_l].
     """
-    _, _, by_left, by_right = _integer_table(alg)
+    by_left, by_right = alg._by_left, alg._by_right
     for v in sub.integer_rows.values():
         right: dict[int, dict[int, int]] = {}
         left: dict[int, dict[int, int]] = {}
@@ -410,7 +427,7 @@ def _square_sums(alg: Algebra) -> Iterator[dict[int, int]]:
     common denominator D, as sparse {k: int} maps merged from the integer
     table (2·[e_i, e_i] for i = j); they span the squares, and each is a
     difference of squares."""
-    _, table, _, _ = _integer_table(alg)
+    table = alg._ints
     for i, j in {(min(pair), max(pair)) for pair in table}:
         acc: dict[int, int] = {}
         _accumulate(acc, 1, table.get((i, j), ()) + table.get((j, i), ()))
@@ -447,13 +464,12 @@ def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     coordinate in a column does so from the right; only the products of
     the other pairs are formed, from the integer table and rows, which
     scale each product and keep the span."""
-    _, table, by_left, by_right = _integer_table(alg)
     if sub is None:  # the products of basis pairs are the table's entries
-        return Subspace.span(alg.dim, map(dict, table.values()))
+        return Subspace.span(alg.dim, map(dict, alg._ints.values()))
     rows = sub.integer_rows.values()
-    lefts = [u for u in rows if any(i in by_left for i in u)]
-    rights = [v for v in rows if any(j in by_right for j in v)]
-    return Subspace.span(alg.dim, (_product(by_left, u, v)
+    lefts = [u for u in rows if any(i in alg._by_left for i in u)]
+    rights = [v for v in rows if any(j in alg._by_right for j in v)]
+    return Subspace.span(alg.dim, (_product(alg, u, v)
                                    for u in lefts for v in rights))
 
 
@@ -602,7 +618,7 @@ def identity_rows(alg: Algebra, right: bool = True, left: bool = True,
     the set while it reads) are left out as rows are built, and an empty
     row is never yielded."""
     n = alg.dim
-    _, table, by_left, by_right = _integer_table(alg)
+    table, by_left, by_right = alg._ints, alg._by_left, alg._by_right
     for i in range(n):
         for j in range(n):
             rows: dict[int, dict[int, int]] = {}
@@ -634,30 +650,6 @@ def _identity_kernel(alg: Algebra, sides: Iterable[tuple[bool, bool]]) -> Subspa
     eng.extend(row for right, left in sides
                for row in identity_rows(alg, right, left, eng.pinned))
     return Subspace.span(ncols, eng.kernel_rows())
-
-
-@per_algebra
-def _integer_table(alg: Algebra) -> tuple[int, dict, dict, dict]:
-    """(D, the table times D with int entries, its ``_index``), D being the
-    common denominator of the table's constants."""
-    den = math.lcm(*(c.denominator for entries in alg._table.values()
-                     for _, c in entries))
-    table = {pair: tuple((k, c.numerator * (den // c.denominator)) for k, c in entries)
-             for pair, entries in alg._table.items()}
-    return (den, table, *_index(table))
-
-
-@per_algebra
-def _pairs_holding(alg: Algebra) -> dict[int, list[tuple[int, int]]]:
-    """The basis pairs whose product has a nonzero coordinate l, by l, each
-    as (i·n + j, coordinate l of D·[e_i, e_j]) from the integer table."""
-    n = alg.dim
-    _, table, _, _ = _integer_table(alg)
-    holding: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), entries in table.items():
-        for l, x in entries:
-            holding.setdefault(l, []).append((i * n + j, x))
-    return holding
 
 
 def identity_failures(alg: Algebra, m: Matrix, left: bool,
@@ -692,14 +684,13 @@ def _failures(alg: Algebra, images: Iterable[tuple[int, Sequence[tuple[int, int]
     1978): each term, an entry m_(l,c) times a table factor, is added once
     into the residual of the one pair it belongs to, keyed i·n + j and
     opened by the first term that reaches it.  m([e_i, e_j]) goes to each
-    pair whose product holds c (``_pairs_holding``), [m(e_c), e_j] to
+    pair whose product holds c (``alg._holding``), [m(e_c), e_j] to
     (c, j) for each [e_l, e_j] in row l of the table, and, when left is
     set, [e_i, m(e_c)] to (i, c) for each [e_i, e_l] in column l.  A pair
     no term reaches has zero residual, so the nonzero residuals, sorted,
     are those of a scan over all pairs, in its order."""
     n = alg.dim
-    scale, _, by_left, by_right = _integer_table(alg)
-    holding = _pairs_holding(alg)
+    by_left, by_right, holding = alg._by_left, alg._by_right, alg._holding
     acc: dict[int, dict[int, int]] = defaultdict(dict)
     for c, image in images:
         for pair, x in holding.get(c, ()):
@@ -716,7 +707,7 @@ def _failures(alg: Algebra, images: Iterable[tuple[int, Sequence[tuple[int, int]
                     row = acc[i * n + c]
                     for t, y in entries:
                         row[t] = row.get(t, 0) - x * y
-    scale *= den
+    scale = alg._den * den
     for pair in sorted(pair for pair, row in acc.items() if any(row.values())):
         i, j = divmod(pair, n)
         row = acc[pair]
@@ -1027,9 +1018,11 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
 
 def load_algebra_json(text: str) -> tuple[Algebra, LeviDatum | None]:
     """Parse and validate an algebra file; SchemaError for text that is not
-    JSON, including nesting too deep for the decoder."""
+    JSON, including nesting too deep for the decoder and integer literals
+    longer than the interpreter converts (a ValueError, as a
+    ``JSONDecodeError`` is)."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return algebra_from_json_dict(doc)

@@ -25,11 +25,13 @@ eigenvalue, so a diagonal matrix costs no elimination.  A subspace's
 coordinates (coordinate k weights its k-th pivot row) come back to ambient
 rows through ``Subspace.lift``, which eliminates nothing: the combinations
 of RREF rows that an RREF coordinate basis names are RREF themselves.
-``Subspace.coordinate`` writes its unit rows directly.  Membership is
-decided in integers: ``Subspace.holds`` eliminates fraction-free against
-``integer_rows``, the RREF rows with their denominators cleared, cached
-per subspace (``Subspace.span`` seeds it with the engine's integer rows);
-callers that need only a span multiply those rows too.
+``Subspace.coordinate`` writes its unit rows directly.  A row is reduced
+modulo a subspace in integers: ``Subspace.holds`` and ``Subspace.reduce``
+share one fraction-free elimination against ``integer_rows``, the RREF
+rows with their denominators cleared, cached per subspace
+(``Subspace.span`` seeds it with the engine's integer rows), and only
+``reduce`` divides, once per entry; callers that need only a span multiply
+those rows too.
 ``Matrix`` is the value type that crosses the API.  Its one storage form
 is sparse columns, and ``Matrix.row_dicts`` transposes them into the
 sparse rows that ``rational_eigen``, ``nullspace`` and ``solve`` read, so
@@ -589,11 +591,26 @@ class Subspace:
         return {p: _cleared(row)[1] for p, row in self.pivot_rows.items()}
 
     def holds(self, row: Mapping[int, Fraction | int]) -> bool:
-        """``not reduce(row)`` in integers, by fraction-free elimination
-        (Bareiss, Math. Comp. 22, 1968): L times the cleared row, L the lcm
-        of the leads of the integer rows at its pivots, less each of those
-        rows times its entry and L / lead, is zero exactly in the span."""
-        _, acc = _cleared({c: v for c, v in row.items() if v})
+        """Does the row lie in the subspace?  ``not reduce(row)``, without
+        leaving integers."""
+        return not any(self._eliminate(row)[1].values())
+
+    def reduce(self, row: Mapping[int, Fraction | int]) -> dict[int, Fraction]:
+        """A sparse row reduced modulo the RREF basis, zeros dropped: zero at
+        every pivot column, and empty exactly when the row lies in the
+        subspace."""
+        s, acc = self._eliminate(row)
+        return {c: Fraction(v, s) for c, v in acc.items() if v}
+
+    def _eliminate(self, row: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
+        """(s, s times the reduced row), s = d·L > 0, by fraction-free
+        elimination (Bareiss, Math. Comp. 22, 1968): the row cleared by the
+        lcm d of its denominators, times L, the lcm of the leads of the
+        integer rows at its pivots, less each of those rows times its entry
+        and L / lead.  No pivot row has an entry at another pivot, so only
+        the rows at the row's own pivots are read; cancelled sums stay as
+        zeros."""
+        den, acc = _cleared({c: v for c, v in row.items() if v})
         ints = self.integer_rows
         at = [(ints[p], p, t) for p, t in acc.items() if p in ints]
         lead = math.lcm(*(r[p] for r, p, _ in at))
@@ -603,20 +620,7 @@ class Subspace:
             f = t * (lead // r[p])
             for c, e in r.items():
                 acc[c] = acc.get(c, 0) - f * e
-        return not any(acc.values())
-
-    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """A sparse row reduced modulo the RREF basis, zeros dropped: zero at
-        every pivot column, and empty exactly when the row lies in the
-        subspace.  No pivot row has an entry at another pivot, so only the
-        rows at the row's own pivot entries are read."""
-        pivots = self.pivot_rows
-        out = dict(row)
-        for p, t in row.items():
-            if t and p in pivots:
-                for c, entry in pivots[p].items():
-                    out[c] = out.get(c, ZERO) - t * entry
-        return {c: x for c, x in out.items() if x}
+        return den * lead, acc
 
     def residue(self, v: Sequence[Fraction]) -> Vec:
         """Dense form of ``reduce``: zero at every pivot column, and zero

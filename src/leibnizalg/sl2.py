@@ -17,7 +17,6 @@ from .core import (
     LeviDatum,
     ModuleError,
     Sl2Triple,
-    _integer_table,
     _product,
     _require_levi,
     check_sl2_triple,
@@ -64,16 +63,16 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
     coordinates: column c holds the image of basis row c, read through the
     position of each pivot column.  The image is formed from the integer
     table, row and g, and divided by their scales once."""
-    den, _, by_left, _ = _integer_table(alg)
     gden, g = _cleared(g)
+    den = alg._den * gden
     position = {p: r for r, p in enumerate(sub.pivot_rows)}
     columns = {}
     for c, (p, v) in enumerate(sub.integer_rows.items()):
-        image = _product(by_left, v, g)
+        image = _product(alg, v, g)
         if not sub.holds(image):
             raise ModuleError(
                 "subspace is not invariant under the requested right action")
-        scale = den * gden * v[p]
+        scale = den * v[p]
         columns[c] = {position[q]: Fraction(x, scale)
                       for q, x in image.items() if x and q in position}
     return Matrix(sub.dim, sub.dim, columns)
@@ -141,7 +140,6 @@ def irreducible_decomposition_sl2(
     multiple of the exact one, which leaves the spans as they are.  Kept per
     subspace and triple; a ModuleError is not kept, so each call raises it
     again."""
-    _, _, by_left, _ = _integer_table(alg)
     f = _cleared(_row_to_dict(t.f))[1]
     components = []
     weights = []
@@ -155,13 +153,13 @@ def irreducible_decomposition_sl2(
         current = _cleared(_row_to_dict(hw.vector))[1]
         chain = [current]
         for _ in range(w):
-            current = _product(by_left, current, f)
+            current = _product(alg, current, f)
             if not any(current.values()):
                 raise ModuleError(
                     "lowering chain stopped before filling the expected "
                     f"{w + 1}-dimensional component")
             chain.append(current)
-        if any(_product(by_left, current, f).values()):
+        if any(_product(alg, current, f).values()):
             raise ModuleError(
                 "lowering chain exceeds the dimension allowed by its weight")
         comp = Subspace.span(sub.ambient_dim, chain)

@@ -78,12 +78,19 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     assert err
 
 
-@pytest.mark.parametrize("command", ["check", "radical", "derive", "modules"])
-def test_deeply_nested_json_is_schema_error(command, tmp_path, capsys):
-    # deeper than the decoder's recursion limit: no traceback, and the
-    # exit code of an unreadable file, not of a mathematical failure
-    bad = tmp_path / "nested.json"
-    bad.write_text("[" * 100_000)
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, text, id=command + suffix)
+    for suffix, text in (
+        ("", "[" * 100_000),
+        ("-huge_int", '{"name": "", "dim": 1' + "0" * 5000
+                      + ', "basis": [], "products": []}'))
+    for command in ("check", "radical", "derive", "modules")])
+def test_deeply_nested_json_is_schema_error(command, text, tmp_path, capsys):
+    # deeper than the decoder's recursion limit, or an integer literal
+    # longer than the interpreter converts: no traceback, and the exit code
+    # of an unreadable file, not of a mathematical failure
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
     code, out, err = run(capsys, command, str(bad))
     assert code == IO_FAIL
     assert out == ""

@@ -24,11 +24,13 @@ from leibnizalg import (
     SummandSplit,
     algebra_from_json_dict,
     centroid,
+    derivation_algebra,
     derived_series,
     derived_subalgebra,
     direct_sum_many,
     dump_algebra_json,
     ensure_leibniz,
+    irreducible_decomposition_sl2,
     is_semisimple,
     is_simple_certified,
     killing_form,
@@ -87,15 +89,44 @@ def test_product_bilinear_extension():
     assert alg.product(x, y) == (F(0), F(6))
 
 
+def rescaled_ideal(alg, levi):
+    """The same algebra on the basis whose a-th ideal vector, in the order
+    of levi.i_indices, is scaled by 1/(a + 1): the constant of e_k in
+    [e_i, e_j] becomes c·s_i·s_j / s_k, so the table gains denominators and
+    the declared split still holds."""
+    s = [F(1)] * alg.dim
+    for a, i in enumerate(levi.i_indices):
+        s[i] = F(1, a + 1)
+    return Algebra(alg.dim, {(i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in entries]
+                             for (i, j), entries in alg.table_items()},
+                   alg.basis_names, alg.name)
+
+
 def test_right_and_left_mult_agree_with_product():
-    alg, _ = simple_sl2_leibniz(2)
-    z = tuple(F(k + 1, 3) for k in range(alg.dim))
-    rm = alg.right_mult(z)
-    lm = alg.left_mult(z)
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        assert rm.apply(ei) == alg.product(ei, z)
-        assert lm.apply(ei) == alg.product(z, ei)
+    # the scaled members have a common denominator D > 1, by which the
+    # integer contractions divide at the end
+    members = [(simple_sl2_leibniz(2), None)] + [
+        ((rescaled_ideal(*member), member[1]), member)
+        for member in (simple_sl2_leibniz(4), semisimple_pair(2))]
+    for (alg, levi), plain in members:
+        z = tuple(F(k + 1, 3) for k in range(alg.dim))
+        rm = alg.right_mult(z)
+        lm = alg.left_mult(z)
+        for i in range(alg.dim):
+            ei = alg.basis_vector(i)
+            assert rm.apply(ei) == alg.product(ei, z)
+            assert lm.apply(ei) == alg.product(z, ei)
+        if plain is None:
+            continue
+        assert alg._den > 1
+        validate_levi(alg, levi)
+        assert leibniz_check(alg) == ()
+        assert derivation_algebra(alg).dim == derivation_algebra(plain[0]).dim
+        for raw in levi.sl2_triples:
+            t = Sl2Triple.from_indices(alg.dim, raw)
+            assert (irreducible_decomposition_sl2(alg, squares_ideal(alg), t).highest_weights
+                    == irreducible_decomposition_sl2(
+                        plain[0], squares_ideal(plain[0]), t).highest_weights)
 
 
 def test_is_lie():
@@ -261,11 +292,12 @@ def test_identity_checks_visit_pairs_in_proportion_to_the_table(monkeypatch):
 
 def test_verification_reads_follow_the_table(monkeypatch):
     # The work of each verification pass, counted deterministically: every
-    # table lookup, every entry met while walking a row or column of the
-    # table's index (exact or integer), and every product the closure tests
-    # reduce.  On simple m = 48, 96 and 192 (150, 294 and 582 entries) the
-    # passes cost about 10, 4, 1.1 and 3 per entry at every size (18 for
-    # leibniz_check when each visited pair looked its terms up again).
+    # lookup in the exact or integer table, every entry met while walking a
+    # list of the integer table's three indexes, and every product the
+    # closure tests reduce.  On simple m = 48, 96 and 192 (150, 294 and 582
+    # entries) the passes cost about 9, 4, 1 and 1 per entry at every size
+    # (18 for leibniz_check when each visited pair looked its terms up
+    # again).
     # Walking the whole column by_right[j] at each visited pair cost
     # leibniz_check 168, 312 and 600 per entry, multiplying every pair of the radical's
     # basis cost solvable_radical 48, 96 and 192, and testing every j in
@@ -297,18 +329,11 @@ def test_verification_reads_follow_the_table(monkeypatch):
         def __iter__(self):
             return (pair for pair, _ in self.items())
 
-    index, integer_table, reduce = core._index, core._integer_table, Subspace.reduce
+    index, reduce = core._index, Subspace.reduce
 
-    def counted_index(table):
-        by_left, by_right = index(table)
-        return ({i: Entries(row) for i, row in by_left.items()},
-                {j: Entries(col) for j, col in by_right.items()})
-
-    @core.per_algebra
-    def counted_integer_table(alg):
-        den, table, _, _ = integer_table.__wrapped__(alg)
-        table = Table(table)
-        return (den, table, *counted_index(table))
+    def counted_index(table, n):
+        return tuple({k: Entries(entries) for k, entries in by.items()}
+                     for by in index(table, n))
 
     def counted_reduce(self, row):
         nonlocal work
@@ -316,12 +341,11 @@ def test_verification_reads_follow_the_table(monkeypatch):
         return reduce(self, row)
 
     monkeypatch.setattr(core, "_index", counted_index)
-    monkeypatch.setattr(core, "_integer_table", counted_integer_table)
     monkeypatch.setattr(Subspace, "reduce", counted_reduce)
     per_entry: dict[str, list[float]] = {}
     for m in (48, 96, 192):
         alg, levi = simple_sl2_leibniz(m)
-        alg._table = Table(alg._table)
+        alg._table, alg._ints = Table(alg._table), Table(alg._ints)
         entries = len(alg.table_items())
         triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
         for name, stage in (

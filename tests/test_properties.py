@@ -129,7 +129,7 @@ def test_sparse_products_match_dense_products(pair, data):
         st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
     basis = [moved.basis_vector(j) for j in range(n)]
     zero = (F(0),) * n
-    den = core._integer_table(moved)[0]
+    den = moved._den
     # each basis vector v alone: the yielded j ascend, their products are
     # D·s times the dense ones (D the table's denominator, s the scale of
     # v's integer row), and every pair (v, e_j) not yielded has zero
