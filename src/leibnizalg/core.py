@@ -401,7 +401,7 @@ def _basis_products(alg: Algebra, sub: Subspace
     """(j, D·s·[v, e_j], D·s·[e_j, v]) with sparse int rows, for each basis
     vector v of sub and each j, ascending, that a table entry [e_l, e_j] or
     [e_j, e_l] with l in v's support touches; D is the table's common
-    denominator and s·v the row ``sub.integer_rows`` holds.
+    denominator and s·v, s > 0, the integer row ``sub.rows`` holds for v.
 
     The one closure test behind every ideal check: sub is a two-sided ideal
     exactly when it contains both products of every pair, and both products
@@ -410,7 +410,7 @@ def _basis_products(alg: Algebra, sub: Subspace
     [e_l, e_j] and [e_j, e_l].
     """
     by_left, by_right = alg._by_left, alg._by_right
-    for v in sub.integer_rows.values():
+    for v in sub.rows.values():
         right: dict[int, dict[int, int]] = {}
         left: dict[int, dict[int, int]] = {}
         for l, x in v.items():
@@ -466,7 +466,7 @@ def derived_subalgebra(alg: Algebra, sub: Subspace | None = None) -> Subspace:
     scale each product and keep the span."""
     if sub is None:  # the products of basis pairs are the table's entries
         return Subspace.span(alg.dim, map(dict, alg._ints.values()))
-    rows = sub.integer_rows.values()
+    rows = sub.rows.values()
     lefts = [u for u in rows if any(i in alg._by_left for i in u)]
     rights = [v for v in rows if any(j in alg._by_right for j in v)]
     return Subspace.span(alg.dim, (_product(alg, u, v)
@@ -529,7 +529,7 @@ def squares_quotient(alg: Algebra) -> Quotient:
 
 
 def _quotient_by(alg: Algebra, ideal: Subspace) -> Quotient:
-    pivots = ideal.pivot_rows
+    pivots = ideal.rows
     complement = tuple(c for c in range(alg.dim) if c not in pivots)
     index = {c: k for k, c in enumerate(complement)}
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
@@ -588,7 +588,7 @@ def solvable_radical(alg: Algebra) -> Subspace:
     # gram is symmetric, so the functional of w is the w-combination of
     # columns; a multiple of w, its integer row, gives the same constraint
     constraint_rows = []
-    for w in derived.integer_rows.values():
+    for w in derived.rows.values():
         functional: dict[int, Fraction] = {}
         for k, x in w.items():
             _accumulate(functional, x, gram.columns.get(k, {}).items())

@@ -118,10 +118,10 @@ def outer_candidates(alg: Algebra) -> tuple[Matrix, ...]:
     der = derivation_algebra(alg)
     grown = inner_derivation_span(alg)
     picked: list[Matrix] = []
-    for m, row in zip(der.maps, der.span.pivot_rows.values()):
+    for m, row in zip(der.maps, der.span.rows.values()):
         if not grown.holds(row):
             picked.append(m)
-            grown = grown.sum(Subspace.span(grown.ambient_dim, [row]))
+            grown = Subspace.span(grown.ambient_dim, [*grown.rows.values(), row])
     return tuple(picked)
 
 
@@ -183,8 +183,8 @@ def _inner_match(alg: Algebra, g_list: Sequence[int],
 
     Coordinate r of [e_c, e_s] is the coefficient of a_s in equation
     (c, r); column k = len(g_list) carries the right-hand side, so the
-    system is consistent exactly when k is no pivot, and then the RREF
-    row of each pivot holds its solution at k."""
+    system is consistent exactly when k is no pivot, and then the stored
+    row of each pivot t holds its solution at k, times the row's lead."""
     k = len(g_list)
     eng = SparseRref(k + 1)
     cols = diagonal.columns
@@ -198,7 +198,8 @@ def _inner_match(alg: Algebra, g_list: Sequence[int],
         eng.extend(eqs.values())
     if k in eng.pivots:
         return None
-    return {g_list[t]: row[k] for t, row in eng.fraction_rows() if k in row}
+    return {g_list[t]: Fraction(row[k], row[t])
+            for t, row in eng.pivots.items() if k in row}
 
 
 def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSplit:

@@ -3,7 +3,8 @@
 Everything here is deterministic and exact.  Matrices hold
 ``fractions.Fraction`` entries, row reduction produces the unique reduced
 row echelon form, and a subspace is identified with its canonical RREF
-rows, so equality of subspaces is literal equality of those rows.
+rows, each stored as a primitive integer row with a positive lead, so
+equality of subspaces is literal equality of those rows.
 
 The computations run on sparse integer rows.  The elimination engine,
 ``SparseRref``, takes rows with ``int`` or ``Fraction`` entries, clears
@@ -21,17 +22,17 @@ orders its matrix into block triangular form by the strongly connected
 components of its nonzero pattern (Tarjan, SIAM J. Comput. 1, 1972; Duff
 and Reid, ACM TOMS 4, 1978): only a block of size two or more takes a
 ``charpoly``, and each eigenspace is a kernel on the blocks that reach its
-eigenvalue, so a diagonal matrix costs no elimination.  A subspace's
-coordinates (coordinate k weights its k-th pivot row) come back to ambient
-rows through ``Subspace.lift``, which eliminates nothing: the combinations
-of RREF rows that an RREF coordinate basis names are RREF themselves.
+eigenvalue, so a diagonal matrix costs no elimination.  A ``Subspace``
+keeps the engine's rows, signs fixed, and leading-1 ``Fraction`` rows only
+as the view ``pivot_rows``.  A subspace's coordinates (coordinate k
+weights its k-th RREF row) come back to ambient rows through
+``Subspace.lift``, which eliminates nothing: the combinations of RREF rows
+that an RREF coordinate basis names are RREF themselves.
 ``Subspace.coordinate`` writes its unit rows directly.  A row is reduced
 modulo a subspace in integers: ``Subspace.holds`` and ``Subspace.reduce``
-share one fraction-free elimination against ``integer_rows``, the RREF
-rows with their denominators cleared, cached per subspace
-(``Subspace.span`` seeds it with the engine's integer rows), and only
-``reduce`` divides, once per entry; callers that need only a span multiply
-those rows too.
+share one fraction-free elimination against ``rows``, and only ``reduce``
+divides, once per entry; callers that need only a span multiply those
+rows too.
 ``Matrix`` is the value type that crosses the API.  Its one storage form
 is sparse columns, and ``Matrix.row_dicts`` transposes them into the
 sparse rows that ``rational_eigen``, ``nullspace`` and ``solve`` read, so
@@ -89,8 +90,9 @@ def value_type(cls: type) -> type:
     the decorator imports nothing beyond ``operator``, which ``fractions``
     loads anyway.
     """
-    fields = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    own = vars(cls)
+    fields = tuple(own.get("__annotations__", {}))
+    defaults = {f: own[f] for f in fields if f in own}
     n = len(fields)
     name = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
@@ -132,7 +134,7 @@ def value_type(cls: type) -> type:
         raise AttributeError(f"cannot delete field {key!r}")
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
-        if cls.__dict__.get(method.__name__) is None:
+        if own.get(method.__name__) is None:
             setattr(cls, method.__name__, method)
     return cls
 
@@ -346,8 +348,8 @@ class SparseRref:
     known.  The shortcuts give the rows the arithmetic would give, up to
     sign, and the RREF does not depend on the order of the rows.
     ``_store`` is the one place a row is written and keeps both indexes in
-    step.  ``pivots``, ``pinned`` and ``fraction_rows`` are what callers
-    read.
+    step.  ``pivots``, whose rows ``Subspace`` keeps as its stored form,
+    and ``pinned`` are what callers read.
     """
 
     def __init__(self, ncols: int):
@@ -425,17 +427,6 @@ class SparseRref:
         if cols and (min(cols) < 0 or max(cols) >= self.ncols):
             raise ValueError("spanning row has a column outside the ambient space")
 
-    def fraction_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """(pivot column, leading-1 row) pairs, ordered by pivot column.
-        ValueError when a row has a column outside [0, ncols)."""
-        self._check_columns()
-        out = []
-        for c in sorted(self.pivots):
-            row = self.pivots[c]
-            lead = row[c]
-            out.append((c, {col: Fraction(v, lead) for col, v in row.items()}))
-        return out
-
     def kernel_rows(self) -> list[dict[int, Fraction]]:
         """Basis of the solution set of (rows)·x = 0 as sparse rows, one per
         free column f: 1 at f, minus each pivot row's entry at f at its
@@ -480,8 +471,9 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     if a.cols in eng.pivots:
         return None
     x = [ZERO] * a.cols
-    for c, frow in eng.fraction_rows():
-        x[c] = frow.get(a.cols, ZERO)
+    for c, row in eng.pivots.items():
+        if a.cols in row:
+            x[c] = Fraction(row[a.cols], row[c])
     return tuple(x)
 
 
@@ -491,29 +483,26 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 class Subspace:
     """A linear subspace identified by its canonical RREF basis.
 
-    ``pivot_rows`` maps each pivot column, ascending, to the nonzero
-    {column: value} entries of its reduced row; callers only read it.  The
-    RREF is unique, so two Subspace values are equal exactly when they are
-    the same subspace.  The hash reads the pivot columns alone.
+    ``rows`` maps each pivot column, ascending, to its RREF row scaled to
+    a primitive integer row with a positive lead, a unique form, so two
+    values are equal exactly when they are the same subspace; the hash
+    reads the pivot columns alone.  Callers only read ``rows``, and build
+    values through ``span``, ``coordinate``, ``zero``, ``full`` and ``lift``.
     """
 
     ambient_dim: int
-    pivot_rows: dict[int, dict[int, Fraction]]
+    rows: dict[int, dict[int, int]]
 
     @staticmethod
-    def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction | int]]) -> "Subspace":
         """Span of sparse {column: value} rows; zero values may be present.
-
-        The engine stores primitive integer rows, so each, with its lead
-        made positive, is already the row ``integer_rows`` would clear from
-        the RREF row, and it seeds that cache."""
+        The engine's rows are primitive, so each only has its sign fixed."""
         eng = SparseRref(ambient_dim)
         eng.extend(rows)
-        sub = Subspace(ambient_dim, dict(eng.fraction_rows()))
-        sub.__dict__["integer_rows"] = {
+        eng._check_columns()
+        return Subspace(ambient_dim, {
             c: row if row[c] > 0 else {k: -v for k, v in row.items()}
-            for c, row in sorted(eng.pivots.items())}
-        return sub
+            for c, row in sorted(eng.pivots.items())})
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -538,11 +527,18 @@ class Subspace:
         cols = sorted(set(cols))
         if cols and (cols[0] < 0 or cols[-1] >= ambient_dim):
             raise ValueError("spanning row has a column outside the ambient space")
-        return Subspace(ambient_dim, {c: {c: ONE} for c in cols})
+        return Subspace(ambient_dim, {c: {c: 1} for c in cols})
 
     @property
     def dim(self) -> int:
-        return len(self.pivot_rows)
+        return len(self.rows)
+
+    @functools.cached_property
+    def pivot_rows(self) -> dict[int, dict[int, Fraction]]:
+        """The RREF rows with leading 1, by pivot: each row divided by its
+        lead."""
+        return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
+                for p, row in self.rows.items()}
 
     @functools.cached_property
     def basis(self) -> Matrix:
@@ -554,41 +550,39 @@ class Subspace:
         return Matrix(self.dim, self.ambient_dim, columns)
 
     def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(self.pivot_rows)
+        return tuple(self.rows)
 
     def lift(self, coords: "Subspace") -> "Subspace":
         """The subspace of this one whose coordinates span ``coords``, where
-        coordinate k weights the k-th pivot row.  No row is eliminated: a
-        row of ``coords`` led by k lifts to a row that is 1 at the k-th pivot
-        column and 0 at the pivot columns of the other rows of ``coords``,
-        so the lifted rows are already RREF.  A unit row {k: 1} lifts to the
-        k-th pivot row itself."""
+        coordinate k weights the k-th leading-1 row.  No row is eliminated:
+        a row of ``coords`` led by k lifts to a row that is 0 at the pivot
+        columns of the other rows of ``coords``, so the lifted rows are
+        already RREF.  It sums the integer rows, each times its coordinate
+        and L / its lead (L the lcm of those leads), and is made primitive;
+        a unit row {k: 1} lifts to the k-th row itself."""
         if coords.ambient_dim != self.dim:
             raise ValueError("coordinates do not match the subspace dimension")
         pivots, rows = self._positions
         lifted = {}
-        for k, c in coords.pivot_rows.items():
+        for k, c in coords.rows.items():
             if len(c) == 1:
                 lifted[pivots[k]] = rows[k]
                 continue
-            acc: dict[int, Fraction] = {}
+            lead = math.lcm(*(rows[j][pivots[j]] for j in c))
+            acc: dict[int, int] = {}
             for j, x in c.items():
-                for col, y in rows[j].items():
-                    acc[col] = acc.get(col, ZERO) + x * y
-            lifted[pivots[k]] = {col: v for col, v in acc.items() if v}
+                row = rows[j]
+                f = x * (lead // row[pivots[j]])
+                for col, y in row.items():
+                    acc[col] = acc.get(col, 0) + f * y
+            lifted[pivots[k]] = _primitive({col: v for col, v in acc.items() if v})
         return Subspace(self.ambient_dim, lifted)
 
     @functools.cached_property
-    def _positions(self) -> tuple[tuple[int, ...], tuple[dict[int, Fraction], ...]]:
+    def _positions(self) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
         """The pivot columns and their rows by position, for ``lift``, which
         runs once per weight space on the same subspace."""
-        return tuple(self.pivot_rows), tuple(self.pivot_rows.values())
-
-    @functools.cached_property
-    def integer_rows(self) -> dict[int, dict[int, int]]:
-        """Each pivot row times the lcm of its denominators, by pivot: a
-        primitive integer row whose lead, that lcm, is positive."""
-        return {p: _cleared(row)[1] for p, row in self.pivot_rows.items()}
+        return tuple(self.rows), tuple(self.rows.values())
 
     def holds(self, row: Mapping[int, Fraction | int]) -> bool:
         """Does the row lie in the subspace?  ``not reduce(row)``, without
@@ -606,13 +600,13 @@ class Subspace:
         """(s, s times the reduced row), s = d·L > 0, by fraction-free
         elimination (Bareiss, Math. Comp. 22, 1968): the row cleared by the
         lcm d of its denominators, times L, the lcm of the leads of the
-        integer rows at its pivots, less each of those rows times its entry
-        and L / lead.  No pivot row has an entry at another pivot, so only
+        stored rows at its pivots, less each of those rows times its entry
+        and L / lead.  No stored row has an entry at another pivot, so only
         the rows at the row's own pivots are read; cancelled sums stay as
         zeros."""
         den, acc = _cleared({c: v for c, v in row.items() if v})
-        ints = self.integer_rows
-        at = [(ints[p], p, t) for p, t in acc.items() if p in ints]
+        rows = self.rows
+        at = [(rows[p], p, t) for p, t in acc.items() if p in rows]
         lead = math.lcm(*(r[p] for r, p, _ in at))
         if lead > 1:
             acc = {c: lead * v for c, v in acc.items()}
@@ -635,12 +629,12 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(map(self.holds, other.integer_rows.values()))
+        return all(map(self.holds, other.rows.values()))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.span(self.ambient_dim, [*self.pivot_rows.values(),
-                                                *other.pivot_rows.values()])
+        return Subspace.span(self.ambient_dim, [*self.rows.values(),
+                                                *other.rows.values()])
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -65,9 +65,9 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
     table, row and g, and divided by their scales once."""
     gden, g = _cleared(g)
     den = alg._den * gden
-    position = {p: r for r, p in enumerate(sub.pivot_rows)}
+    position = {p: r for r, p in enumerate(sub.rows)}
     columns = {}
-    for c, (p, v) in enumerate(sub.integer_rows.items()):
+    for c, (p, v) in enumerate(sub.rows.items()):
         image = _product(alg, v, g)
         if not sub.holds(image):
             raise ModuleError(

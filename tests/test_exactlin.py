@@ -36,7 +36,7 @@ from leibnizalg.exactlin import (
 )
 from leibnizalg.catalog import simple_sl2_leibniz
 from leibnizalg.core import kernel_maps
-from leibnizalg.exactlin import _cleared, _rational_roots, _root_bound
+from leibnizalg.exactlin import _rational_roots, _root_bound
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -186,7 +186,8 @@ def assert_rref_matches_sympy(eng: SparseRref, ncols: int, rows) -> None:
     reduced, pivots = dense.rref()
     expected = [(p, {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x})
                 for i, p in enumerate(pivots)]
-    assert eng.fraction_rows() == expected
+    assert [(p, {c: F(v, row[p]) for c, v in row.items()})
+            for p, row in sorted(eng.pivots.items())] == expected
 
 
 entries = st.one_of(st.integers(-4, 4), rationals)
@@ -290,13 +291,12 @@ def test_presolve_keeps_the_kernel_and_the_indexes(system):
     dense = sympy.Matrix(len(rows), ncols, [row.get(c, 0) for row in rows
                                             for c in range(ncols)])
     null = dense.nullspace()
-    expected = Subspace.zero(ncols)
+    expected = {}
     if null:
         reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
-        expected = Subspace(ncols, {p: {c: F(int(x.p), int(x.q))
-                                        for c, x in enumerate(reduced.row(i)) if x}
-                                    for i, p in enumerate(pivots)})
-    assert Subspace.span(ncols, eng.kernel_rows()) == expected
+        expected = {p: {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x}
+                    for i, p in enumerate(pivots)}
+    assert Subspace.span(ncols, eng.kernel_rows()).pivot_rows == expected
 
 
 # ----------------------------------------------------------------- solve
@@ -416,17 +416,34 @@ def test_holds_agrees_with_reduce(vectors, data):
     assert s.contains_subspace(Subspace.from_vectors(5, [inside]))
 
 
+def assert_canonical(s: Subspace) -> None:
+    """The stored form: pivots ascending, int entries, each row primitive
+    with a positive lead at its pivot and zeros at the other pivots; the
+    view ``pivot_rows`` is each row divided by its lead."""
+    assert list(s.rows) == sorted(s.rows)
+    for p, row in s.rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert row.keys() & s.rows.keys() == {p}
+    assert s.pivot_rows == {p: {c: F(v, row[p]) for c, v in row.items()}
+                            for p, row in s.rows.items()}
+
+
 @given(st.lists(st.lists(big_entries, min_size=5, max_size=5), max_size=6),
-       st.sampled_from([0, 1, 2]))
+       st.sampled_from([0, 1, 2]), st.data())
 @settings(max_examples=80)
-def test_span_seeds_the_cleared_pivot_rows(vectors, form):
+def test_every_constructor_stores_canonical_integer_rows(vectors, form, data):
     # rows as Fractions with explicit zeros, without zeros, or as ints
     s = Subspace.span(5, (row_forms(v)[form] for v in vectors))
-    assert "integer_rows" in s.__dict__  # seeded, not computed on read
-    seeded = s.integer_rows
-    assert list(seeded) == list(s.pivot_rows)
-    assert seeded == {p: _cleared(row)[1] for p, row in s.pivot_rows.items()}
-    assert all(seeded[p][p] > 0 for p in seeded)
+    coords = data.draw(subspaces(s.dim))
+    cols = data.draw(st.lists(st.integers(0, 4), max_size=6))
+    built = [s, s.lift(coords), s.sum(data.draw(subspaces(5))),
+             Subspace.coordinate(5, cols), Subspace.zero(5), Subspace.full(5),
+             kernel_of_constraints((row_forms(v)[form] for v in vectors), 5)]
+    for space in built:
+        assert_canonical(space)
+    assert s.lift(coords).dim == coords.dim
 
 
 def test_span_rejects_columns_outside_the_ambient_space():
@@ -473,8 +490,8 @@ def test_lift_and_coordinate_run_no_elimination(monkeypatch):
         engine_init(self, ncols)
 
     monkeypatch.setattr(SparseRref, "__init__", counted)
-    assert s.lift(coords) == Subspace(4, {0: {0: F(1), 1: F(2), 2: F(3)}})
-    assert Subspace.coordinate(4, [3, 1]).lift(coords) == Subspace(4, {1: {1: F(1), 3: F(3)}})
+    assert s.lift(coords) == Subspace(4, {0: {0: 1, 1: 2, 2: 3}})
+    assert Subspace.coordinate(4, [3, 1]).lift(coords) == Subspace(4, {1: {1: 1, 3: 3}})
     assert built == []
     Subspace.span(4, [{0: F(1)}])
     assert built == [4]

@@ -137,8 +137,8 @@ def test_sparse_products_match_dense_products(pair, data):
     each = []
     for p, row in sub.pivot_rows.items():
         v = dense(row, n)
-        scale = den * sub.integer_rows[p][p]
-        raw = list(core._basis_products(moved, Subspace(n, {p: row})))
+        scale = den * sub.rows[p][p]
+        raw = list(core._basis_products(moved, Subspace(n, {p: sub.rows[p]})))
         assert all(type(x) is int for _, r, l in raw for x in [*r.values(), *l.values()])
         yielded = [(j, dense(r, n), dense(l, n)) for j, r, l in raw]
         js = [j for j, _, _ in yielded]

@@ -61,3 +61,31 @@ def test_ab_ops_runs_a_checkout_against_itself():
                         r"median per-op ratio \d\.\d{3} over 8 pairs", lines[-2])
     assert re.fullmatch(r"ops/s by round, quartiles: parent( \d+\.\d){3}; "
                         r"change( \d+\.\d){3}; change won [01] of 1 rounds", lines[-1])
+
+
+FAILING_TESTS = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_drawn_failure(x):
+    assert x != x
+
+
+def test_plain_failure():
+    assert False
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
+    # with every warning an error, a deprecation raised in hypothesis's
+    # report hook would stop the run with an INTERNALERROR after the first
+    # failure; the project's warning filters must let both failures through
+    (tmp_path / "test_failing.py").write_text(FAILING_TESTS, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(tmp_path / "test_failing.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "2 failed" in done.stdout.splitlines()[-1]

@@ -21,7 +21,7 @@ TYPES = {
     core.SummandSplit: (("summands", "determined"), ((SPACE,), True)),
     core.SimplicityCertificate: (("verdict", "witness", "detail"),
                                  ("no", SPACE, "nonzero solvable radical")),
-    exactlin.Subspace: (("ambient_dim", "pivot_rows"), (2, {0: {0: F(1)}})),
+    exactlin.Subspace: (("ambient_dim", "rows"), (2, {0: {0: 1}})),
     exactlin.EigenDecomposition: (("pairs", "complete"), (((F(2), SPACE),), False)),
     derivations.DerivationBasis: (("algebra", "maps", "span"), ("alg", (), SPACE)),
     derivations.OuterReport: (("dim_der", "dim_inner"), (7, 6)),
