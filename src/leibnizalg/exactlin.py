@@ -15,14 +15,12 @@ Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
 new pivot reach only the rows that hold its column, and a row with one
 term pins its unknown to zero before any other row is eliminated
 (singleton presolve), so kernels of large, very sparse constraint systems
-cost what their nonzeros cost;
+cost what their nonzeros cost; its kernel rows are integer rows too.
 ``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero integer entries.  ``rational_eigen``
-orders its matrix into block triangular form by the strongly connected
-components of its nonzero pattern (Tarjan, SIAM J. Comput. 1, 1972; Duff
-and Reid, ACM TOMS 4, 1978): only a block of size two or more takes a
-``charpoly``, and each eigenspace is a kernel on the blocks that reach its
-eigenvalue, so a diagonal matrix costs no elimination.  A ``Subspace``
+takes the rational roots of the whole matrix's ``charpoly`` and one kernel
+per root; it only sees small matrices, since the sl2 weight spaces are
+read off lowering chains in ``sl2`` and need no eigenproblem.  A ``Subspace``
 keeps the engine's rows, signs fixed, and leading-1 ``Fraction`` rows only
 as the view ``pivot_rows``.  A subspace's coordinates (coordinate k
 weights its k-th RREF row) come back to ambient rows through
@@ -427,21 +425,25 @@ class SparseRref:
         if cols and (min(cols) < 0 or max(cols) >= self.ncols):
             raise ValueError("spanning row has a column outside the ambient space")
 
-    def kernel_rows(self) -> list[dict[int, Fraction]]:
-        """Basis of the solution set of (rows)·x = 0 as sparse rows, one per
-        free column f: 1 at f, minus each pivot row's entry at f at its
-        pivot.  A unit row has no entry at a free column, so it is skipped
-        and no Fraction is built for it."""
+    def kernel_rows(self) -> list[dict[int, int]]:
+        """Basis of the solution set of (rows)·x = 0 as sparse integer rows,
+        one per free column f: L at f and -v·L/lead at the pivot of each
+        stored row with entry v at f, L the lcm of those rows' leads.  The
+        rows holding f are ``holders[f]``; a unit row holds no free column."""
         self._check_columns()
-        pivots = self.pivots
-        kernel = {f: {f: ONE} for f in range(self.ncols) if f not in pivots}
-        for c in sorted(pivots.keys() - self.pinned):
-            row = pivots[c]
-            lead = row[c]
-            for f, v in row.items():
-                if f != c:
-                    kernel[f][c] = Fraction(-v, lead)
-        return list(kernel.values())
+        pivots, holders = self.pivots, self.holders
+        kernel = []
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
+            held = sorted(holders.get(f, ()))
+            lead = math.lcm(*(pivots[c][c] for c in held))
+            row = {f: lead}
+            for c in held:
+                p = pivots[c]
+                row[c] = -p[f] * (lead // p[c])
+            kernel.append(row)
+        return kernel
 
 
 def _row_to_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -866,95 +868,20 @@ class EigenDecomposition:
     complete: bool
 
 
-def _sccs(rows: Sequence[Mapping[int, Fraction]]) -> list[list[int]]:
-    """Strongly connected components of the graph with an edge i -> j for
-    each key j of rows[i], every component after all those it reaches.
-
-    Tarjan's algorithm (SIAM J. Comput. 1, 1972) in O(n + nnz), with a
-    stack of (vertex, edge iterator) frames in place of recursion.  A
-    vertex whose component is out gets low n, which no min() then picks."""
-    n = len(rows)
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    comps = []
-    for root in range(n):
-        if root in order:
-            continue
-        low[root] = order[root] = len(order)
-        stack.append(root)
-        frames = [(root, iter(rows[root]))]
-        while frames:
-            v, edges = frames[-1]
-            for w in edges:
-                if w not in order:
-                    low[w] = order[w] = len(order)
-                    stack.append(w)
-                    frames.append((w, iter(rows[w])))
-                    break
-                low[v] = min(low[v], low[w])
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == order[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        low[comp[-1]] = n
-                    comps.append(comp)
-    return comps
-
-
 def rational_eigen(m: Matrix) -> EigenDecomposition:
-    """Rational eigenvalues and eigenspaces of a square matrix, read off its
-    block triangular form.
+    """Rational eigenvalues and eigenspaces of a square matrix: the rational
+    roots of its ``charpoly``, each with the kernel of m - λ.  ``complete``
+    is True when the eigenspaces fill the space.
 
-    The strongly connected components of the nonzero pattern (``_sccs``)
-    are the diagonal blocks of a symmetric permutation of m to block
-    triangular form, the first step of sparse direct solvers (I. S. Duff
-    and J. K. Reid, "An implementation of Tarjan's algorithm for the block
-    triangularization of a matrix", ACM TOMS 4, 1978).  The eigenvalues are
-    those of the blocks: a 1×1 block's entry, else the rational roots of
-    the block's ``charpoly``.  An eigenvector v for λ is zero on every
-    block B that reaches no block with eigenvalue λ.  By induction over the
-    blocks, successors first: B's successors reach no such block either,
-    so v is zero on them, B's rows of (m - λ)·v = 0 say (B - λ)·v_B = 0,
-    and B - λ is invertible.  So each eigenspace is the kernel of m - λ on
-    the rows and columns of the blocks that reach λ, renumbered in
-    ascending order (which keeps the RREF) and lifted back; on a diagonal
-    matrix no row is eliminated.  ``complete`` is True when the
-    eigenspaces fill the space.
-    """
+    The package calls it on small matrices only: the h-action on ker e,
+    one dimension per irreducible sl2 component, and the centroid
+    combinations of the summand split, of dimension dim S."""
     if m.rows != m.cols:
         raise ValueError("eigen decomposition of a non-square matrix")
-    n = m.rows
     rows = m.row_dicts()
-    block: dict[int, int] = {}  # index -> position of its component
-    reach: list[set[Fraction]] = []  # eigenvalues of the blocks each reaches
-    support: dict[Fraction, list[int]] = {}  # eigenvalue -> indices reaching it
-    for b, comp in enumerate(_sccs(rows)):
-        block.update(dict.fromkeys(comp, b))
-        if len(comp) == 1:
-            lams = {Fraction(rows[comp[0]].get(comp[0], 0))}
-        else:
-            pos = {i: k for k, i in enumerate(sorted(comp))}
-            lams = set(_rational_roots(charpoly(Matrix(len(pos), len(pos), {
-                pos[c]: {pos[r]: x for r, x in m.columns.get(c, {}).items()
-                         if r in pos} for c in pos}))))
-        for s in {block[j] for i in comp for j in rows[i]} - {b}:
-            lams |= reach[s]
-        reach.append(lams)
-        for lam in lams:
-            support.setdefault(lam, []).extend(comp)
     pairs = []
-    for lam in sorted(support):
-        idx = sorted(support[lam])
-        pos = {i: k for k, i in enumerate(idx)}
-        shifted = ({**{pos[j]: x for j, x in rows[i].items() if j in pos},
-                    pos[i]: rows[i].get(i, ZERO) - lam} for i in idx)
-        pairs.append((lam, Subspace.coordinate(n, idx).lift(
-            kernel_of_constraints(shifted, len(idx)))))
+    for lam in _rational_roots(charpoly(m)):
+        shifted = ({**row, i: row.get(i, ZERO) - lam} for i, row in enumerate(rows))
+        pairs.append((lam, kernel_of_constraints(shifted, m.rows)))
     return EigenDecomposition(tuple(pairs),
-                              sum(space.dim for _, space in pairs) == n)
+                              sum(space.dim for _, space in pairs) == m.rows)

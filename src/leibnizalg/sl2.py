@@ -42,10 +42,11 @@ from .exactlin import (
 
 @value_type
 class WeightSpaces:
-    """Eigenspaces of the right action of h on an invariant subspace.
+    """Weight spaces of the right action of h on an sl2-submodule, weights
+    ascending.
 
-    ``complete`` is False when rational eigenvalues do not account for the
-    whole space; the listed pairs are still exact.
+    ``complete`` is False, with no pairs, when the subspace is not a sum of
+    lowering chains of h-weight vectors (see ``weight_decomposition``).
     """
 
     pairs: tuple[tuple[Fraction, Subspace], ...]
@@ -79,13 +80,37 @@ def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> M
 
 
 def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpaces:
-    """Split an h-invariant subspace into rational weight spaces, ascending."""
-    if sub.dim == 0:
-        return WeightSpaces((), True)
-    eigen = rational_eigen(_restricted_action(alg, sub, _row_to_dict(t.h)))
+    """Split a subspace into its h-weight spaces, ascending.
+
+    A finite-dimensional sl2-module is the direct sum of the lowering
+    chains of its highest-weight vectors, and the chain of highest weight w
+    holds one vector of each weight w, w - 2, ..., -w (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, §7.2).  So
+    the weight spaces are spans of the chain vectors of
+    ``irreducible_decomposition_sl2``, each checked against h with one
+    product.  When the chains do not fill the subspace, or a chain vector
+    is not a weight vector of its weight, the pairs are empty and
+    ``complete`` is False; ModuleError if the subspace is not h-invariant.
+    """
+    h_row = _row_to_dict(t.h)
+    hden, h = _cleared(h_row)
+    scale = alg._den * hden
+    rows: dict[int, list[dict[int, int]]] = {}
+    try:
+        for chain in _lowering_chains(alg, sub, t)[1]:
+            for k, v in enumerate(chain):
+                weight = len(chain) - 1 - 2 * k
+                if ({c: x for c, x in _product(alg, v, h).items() if x}
+                        != {c: weight * scale * x for c, x in v.items() if weight * x}):
+                    raise ModuleError("a chain vector is not a weight vector")
+                rows.setdefault(weight, []).append(v)
+    except ModuleError:
+        _restricted_action(alg, sub, h_row)  # raises unless h-invariant
+        return WeightSpaces((), False)
     return WeightSpaces(
-        tuple((value, sub.lift(space)) for value, space in eigen.pairs),
-        eigen.complete)
+        tuple((Fraction(weight), Subspace.span(sub.ambient_dim, vectors))
+              for weight, vectors in sorted(rows.items())),
+        True)
 
 
 @value_type
@@ -101,19 +126,21 @@ def highest_weight_vectors(
 
     These are the h-weight vectors of ker(e|sub), one dimension per
     irreducible component (Humphreys, *Introduction to Lie Algebras and
-    Representation Theory*, §7.2).  ModuleError unless ``sub`` is invariant
-    under the right e-action and the kernel's weights are all rational.
-    Each weight space's basis is in ambient RREF, so within one weight the
-    vectors ascend by leading index, as ``ModuleDecomposition`` promises.
+    Representation Theory*, §7.2), so the eigenproblem of h on ker(e|sub)
+    is as small as the number of components.  ModuleError unless ``sub``
+    is invariant under the right e-action, ker(e|sub) under the right
+    h-action, and the kernel's weights are all rational.  Each weight
+    space's basis is in ambient RREF, so within one weight the vectors
+    ascend by leading index, as ``ModuleDecomposition`` promises.
     """
-    kernel = nullspace(_restricted_action(alg, sub, _row_to_dict(t.e)))
-    spaces = weight_decomposition(alg, sub.lift(kernel), t)
-    if not spaces.complete:
+    kernel = sub.lift(nullspace(_restricted_action(alg, sub, _row_to_dict(t.e))))
+    eigen = rational_eigen(_restricted_action(alg, kernel, _row_to_dict(t.h)))
+    if not eigen.complete:
         raise ModuleError("weight decomposition is incomplete over the rationals")
     return tuple(HighestWeightVector(
                      weight, tuple(row.get(c, ZERO) for c in range(alg.dim)))
-                 for weight, space in reversed(spaces.pairs)
-                 for row in space.pivot_rows.values())
+                 for weight, space in reversed(eigen.pairs)
+                 for row in kernel.lift(space).pivot_rows.values())
 
 
 # ----------------------------------------------------------- decomposition
@@ -132,18 +159,20 @@ class ModuleDecomposition:
 
 
 @per_algebra
-def irreducible_decomposition_sl2(
+def _lowering_chains(
     alg: Algebra, sub: Subspace, t: Sl2Triple,
-) -> ModuleDecomposition:
-    """Decompose an invariant subspace by spinning highest-weight vectors
-    down with the right f-action, in integers: each chain vector is a
-    multiple of the exact one, which leaves the spans as they are.  Kept per
-    subspace and triple; a ModuleError is not kept, so each call raises it
-    again."""
+) -> tuple[ModuleDecomposition, tuple[tuple[dict[int, int], ...], ...]]:
+    """The decomposition of an invariant subspace and, for each component,
+    its lowering chain: a highest-weight vector spun down with the right
+    f-action, in integers.  Each chain vector is a multiple of the exact
+    one, which leaves the spans as they are, and a chain of highest weight
+    w has w + 1 vectors.  Kept per subspace and triple for
+    ``irreducible_decomposition_sl2`` and ``weight_decomposition``; a
+    ModuleError is not kept, so each call raises it again."""
     f = _cleared(_row_to_dict(t.f))[1]
     components = []
     weights = []
-    all_rows: list[dict[int, int]] = []
+    chains: list[tuple[dict[int, int], ...]] = []
     for hw in highest_weight_vectors(alg, sub, t):
         if hw.weight.denominator != 1 or hw.weight < 0:
             raise ModuleError(
@@ -167,13 +196,22 @@ def irreducible_decomposition_sl2(
             raise ModuleError("lowering chain vectors are linearly dependent")
         components.append(comp)
         weights.append(w)
-        all_rows.extend(chain)
-    total = Subspace.span(sub.ambient_dim, all_rows)
+        chains.append(tuple(chain))
+    total = Subspace.span(sub.ambient_dim, [v for chain in chains for v in chain])
     if total != sub or sum(w + 1 for w in weights) != sub.dim:
         raise ModuleError(
             "highest-weight chains do not fill the subspace; the right "
             "action is not completely reducible over Q")
-    return ModuleDecomposition(tuple(components), tuple(weights))
+    return ModuleDecomposition(tuple(components), tuple(weights)), tuple(chains)
+
+
+def irreducible_decomposition_sl2(
+    alg: Algebra, sub: Subspace, t: Sl2Triple,
+) -> ModuleDecomposition:
+    """Decompose an invariant subspace by spinning highest-weight vectors
+    down with the right f-action (``_lowering_chains``).  Kept per subspace
+    and triple; a ModuleError is not kept, so each call raises it again."""
+    return _lowering_chains(alg, sub, t)[0]
 
 
 # ------------------------------------------------------ paired-column check

@@ -17,6 +17,7 @@ from leibnizalg import (
     Sl2Triple,
     exactlin,
     highest_weight_vectors,
+    irreducible_decomposition_sl2,
     is_simple_certified,
     squares_ideal,
     weight_decomposition,
@@ -500,8 +501,10 @@ def test_lift_and_coordinate_run_no_elimination(monkeypatch):
 
 
 def test_weights_span_once_per_weight_space(monkeypatch):
-    # each span is the kernel of one weight space or of e; the lifts back to
-    # the ambient coordinates add none
+    # one span per weight space, plus a constant: e's kernel, h's eigenspace
+    # on it, the one component and the chains' total for the weights, and
+    # e's kernel and h's eigenspace again for highest_weight_vectors; the
+    # lifts back to the ambient coordinates add none
     alg, levi = simple_sl2_leibniz(16)
     sq = squares_ideal(alg)
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
@@ -516,7 +519,7 @@ def test_weights_span_once_per_weight_space(monkeypatch):
     weights = weight_decomposition(alg, sq, triple).weights()
     highest = highest_weight_vectors(alg, sq, triple)
     assert len(weights) == 17 and [hw.weight for hw in highest] == [16]
-    assert len(calls) == len(weights) + 1 + len(highest)
+    assert len(calls) == len(weights) + 6
 
 
 def test_residue_rejects_wrong_length():
@@ -818,10 +821,10 @@ def test_berkowitz_conjugated_weight_operator(m, seed):
     assert ed.complete
 
 
-# ------------------------------------------ eigenspaces from the block form
-# rational_eigen reads each diagonal block of the matrix's block triangular
-# form on its own; the whole-matrix computation it replaced stays here as
-# the reference.
+# ---------------------------- eigenspaces of block triangular matrices
+# blocks that share an eigenvalue, or a Jordan pair split across two 1×1
+# blocks, are where a per-block eigen solver would go wrong; the
+# whole-matrix computation is written out here as the reference.
 
 def whole_matrix_eigen(m: Matrix) -> EigenDecomposition:
     """The rational roots of the charpoly of all of m, each with the kernel
@@ -907,9 +910,10 @@ def test_block_eigen_named_cases(m, dims, complete):
 
 
 def test_eigen_takes_a_charpoly_of_irreducible_blocks_only(monkeypatch):
-    # h acts diagonally on the squares ideal of the simple family, so its
-    # weights and the simplicity verdict take no characteristic polynomial;
-    # a dense irreducible matrix is one block and takes one, of itself
+    # the weights and the decomposition of the simple family's squares ideal
+    # share one eigenproblem, of h on the one-dimensional ker e, and the
+    # simplicity verdict reads that decomposition; a dense matrix takes one
+    # characteristic polynomial, of itself
     seen = []
 
     def counted(m):
@@ -919,9 +923,12 @@ def test_eigen_takes_a_charpoly_of_irreducible_blocks_only(monkeypatch):
     monkeypatch.setattr(exactlin, "charpoly", counted)
     alg, levi = simple_sl2_leibniz(16)
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
-    spaces = weight_decomposition(alg, squares_ideal(alg), triple)
+    sq = squares_ideal(alg)
+    spaces = weight_decomposition(alg, sq, triple)
     assert spaces.weights() == tuple(range(-16, 17, 2))
-    assert seen == []
+    assert irreducible_decomposition_sl2(alg, sq, triple).highest_weights == (16,)
+    assert [m.shape() for m in seen] == [(1, 1)]
+    seen.clear()
     assert is_simple_certified(alg, levi).verdict == "yes"
     assert seen == []
     dense = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]])

@@ -2,8 +2,10 @@
 must hold for every member of the bundled catalog, and serialization
 stability under randomly generated inputs."""
 
+import random
 from fractions import Fraction as F
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
@@ -23,9 +25,11 @@ from leibnizalg import (
     quotient_algebra,
     solvable_radical,
     squares_ideal,
+    weight_decomposition,
 )
-from leibnizalg import core
-from leibnizalg.core import Algebra
+from leibnizalg import catalog, core, exactlin
+from leibnizalg.core import SL2_TABLE, Algebra, LeviDatum
+from leibnizalg.exactlin import charpoly
 from leibnizalg.catalog import (
     semisimple_pair,
     simple_sl2_leibniz,
@@ -47,25 +51,18 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 small_rationals = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2)])
 
 
-def identity_matrix(n):
-    return Matrix.from_rows(
-        [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)])
-
-
-def shear(n, i, j, c):
-    rows = [[F(1) if r == s else F(0) for s in range(n)] for r in range(n)]
-    rows[i][j] = c
-    return Matrix.from_rows(rows)
-
-
 def shear_product(n, shears):
-    """P, the product of the shears in order, and its inverse."""
-    p = identity_matrix(n)
-    pinv = identity_matrix(n)
+    """P, the product of the shears I + c·E_ij in order, and its inverse:
+    multiplying P on the right by a shear adds c times its column i to its
+    column j, and multiplying P^-1 on the left by the inverse shear
+    subtracts c times its row j from its row i."""
+    p = [[F(1) if r == s else F(0) for s in range(n)] for r in range(n)]
+    pinv = [list(row) for row in p]
     for i, j, c in shears:
-        p = p.mul(shear(n, i, j, c))
-        pinv = shear(n, i, j, -c).mul(pinv)
-    return p, pinv
+        for row in p:
+            row[j] += c * row[i]
+        pinv[i] = [a - c * b for a, b in zip(pinv[i], pinv[j])]
+    return Matrix.from_rows(p), Matrix.from_rows(pinv)
 
 
 def conjugate(alg, shears):
@@ -157,12 +154,41 @@ def test_sparse_products_match_dense_products(pair, data):
             n, [moved.product(u, v) for u in rows for v in rows])
 
 
+def sl2_on_v1_v1_v3():
+    """sl2 ⋉ (V(1) ⊕ V(1) ⊕ V(3)): two components share a highest weight,
+    so weights 1 and -1 each hold vectors of three chains."""
+    names = ("e", "f", "h") + tuple(f"x{k}" for k in range(8))
+    alg = catalog._semidirect(SL2_TABLE, catalog._sl2_action((1, 1, 3)),
+                              names, "sl2_on_v1_v1_v3")
+    return alg, LeviDatum((0, 1, 2), tuple(range(3, 11)), ((0, 1, 2),))
+
+
 SL2_MODULES = [
     ("simple_m2", lambda: simple_sl2_leibniz(2)),
     ("simple_m3", lambda: simple_sl2_leibniz(3)),
     ("simple_m4", lambda: simple_sl2_leibniz(4)),
     ("pair_m1", lambda: semisimple_pair(1)),
+    ("v1_v1_v3", sl2_on_v1_v1_v3),
 ]
+
+
+def sympy_weight_spaces(alg, sub, t):
+    """{eigenvalue: eigenspace} of v -> [v, h] on sub, from sympy's
+    eigenvectors of the action in the coordinates of sub's RREF basis,
+    where a vector of sub has its entries at the pivot columns as
+    coordinates."""
+    basis = sub.basis.data
+    pivots = sub.pivot_cols()
+    images = [alg.product(v, t.h) for v in basis]
+    assert all(sub.contains(image) for image in images)
+    action = sympy.Matrix(len(basis), len(basis), lambda r, c: sympy.Rational(
+        images[c][pivots[r]].numerator, images[c][pivots[r]].denominator))
+    spaces = {}
+    for lam, _, vectors in action.eigenvects():
+        ambient = [tuple(sum((F(int(x.p), int(x.q)) * v[k] for x, v in zip(vec, basis)),
+                             F(0)) for k in range(alg.dim)) for vec in vectors]
+        spaces[F(int(lam.p), int(lam.q))] = Subspace.from_vectors(alg.dim, ambient)
+    return spaces
 
 
 @given(st.sampled_from(SL2_MODULES), st.data())
@@ -186,6 +212,9 @@ def test_highest_weights_survive_change_of_basis(entry, data):
         dec = irreducible_decomposition_sl2(alg, sq, t)
         moved_dec = irreducible_decomposition_sl2(moved, moved_sq, moved_t)
         assert moved_dec.highest_weights == dec.highest_weights
+        spaces = weight_decomposition(moved, moved_sq, moved_t)
+        assert spaces.complete
+        assert dict(spaces.pairs) == sympy_weight_spaces(moved, moved_sq, moved_t)
         for hw in highest_weight_vectors(moved, moved_sq, moved_t):
             assert not any(moved.product(hw.vector, moved_t.e))
             assert moved.product(hw.vector, moved_t.h) == \
@@ -194,6 +223,30 @@ def test_highest_weights_survive_change_of_basis(entry, data):
             for v in comp.basis.data:
                 for g in (moved_t.e, moved_t.f, moved_t.h):
                     assert comp.contains(moved.product(v, g))
+
+
+def test_weights_on_a_mixed_basis_take_no_charpoly_above_1x1(monkeypatch):
+    # 60 shears among the squares ideal's indices leave the triple where it
+    # is and fill h's action on the ideal; the weights come from the
+    # lowering chains, whose one eigenproblem is h's on the line ker e
+    alg, levi = simple_sl2_leibniz(24)
+    rng = random.Random(1)
+    shears = []
+    for _ in range(60):
+        i, j = rng.sample(levi.i_indices, 2)
+        shears.append((i, j, rng.choice([F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2)])))
+    moved = conjugate(alg, shears)
+    t = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    shapes = []
+
+    def counted(m):
+        shapes.append(m.shape())
+        return charpoly(m)
+
+    monkeypatch.setattr(exactlin, "charpoly", counted)
+    spaces = weight_decomposition(moved, squares_ideal(moved), t)
+    assert spaces.complete and spaces.weights() == tuple(range(-24, 25, 2))
+    assert shapes and all(rows <= 1 for rows, _ in shapes)
 
 
 @given(st.sampled_from(SMALL_ALGEBRAS), st.data())

@@ -153,13 +153,28 @@ def test_two_copies_give_two_lines():
 
 
 def test_e_non_invariant_subspace_raises():
-    # span(f) is h-invariant, but [f, e] = -h leaves it
+    # span(f) is h-invariant, but [f, e] = -h leaves it: it is no sum of
+    # lowering chains, so its weights are incomplete and none are listed
     alg, levi = sl2()
     span_f = Subspace.coordinate(3, (1,))
     t = triple_of(alg, levi)
-    assert weight_decomposition(alg, span_f, t).weights() == (F(-2),)
+    ws = weight_decomposition(alg, span_f, t)
+    assert not ws.complete and ws.pairs == ()
     with pytest.raises(ModuleError, match="not invariant"):
         highest_weight_vectors(alg, span_f, t)
+
+
+def test_chain_vector_of_the_wrong_weight_reported_incomplete():
+    # the chain u, u·f = v fills span(u, v) and u has weight 1, but v has
+    # weight 5 where an sl2-module puts -1: the chain is no weight basis
+    E, F_, H, U, V = range(5)
+    alg = Algebra(5, {(V, E): [(U, 1)], (U, F_): [(V, 1)],
+                      (U, H): [(U, 1)], (V, H): [(V, 5)]})
+    t = Sl2Triple.from_indices(5, (E, F_, H))
+    sub = Subspace.coordinate(5, (U, V))
+    assert irreducible_decomposition_sl2(alg, sub, t).highest_weights == (1,)
+    ws = weight_decomposition(alg, sub, t)
+    assert not ws.complete and ws.pairs == ()
 
 
 def test_zero_module_no_lines():
