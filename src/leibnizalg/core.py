@@ -501,10 +501,12 @@ class Quotient:
 
 
 def _pullback(quo: Quotient, sub: Subspace) -> Subspace:
-    """Preimage of a quotient subspace: the ideal plus its lift to the
-    complement basis."""
-    complement = Subspace.coordinate(quo.ideal.ambient_dim, quo.complement_cols)
-    return quo.ideal.sum(complement.lift(sub))
+    """Preimage of a quotient subspace: the span of the ideal's rows and of
+    sub's rows, quotient coordinate k relabelled as complement column k."""
+    cols = quo.complement_cols
+    return Subspace.span(quo.ideal.ambient_dim, [
+        *quo.ideal.rows.values(),
+        *({cols[k]: x for k, x in row.items()} for row in sub.rows.values())])
 
 
 def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:

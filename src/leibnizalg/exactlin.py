@@ -19,24 +19,21 @@ cost what their nonzeros cost; its kernel rows are integer rows too.
 ``charpoly`` clears one denominator for the whole matrix and runs
 Berkowitz's recursion on the nonzero integer entries.  ``rational_eigen``
 takes the rational roots of the whole matrix's ``charpoly`` and one kernel
-per root; it only sees small matrices, since the sl2 weight spaces are
-read off lowering chains in ``sl2`` and need no eigenproblem.  A ``Subspace``
-keeps the engine's rows, signs fixed, and leading-1 ``Fraction`` rows only
-as the view ``pivot_rows``.  A subspace's coordinates (coordinate k
-weights its k-th RREF row) come back to ambient rows through
-``Subspace.lift``, which eliminates nothing: the combinations of RREF rows
-that an RREF coordinate basis names are RREF themselves.
-``Subspace.coordinate`` writes its unit rows directly.  A row is reduced
-modulo a subspace in integers: ``Subspace.holds`` and ``Subspace.reduce``
-share one fraction-free elimination against ``rows``, and only ``reduce``
-divides, once per entry; callers that need only a span multiply those
-rows too.
+per root; its one caller in the package is the summand split in ``core``,
+since ``sl2`` reads weights off integer kernels and f-strings.  A
+``Subspace`` keeps the engine's rows, signs fixed, and leading-1
+``Fraction`` rows only as the view ``pivot_rows``; ``Subspace.coordinate``
+writes its unit rows directly.  A row is reduced modulo a subspace in
+integers: ``Subspace.holds`` and ``Subspace.reduce`` share one
+fraction-free elimination against ``rows``, and only ``reduce`` divides,
+once per entry; callers that need only a span multiply those rows too.
 ``Matrix`` is the value type that crosses the API.  Its one storage form
 is sparse columns, and ``Matrix.row_dicts`` transposes them into the
 sparse rows that ``rational_eigen``, ``nullspace`` and ``solve`` read, so
 every computation reads a map at the cost of its nonzeros; its dense rows
-are a view for the reference alone.  ``solve`` has no caller in the
-package and stays as the reference the tests compare against.  Outside
+are a view for the reference alone.  ``solve`` and ``nullspace`` have no
+caller in the package: ``solve`` stays as the reference the tests compare
+against, and ``nullspace`` as the public kernel of a ``Matrix``.  Outside
 values become Fractions at the edge, in ``parse_rational`` and
 ``Matrix.from_rows``; everything else takes entries as given (Fraction or
 int) and never re-wraps an exact vector.
@@ -489,7 +486,7 @@ class Subspace:
     a primitive integer row with a positive lead, a unique form, so two
     values are equal exactly when they are the same subspace; the hash
     reads the pivot columns alone.  Callers only read ``rows``, and build
-    values through ``span``, ``coordinate``, ``zero``, ``full`` and ``lift``.
+    values through ``span``, ``coordinate``, ``zero`` and ``full``.
     """
 
     ambient_dim: int
@@ -553,38 +550,6 @@ class Subspace:
 
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(self.rows)
-
-    def lift(self, coords: "Subspace") -> "Subspace":
-        """The subspace of this one whose coordinates span ``coords``, where
-        coordinate k weights the k-th leading-1 row.  No row is eliminated:
-        a row of ``coords`` led by k lifts to a row that is 0 at the pivot
-        columns of the other rows of ``coords``, so the lifted rows are
-        already RREF.  It sums the integer rows, each times its coordinate
-        and L / its lead (L the lcm of those leads), and is made primitive;
-        a unit row {k: 1} lifts to the k-th row itself."""
-        if coords.ambient_dim != self.dim:
-            raise ValueError("coordinates do not match the subspace dimension")
-        pivots, rows = self._positions
-        lifted = {}
-        for k, c in coords.rows.items():
-            if len(c) == 1:
-                lifted[pivots[k]] = rows[k]
-                continue
-            lead = math.lcm(*(rows[j][pivots[j]] for j in c))
-            acc: dict[int, int] = {}
-            for j, x in c.items():
-                row = rows[j]
-                f = x * (lead // row[pivots[j]])
-                for col, y in row.items():
-                    acc[col] = acc.get(col, 0) + f * y
-            lifted[pivots[k]] = _primitive({col: v for col, v in acc.items() if v})
-        return Subspace(self.ambient_dim, lifted)
-
-    @functools.cached_property
-    def _positions(self) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
-        """The pivot columns and their rows by position, for ``lift``, which
-        runs once per weight space on the same subspace."""
-        return tuple(self.rows), tuple(self.rows.values())
 
     def holds(self, row: Mapping[int, Fraction | int]) -> bool:
         """Does the row lie in the subspace?  ``not reduce(row)``, without
@@ -873,9 +838,9 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
     roots of its ``charpoly``, each with the kernel of m - λ.  ``complete``
     is True when the eigenspaces fill the space.
 
-    The package calls it on small matrices only: the h-action on ker e,
-    one dimension per irreducible sl2 component, and the centroid
-    combinations of the summand split, of dimension dim S."""
+    The package calls it in one place, on the centroid combinations of
+    the summand split (``core._split_summands``); the sl2 weights need no
+    eigenproblem."""
     if m.rows != m.cols:
         raise ValueError("eigen decomposition of a non-square matrix")
     rows = m.row_dicts()

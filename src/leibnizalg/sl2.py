@@ -25,15 +25,13 @@ from .core import (
     squares_quotient,
 )
 from .exactlin import (
-    Matrix,
     Subspace,
     Vec,
     ZERO,
+    _axpy,
     _cleared,
     _row_to_dict,
-    format_rational,
-    nullspace,
-    rational_eigen,
+    kernel_of_constraints,
     value_type,
 )
 
@@ -56,29 +54,6 @@ class WeightSpaces:
         return tuple(w for w, _ in self.pairs)
 
 
-def _restricted_action(alg: Algebra, sub: Subspace, g: dict[int, Fraction]) -> Matrix:
-    """Matrix of v -> [v, g] on sub in its canonical basis coordinates.
-
-    An image inside the RREF span is the sum of the basis rows weighted by
-    its own entries at the pivot columns, so those entries are its
-    coordinates: column c holds the image of basis row c, read through the
-    position of each pivot column.  The image is formed from the integer
-    table, row and g, and divided by their scales once."""
-    gden, g = _cleared(g)
-    den = alg._den * gden
-    position = {p: r for r, p in enumerate(sub.rows)}
-    columns = {}
-    for c, (p, v) in enumerate(sub.rows.items()):
-        image = _product(alg, v, g)
-        if not sub.holds(image):
-            raise ModuleError(
-                "subspace is not invariant under the requested right action")
-        scale = den * v[p]
-        columns[c] = {position[q]: Fraction(x, scale)
-                      for q, x in image.items() if x and q in position}
-    return Matrix(sub.dim, sub.dim, columns)
-
-
 def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpaces:
     """Split a subspace into its h-weight spaces, ascending.
 
@@ -92,8 +67,7 @@ def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpa
     is not a weight vector of its weight, the pairs are empty and
     ``complete`` is False; ModuleError if the subspace is not h-invariant.
     """
-    h_row = _row_to_dict(t.h)
-    hden, h = _cleared(h_row)
+    hden, h = _cleared(_row_to_dict(t.h))
     scale = alg._den * hden
     rows: dict[int, list[dict[int, int]]] = {}
     try:
@@ -105,7 +79,8 @@ def weight_decomposition(alg: Algebra, sub: Subspace, t: Sl2Triple) -> WeightSpa
                     raise ModuleError("a chain vector is not a weight vector")
                 rows.setdefault(weight, []).append(v)
     except ModuleError:
-        _restricted_action(alg, sub, h_row)  # raises unless h-invariant
+        if not all(sub.holds(_product(alg, v, h)) for v in sub.rows.values()):
+            raise ModuleError("subspace is not invariant under the right h-action")
         return WeightSpaces((), False)
     return WeightSpaces(
         tuple((Fraction(weight), Subspace.span(sub.ambient_dim, vectors))
@@ -119,28 +94,92 @@ class HighestWeightVector:
     vector: Vec
 
 
+def _kernel_strings(strings: list[list[dict[int, int]]],
+                    images: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The kernel of the linear map that sends the head of strings[i] to
+    images[i], as strings: one per row of ``kernel_of_constraints`` over
+    the coefficients, that row's integer combination of the strings with
+    trailing zeros dropped.  A combination of f-strings, each vector k
+    scaled alike, is the f-string of the combined head; a row with one
+    coefficient keeps its string."""
+    constraints: dict[int, dict[int, int]] = {}
+    for i, image in enumerate(images):
+        for c, x in image.items():
+            if x:
+                constraints.setdefault(c, {})[i] = x
+    kernel = []
+    for coeffs in kernel_of_constraints(constraints.values(), len(strings)).rows.values():
+        if len(coeffs) == 1:
+            kernel.append(strings[next(iter(coeffs))])
+            continue
+        combo: list[dict[int, int]] = []
+        for i, x in coeffs.items():
+            for k, v in enumerate(strings[i]):
+                if k == len(combo):
+                    combo.append({})
+                for c, y in v.items():
+                    combo[k][c] = combo[k].get(c, 0) + x * y
+        combo = [{c: y for c, y in v.items() if y} for v in combo]
+        while not combo[-1]:
+            combo.pop()
+        kernel.append(combo)
+    return kernel
+
+
 def highest_weight_vectors(
     alg: Algebra, sub: Subspace, t: Sl2Triple,
 ) -> tuple[HighestWeightVector, ...]:
     """Weight vectors killed by the right e-action, highest weight first.
 
-    These are the h-weight vectors of ker(e|sub), one dimension per
-    irreducible component (Humphreys, *Introduction to Lie Algebras and
-    Representation Theory*, §7.2), so the eigenproblem of h on ker(e|sub)
-    is as small as the number of components.  ModuleError unless ``sub``
-    is invariant under the right e-action, ker(e|sub) under the right
-    h-action, and the kernel's weights are all rational.  Each weight
-    space's basis is in ambient RREF, so within one weight the vectors
-    ascend by leading index, as ``ModuleDecomposition`` promises.
+    In an sl2-module a vector of ker e has weight w exactly when its
+    f-string v, v·f, v·f², ... has w + 1 vectors (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, §7.2), so
+    the weights are read off integer kernels, with no eigenproblem.  K
+    starts as ker e on ``sub``, one kernel over the coefficients of
+    ``sub.rows``, and each of its rows carries its f-string, of at most
+    dim ``sub`` vectors.  The longest string gives the top weight w; the
+    vectors of weight w are the kernel of h - w on K, and K goes on as
+    the kernel of f^w on K, whose strings are combinations of the ones
+    already built.  ModuleError unless ``sub`` is invariant under the
+    right e-action, every string ends within dim ``sub`` vectors, and at
+    each w the vectors of weight w fill K modulo the kernel of f^w, so
+    that together they fill ker e.  Then a vector u of weight w has
+    u·f^w != 0 = u·f^(w+1).  Each weight's vectors are the ambient RREF
+    rows of their span, so within one weight they ascend by leading
+    index, as ``ModuleDecomposition`` promises.
     """
-    kernel = sub.lift(nullspace(_restricted_action(alg, sub, _row_to_dict(t.e))))
-    eigen = rational_eigen(_restricted_action(alg, kernel, _row_to_dict(t.h)))
-    if not eigen.complete:
-        raise ModuleError("weight decomposition is incomplete over the rationals")
+    e, f = (_cleared(_row_to_dict(g))[1] for g in (t.e, t.f))
+    hden, h = _cleared(_row_to_dict(t.h))
+    scale = alg._den * hden
+    rows = list(sub.rows.values())
+    images = [_product(alg, v, e) for v in rows]
+    if not all(map(sub.holds, images)):
+        raise ModuleError("subspace is not invariant under the right e-action")
+    kernel = _kernel_strings([[v] for v in rows], images)
+    for string in kernel:
+        while v := {c: x for c, x in _product(alg, string[-1], f).items() if x}:
+            if len(string) == sub.dim:
+                raise ModuleError(
+                    "lowering chain exceeds the dimension allowed by its "
+                    f"weight: f^{sub.dim} is not zero on a {sub.dim}-"
+                    "dimensional subspace")
+            string.append(v)
+    spaces = []
+    while kernel:
+        w = max(map(len, kernel)) - 1
+        top = _kernel_strings(kernel, [
+            _axpy(1, _product(alg, s[0], h), -w * scale, s[0]) for s in kernel])
+        rest = _kernel_strings(kernel, [s[w] if len(s) > w else {} for s in kernel])
+        if len(top) < len(kernel) - len(rest):
+            raise ModuleError(
+                f"in ker e, weight {w} has dimension {len(top)} but lowering "
+                f"chains of length {w + 1} need dimension "
+                f"{len(kernel) - len(rest)}; the action is not semisimple over Q")
+        spaces.append((w, Subspace.span(sub.ambient_dim, [s[0] for s in top])))
+        kernel = rest
     return tuple(HighestWeightVector(
-                     weight, tuple(row.get(c, ZERO) for c in range(alg.dim)))
-                 for weight, space in reversed(eigen.pairs)
-                 for row in kernel.lift(space).pivot_rows.values())
+                     Fraction(w), tuple(row.get(c, ZERO) for c in range(alg.dim)))
+                 for w, space in spaces for row in space.pivot_rows.values())
 
 
 # ----------------------------------------------------------- decomposition
@@ -165,8 +204,10 @@ def _lowering_chains(
     """The decomposition of an invariant subspace and, for each component,
     its lowering chain: a highest-weight vector spun down with the right
     f-action, in integers.  Each chain vector is a multiple of the exact
-    one, which leaves the spans as they are, and a chain of highest weight
-    w has w + 1 vectors.  Kept per subspace and triple for
+    one, which leaves the spans as they are.  ``highest_weight_vectors``
+    gives a vector u of weight w only with u·f^w != 0 = u·f^(w+1), so its
+    chain u, ..., u·f^w is linearly independent and needs no check.  Kept
+    per subspace and triple for
     ``irreducible_decomposition_sl2`` and ``weight_decomposition``; a
     ModuleError is not kept, so each call raises it again."""
     f = _cleared(_row_to_dict(t.f))[1]
@@ -174,27 +215,11 @@ def _lowering_chains(
     weights = []
     chains: list[tuple[dict[int, int], ...]] = []
     for hw in highest_weight_vectors(alg, sub, t):
-        if hw.weight.denominator != 1 or hw.weight < 0:
-            raise ModuleError(
-                f"highest weight {format_rational(hw.weight)} is not a "
-                "non-negative integer; the action is not semisimple over Q")
         w = int(hw.weight)
-        current = _cleared(_row_to_dict(hw.vector))[1]
-        chain = [current]
+        chain = [_cleared(_row_to_dict(hw.vector))[1]]
         for _ in range(w):
-            current = _product(alg, current, f)
-            if not any(current.values()):
-                raise ModuleError(
-                    "lowering chain stopped before filling the expected "
-                    f"{w + 1}-dimensional component")
-            chain.append(current)
-        if any(_product(alg, current, f).values()):
-            raise ModuleError(
-                "lowering chain exceeds the dimension allowed by its weight")
-        comp = Subspace.span(sub.ambient_dim, chain)
-        if comp.dim != w + 1:
-            raise ModuleError("lowering chain vectors are linearly dependent")
-        components.append(comp)
+            chain.append(_product(alg, chain[-1], f))
+        components.append(Subspace.span(sub.ambient_dim, chain))
         weights.append(w)
         chains.append(tuple(chain))
     total = Subspace.span(sub.ambient_dim, [v for chain in chains for v in chain])

@@ -23,7 +23,6 @@ from leibnizalg import (
     weight_decomposition,
 )
 from leibnizalg.exactlin import (
-    EigenDecomposition,
     Matrix,
     SparseRref,
     Subspace,
@@ -437,31 +436,18 @@ def assert_canonical(s: Subspace) -> None:
 def test_every_constructor_stores_canonical_integer_rows(vectors, form, data):
     # rows as Fractions with explicit zeros, without zeros, or as ints
     s = Subspace.span(5, (row_forms(v)[form] for v in vectors))
-    coords = data.draw(subspaces(s.dim))
     cols = data.draw(st.lists(st.integers(0, 4), max_size=6))
-    built = [s, s.lift(coords), s.sum(data.draw(subspaces(5))),
+    built = [s, s.sum(data.draw(subspaces(5))),
              Subspace.coordinate(5, cols), Subspace.zero(5), Subspace.full(5),
              kernel_of_constraints((row_forms(v)[form] for v in vectors), 5)]
     for space in built:
         assert_canonical(space)
-    assert s.lift(coords).dim == coords.dim
 
 
 def test_span_rejects_columns_outside_the_ambient_space():
     for row in ({3: F(1)}, {-1: F(2)}, {0: F(1), 5: F(1)}):
         with pytest.raises(ValueError, match="outside the ambient space"):
             Subspace.span(3, [row])
-
-
-@given(subspaces(5), st.data())
-@settings(max_examples=60)
-def test_lift_is_the_span_of_the_combinations(s, data):
-    coords = data.draw(subspaces(s.dim))
-    combos = [tuple(sum((x * row[k] for x, row in zip(c, s.basis.data)), F(0))
-                    for k in range(5))
-              for c in coords.basis.data]
-    assert s.lift(coords) == Subspace.from_vectors(5, combos)
-    assert s.lift(coords).dim == coords.dim
 
 
 @given(st.lists(st.integers(0, 5), max_size=8))
@@ -479,10 +465,7 @@ def test_coordinate_rejects_columns_outside_the_ambient_space():
         assert str(direct.value) == str(from_span.value)
 
 
-def test_lift_and_coordinate_run_no_elimination(monkeypatch):
-    # the combination cancels at column 3, which the lift drops
-    s = Subspace.from_vectors(4, [(1, 2, 0, 3), (0, 0, 1, -1)])
-    coords = Subspace.from_vectors(2, [(1, 3)])
+def test_coordinate_runs_no_elimination(monkeypatch):
     built = []
     engine_init = SparseRref.__init__
 
@@ -491,20 +474,18 @@ def test_lift_and_coordinate_run_no_elimination(monkeypatch):
         engine_init(self, ncols)
 
     monkeypatch.setattr(SparseRref, "__init__", counted)
-    assert s.lift(coords) == Subspace(4, {0: {0: 1, 1: 2, 2: 3}})
-    assert Subspace.coordinate(4, [3, 1]).lift(coords) == Subspace(4, {1: {1: 1, 3: 3}})
+    assert Subspace.coordinate(4, [3, 1]) == Subspace(4, {1: {1: 1}, 3: {3: 1}})
     assert built == []
     Subspace.span(4, [{0: F(1)}])
     assert built == [4]
-    with pytest.raises(ValueError, match="subspace dimension"):
-        s.lift(Subspace.zero(3))
 
 
 def test_weights_span_once_per_weight_space(monkeypatch):
-    # one span per weight space, plus a constant: e's kernel, h's eigenspace
-    # on it, the one component and the chains' total for the weights, and
-    # e's kernel and h's eigenspace again for highest_weight_vectors; the
-    # lifts back to the ambient coordinates add none
+    # one span per weight space, plus a constant: four for
+    # highest_weight_vectors (e's kernel, and at the one weight the kernels
+    # of h - 16 and of f^16 on it and the span of the weight's vectors),
+    # the one component and the chains' total for the weights, and the four
+    # again for highest_weight_vectors
     alg, levi = simple_sl2_leibniz(16)
     sq = squares_ideal(alg)
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
@@ -519,7 +500,7 @@ def test_weights_span_once_per_weight_space(monkeypatch):
     weights = weight_decomposition(alg, sq, triple).weights()
     highest = highest_weight_vectors(alg, sq, triple)
     assert len(weights) == 17 and [hw.weight for hw in highest] == [16]
-    assert len(calls) == len(weights) + 6
+    assert len(calls) == len(weights) + 10
 
 
 def test_residue_rejects_wrong_length():
@@ -762,7 +743,6 @@ def permuted_block_triangular(draw):
 @settings(max_examples=25)
 def test_berkowitz_permuted_block_triangular_matches_sympy(m):
     assert_eigen_matches_sympy(m)
-    assert rational_eigen(m) == whole_matrix_eigen(m)
 
 
 def test_berkowitz_vector_vanishing_mid_step():
@@ -823,20 +803,8 @@ def test_berkowitz_conjugated_weight_operator(m, seed):
 
 # ---------------------------- eigenspaces of block triangular matrices
 # blocks that share an eigenvalue, or a Jordan pair split across two 1×1
-# blocks, are where a per-block eigen solver would go wrong; the
-# whole-matrix computation is written out here as the reference.
-
-def whole_matrix_eigen(m: Matrix) -> EigenDecomposition:
-    """The rational roots of the charpoly of all of m, each with the kernel
-    of every shifted row of m."""
-    rows = m.row_dicts()
-    pairs = []
-    for lam in _rational_roots(charpoly(m)) if m.rows else ():
-        shifted = ({**row, i: row.get(i, F(0)) - lam} for i, row in enumerate(rows))
-        pairs.append((lam, kernel_of_constraints(shifted, m.rows)))
-    return EigenDecomposition(tuple(pairs),
-                              sum(space.dim for _, space in pairs) == m.rows)
-
+# blocks, are where a per-block eigen solver would go wrong; sympy is the
+# reference.
 
 @st.composite
 def block_triangular(draw):
@@ -885,9 +853,8 @@ ZERO_ROW_AND_COLUMN = Matrix.from_rows([[0, 0, 0], [1, 2, 0], [0, 0, 0]])
 @example(ROTATION_ABOVE)
 @example(ZERO_ROW_AND_COLUMN)
 @settings(max_examples=60)
-def test_block_eigen_matches_sympy_and_the_whole_matrix(m):
+def test_block_eigen_matches_sympy(m):
     assert_eigen_matches_sympy(m)
-    assert rational_eigen(m) == whole_matrix_eigen(m)
 
 
 @pytest.mark.parametrize("m, dims, complete", [
@@ -909,11 +876,10 @@ def test_block_eigen_named_cases(m, dims, complete):
             assert m.apply(v) == tuple(lam * x for x in v)
 
 
-def test_eigen_takes_a_charpoly_of_irreducible_blocks_only(monkeypatch):
-    # the weights and the decomposition of the simple family's squares ideal
-    # share one eigenproblem, of h on the one-dimensional ker e, and the
-    # simplicity verdict reads that decomposition; a dense matrix takes one
-    # characteristic polynomial, of itself
+def test_sl2_takes_no_charpoly_and_eigen_takes_one_per_matrix(monkeypatch):
+    # the weights, the decomposition and the simplicity verdict of the
+    # simple family's squares ideal read integer kernels and f-strings; a
+    # dense matrix takes one characteristic polynomial, of itself
     seen = []
 
     def counted(m):
@@ -927,12 +893,10 @@ def test_eigen_takes_a_charpoly_of_irreducible_blocks_only(monkeypatch):
     spaces = weight_decomposition(alg, sq, triple)
     assert spaces.weights() == tuple(range(-16, 17, 2))
     assert irreducible_decomposition_sl2(alg, sq, triple).highest_weights == (16,)
-    assert [m.shape() for m in seen] == [(1, 1)]
-    seen.clear()
     assert is_simple_certified(alg, levi).verdict == "yes"
     assert seen == []
     dense = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
-    assert rational_eigen(dense) == whole_matrix_eigen(dense)
+    assert_eigen_matches_sympy(dense)
     assert seen == [dense]
 
 

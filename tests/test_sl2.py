@@ -271,22 +271,31 @@ T, U, V = 0, 1, 2
 
 @pytest.mark.parametrize("products, e, f, h, match", [
     pytest.param({(U, T): [(U, F(1, 2))]}, None, None, T,
-                 "highest weight 1/2 is not a non-negative integer",
+                 "in ker e, weight 0 has dimension 1 but lowering chains of "
+                 "length 1 need dimension 2",
                  id="weight_one_half"),
     pytest.param({(U, T): [(U, 1)]}, None, None, T,
-                 "lowering chain stopped before filling",
+                 "in ker e, weight 0 has dimension 1 but lowering chains of "
+                 "length 1 need dimension 2",
                  id="short_chain"),
     pytest.param({(U, T): [(V, 1)]}, None, T, None,
-                 "lowering chain exceeds the dimension",
+                 "in ker e, weight 1 has dimension 0 but lowering chains of "
+                 "length 2 need dimension 1",
                  id="long_chain"),
+    pytest.param({(U, T): [(U, 1)]}, None, T, None,
+                 "lowering chain exceeds the dimension allowed by its weight: "
+                 "f\\^2 is not zero on a 2-dimensional subspace",
+                 id="non_nilpotent_f"),
     pytest.param({(V, T): [(U, 1)]}, T, None, None,
                  "highest-weight chains do not fill the subspace",
                  id="chains_do_not_fill"),
 ])
 def test_decomposition_error_paths(products, e, f, h, match):
     # tables on (t, u, v) acting on span(u, v), with t or zero as e, f, h;
-    # the remaining branch, a dependent chain, cannot be reached: a chain
-    # u, uf, ..., uf^w with uf^w != 0 = uf^(w+1) is linearly independent
+    # in non_nilpotent_f u·f = u, so u's f-string never ends and stops at
+    # the cap.  No table reaches a short or a dependent chain: a vector u
+    # of weight w from highest_weight_vectors has u·f^w != 0 = u·f^(w+1),
+    # and such a chain u, u·f, ..., u·f^w is linearly independent
     alg = Algebra(3, products, ("t", "u", "v"))
 
     def vec(i):
@@ -380,8 +389,9 @@ def test_failed_decomposition_raises_again(monkeypatch):
         with pytest.raises(ModuleError) as err:
             irreducible_decomposition_sl2(alg, squares_ideal(alg), swapped)
         messages.append(str(err.value))
-    assert messages == ["highest weight -1 is not a non-negative integer; "
-                        "the action is not semisimple over Q"] * 2
+    assert messages == ["in ker e, weight 1 has dimension 0 but lowering "
+                        "chains of length 2 need dimension 2; the action is "
+                        "not semisimple over Q"] * 2
     assert len(runs) == 2
 
 
@@ -476,8 +486,9 @@ PAIR_REPORT_CASES = {
             levi.g_indices, levi.i_indices, ((0, 1, 5), (3, 4, 5))),
         ("quotient_pair: FAIL (first triple invalid: relation [e,h] = 2e "
          "fails)",
-         "equal_columns: FAIL (decomposition failed: highest weight -1 is "
-         "not a non-negative integer; the action is not semisimple over Q)",
+         "equal_columns: FAIL (decomposition failed: in ker e, weight 1 has "
+         "dimension 1 but lowering chains of length 2 need dimension 2; the "
+         "action is not semisimple over Q)",
          "doublet_rows: pass (2 two-dimensional irreducible components)")),
     "dependent_triples": (
         pair_one, lambda alg, levi: LeviDatum(
@@ -499,10 +510,12 @@ PAIR_REPORT_CASES = {
             levi.g_indices, levi.i_indices, ((1, 0, 2), (4, 3, 5))),
         ("quotient_pair: FAIL (first triple invalid: relation [e,h] = 2e "
          "fails)",
-         "equal_columns: FAIL (decomposition failed: highest weight -1 is "
-         "not a non-negative integer; the action is not semisimple over Q)",
-         "doublet_rows: FAIL (decomposition failed: highest weight -1 is "
-         "not a non-negative integer; the action is not semisimple over Q)")),
+         "equal_columns: FAIL (decomposition failed: in ker e, weight 1 has "
+         "dimension 0 but lowering chains of length 2 need dimension 2; the "
+         "action is not semisimple over Q)",
+         "doublet_rows: FAIL (decomposition failed: in ker e, weight 1 has "
+         "dimension 0 but lowering chains of length 2 need dimension 2; the "
+         "action is not semisimple over Q)")),
     "noncommuting_blocks": (
         lambda: (sl3_with_two_triples(), None),
         lambda alg, levi: LeviDatum(

@@ -19,8 +19,8 @@ the weights for ``modules``, still took 6.4-6.8 s in the dense Berkowitz
 m = 192 and 34 s at m = 384, since the charpoly and every weight's kernel
 covered the whole ideal.  Read off the lowering chains of the
 decomposition, with one product per chain vector to check its weight, it
-takes about 0.01 s at m = 384 and needs no eigenproblem beyond h's on the
-one-dimensional ker e.  The
+takes about 0.01 s at m = 384, and since the highest weights are read off
+the f-strings of ker e it needs no eigenproblem.  The
 derivation nullspace of ``simple_sl2_leibniz(96)`` (dim 100, 10 000
 unknowns) took 3.3-4.0 s while each new pivot probed every stored row;
 with the column-occurrence index and integer rows from the table it took
