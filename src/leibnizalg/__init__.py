@@ -4,11 +4,14 @@ Algebras are given by rational structure constants; all computations run in
 exact arithmetic, so every reported dimension, scalar, and decomposition is
 an exact statement about the input, not an approximation.
 
-``core`` and ``exactlin`` load with the package.  ``derivations`` and
-``sl2`` are in ``sys.modules`` and bound here from the start, but their code
-runs on first attribute access (``importlib.util.LazyLoader``), and the
-names they export resolve through the module ``__getattr__``; a command
-that does not use them never compiles or runs them.
+``core`` and ``exactlin`` load with the package.  ``radical``, ``eigen``,
+``derivations``, ``sl2`` and ``catalog`` are in ``sys.modules`` and bound
+here from the start, but their code runs on first attribute access
+(``importlib.util.LazyLoader``), and the names they export resolve through
+the module ``__getattr__``; a command that does not use them never
+compiles or runs them.  Of the CLI commands, only ``radical`` runs
+``radical``, and none runs ``eigen``, which only the summand split
+reaches.
 """
 
 import importlib.util
@@ -22,40 +25,26 @@ from .core import (
     ModuleError,
     Quotient,
     SchemaError,
-    SimplicityCertificate,
     Sl2Triple,
     StructureError,
-    SummandSplit,
     algebra_from_json_dict,
     algebra_to_json_dict,
-    centroid,
     check_sl2_triple,
-    derived_series,
-    derived_subalgebra,
-    direct_sum_many,
     dump_algebra_json,
     ensure_leibniz,
-    is_semisimple,
-    is_simple_certified,
-    killing_form,
     leibniz_check,
     load_algebra_json,
     quotient_algebra,
-    simple_summands,
-    solvable_radical,
     squares_ideal,
     validate_levi,
 )
 from .exactlin import (
-    EigenDecomposition,
     Matrix,
     Subspace,
-    charpoly,
     format_rational,
     kernel_of_constraints,
     nullspace,
     parse_rational,
-    rational_eigen,
     solve,
 )
 
@@ -71,13 +60,29 @@ def _lazy(name: str):
     return module
 
 
+radical = _lazy("radical")
+eigen = _lazy("eigen")
 derivations = _lazy("derivations")
 sl2 = _lazy("sl2")
+catalog = _lazy("catalog")
 
 # names exported from the lazy layers, resolved by __getattr__ (PEP 562)
 _LAZY_HOMES = {
     name: module
     for module, names in (
+        (radical, (
+            "SimplicityCertificate",
+            "SummandSplit",
+            "centroid",
+            "derived_series",
+            "derived_subalgebra",
+            "is_semisimple",
+            "is_simple_certified",
+            "killing_form",
+            "simple_summands",
+            "solvable_radical",
+        )),
+        (eigen, ("EigenDecomposition", "charpoly", "rational_eigen")),
         (derivations, (
             "DerivationBasis",
             "DerivationSplit",
@@ -111,6 +116,7 @@ _LAZY_HOMES = {
             "pair_structure_report",
             "weight_decomposition",
         )),
+        (catalog, ("direct_sum_many",)),
     )
     for name in names
 }

@@ -6,14 +6,16 @@ table, [v, g] = v·g, and every other product zero.  Two of them are
 parametric (one sl2 on an irreducible module column, two commuting sl2
 copies on a pair of columns); small fixtures complete the list.  Basis order follows
 the standard listing for each family so printed reports line up with hand
-calculations.
+calculations.  ``direct_sum_many`` builds block direct sums, the
+``direct_sum`` family among them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import SL2_TABLE, Algebra, LeviDatum, direct_sum_many
+from .core import SL2_TABLE, Algebra, LeviDatum
 from .exactlin import value_type
 
 Columns = dict[int, dict[int, int]]
@@ -115,6 +117,44 @@ def semisimple_pair(m: int) -> tuple[Algebra, LeviDatum]:
     levi = LeviDatum(tuple(range(6)), tuple(range(6, 2 * (m + 4))),
                      ((0, 1, 2), (3, 4, 5)))
     return alg, levi
+
+
+def direct_sum_many(
+    parts: Sequence[tuple[Algebra, LeviDatum | None]],
+    name: str = "",
+) -> tuple[Algebra, LeviDatum | None]:
+    """Direct sum with block-offset indices; basis names get _1, _2, ... suffixes.
+
+    The combined split datum exists only when every part supplies one.
+    """
+    if not parts:
+        raise ValueError("empty direct sum")
+    dim = sum(alg.dim for alg, _ in parts)
+    products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    names: list[str] = []
+    g_idx: list[int] = []
+    i_idx: list[int] = []
+    triples: list[tuple[int, int, int]] = []
+    have_levis = all(levi is not None for _, levi in parts)
+    offset = 0
+    for count, (alg, levi) in enumerate(parts, start=1):
+        for (i, j), entries in alg.table_items():
+            products[(i + offset, j + offset)] = [
+                (k + offset, coeff) for k, coeff in entries]
+        names.extend(f"{s}_{count}" for s in alg.basis_names)
+        if have_levis:
+            assert levi is not None
+            g_idx.extend(a + offset for a in levi.g_indices)
+            i_idx.extend(a + offset for a in levi.i_indices)
+            triples.extend(
+                (a + offset, b + offset, c + offset) for a, b, c in levi.sl2_triples)
+        offset += alg.dim
+    if not name:
+        name = "sum_" + "_".join(alg.name or "anon" for alg, _ in parts)
+    total = Algebra(dim, products, tuple(names), name)
+    combined = LeviDatum(tuple(g_idx), tuple(i_idx), tuple(triples)) \
+        if have_levis else None
+    return total, combined
 
 
 def direct_sum_sample(m: int = 2, allow_uncertified: bool = False) -> tuple[Algebra, LeviDatum]:

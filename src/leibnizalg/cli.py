@@ -13,10 +13,11 @@ the file, starts the JSON doc with the ``command`` and ``algebra`` header,
 runs the command's body, which adds its fields and returns its text
 lines, and prints the doc under ``--json`` or the lines otherwise.  One
 parser helper gives each of them ``file`` and ``--json``.  Each command
-imports only the layers it runs: ``check`` and ``radical`` need neither
-``derivations`` nor ``sl2``, ``modules`` needs ``sl2``, ``derive`` needs
-``derivations`` (and ``sl2`` with ``--decompose``), and only ``catalog``
-needs ``catalog``.
+imports only the layers it runs, beside ``core`` and ``exactlin``:
+``check`` needs no other, ``radical`` needs ``radical``, ``modules`` needs
+``sl2``, ``derive`` needs ``derivations`` (and ``sl2`` with
+``--decompose``), and only ``catalog`` needs ``catalog``.  No command
+needs ``eigen``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ from .core import (
     _product,
     dump_algebra_json,
     ensure_leibniz,
-    is_semisimple,
     load_algebra_json,
-    solvable_radical,
     squares_ideal,
     squares_quotient,
     validate_levi,
@@ -224,6 +223,7 @@ def cmd_derive(args, alg, levi, doc, validation):
 
 @_analysis
 def cmd_radical(args, alg, levi, doc, validation):
+    from .radical import is_semisimple, solvable_radical
     sq = squares_ideal(alg)
     rad = solvable_radical(alg)
     semi = is_semisimple(alg)

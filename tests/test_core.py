@@ -46,7 +46,7 @@ from leibnizalg import (
     validate_levi,
     weight_decomposition,
 )
-from leibnizalg import core
+from leibnizalg import core, eigen, radical
 from leibnizalg.catalog import (
     direct_sum_sample,
     semisimple_pair,
@@ -55,6 +55,7 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
+from reference import dense_basis
 
 
 # ----------------------------------------------------------- construction
@@ -240,7 +241,7 @@ def test_integer_contractions_match_the_fraction_oracles(alg, data):
     entry = st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 4)])
     sub = Subspace.from_vectors(n, data.draw(st.lists(
         st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)))
-    for space, rows in ((sub, sub.basis.data), (Subspace.full(n), e), (None, e)):
+    for space, rows in ((sub, dense_basis(sub).data), (Subspace.full(n), e), (None, e)):
         assert derived_subalgebra(alg, space) == Subspace.from_vectors(
             n, [alg.product(u, v) for u in rows for v in rows])
 
@@ -376,7 +377,7 @@ def test_squares_ideal_of_catalog():
 def test_squares_ideal_left_annihilated():
     alg, _ = semisimple_pair(1)
     sq = squares_ideal(alg)
-    for v in sq.basis.data:
+    for v in dense_basis(sq).data:
         for j in range(alg.dim):
             assert alg.product(alg.basis_vector(j), v) == (F(0),) * alg.dim
 
@@ -642,7 +643,7 @@ def test_simple_summands_are_ideals_and_split():
     total = Subspace.zero(alg.dim)
     for s in split.summands:
         total = total.sum(s)
-        for v in s.basis.data:
+        for v in dense_basis(s).data:
             for j in range(alg.dim):
                 assert s.contains(alg.product(v, alg.basis_vector(j)))
     assert total == Subspace.full(alg.dim)
@@ -659,11 +660,11 @@ def sweep_split(alg):
     """The centroid eigenspace sweep of simple_summands, run whatever the
     centroid's dimension."""
     n, cents = alg.dim, centroid(alg)
-    for t in range(1, core._SWEEP_LIMIT + 1):
+    for t in range(1, radical._SWEEP_LIMIT + 1):
         combo = Matrix.combination(n, n, ((F(t) ** p, c) for p, c in enumerate(cents)))
-        eigen = rational_eigen(combo)
-        spaces = tuple(space for _, space in eigen.pairs)
-        if (eigen.complete and len(spaces) == len(cents)
+        dec = rational_eigen(combo)
+        spaces = tuple(space for _, space in dec.pairs)
+        if (dec.complete and len(spaces) == len(cents)
                 and all(core._is_ideal(alg, s) for s in spaces)):
             return SummandSplit(spaces, True)
     return SummandSplit((), False)
@@ -687,13 +688,13 @@ def test_simple_summands_skip_the_eigenspaces_of_a_one_dimensional_centroid(
     # verdict on simple m = 16 takes no eigen decomposition (one at the
     # centroid sweep)
     calls = []
-    original = core.rational_eigen
+    original = eigen.rational_eigen
 
     def counted(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(core, "rational_eigen", counted)
+    monkeypatch.setattr(eigen, "rational_eigen", counted)
     cert = is_simple_certified(*simple_sl2_leibniz(16))
     assert cert.verdict == "yes"
     assert calls == []
@@ -768,6 +769,11 @@ def test_simple_certified_no_for_nonabelian_solvable_lie():
     assert cert.witness == Subspace.coordinate(2, [1])
 
 
+# the modules whose globals serve the internal calls of the identity check
+# and of the radical, where the run-counting tests patch them
+COUNTED_HOMES = {"leibniz_check": core, "solvable_radical": radical}
+
+
 def test_simple_certified_on_a_lie_input_shares_its_radical(monkeypatch):
     # the squares quotient of a Lie algebra is the algebra itself, so the
     # summand split reads the radical the verdict already computed: one run
@@ -776,15 +782,15 @@ def test_simple_certified_on_a_lie_input_shares_its_radical(monkeypatch):
     runs = {"leibniz_check": 0, "solvable_radical": 0}
 
     def counted(name):
-        fn = getattr(core, name).__wrapped__
+        fn = getattr(COUNTED_HOMES[name], name).__wrapped__
 
         def run(alg):
             runs[name] += 1
             return fn(alg)
         return core.per_algebra(run)
 
-    for name in runs:
-        monkeypatch.setattr(core, name, counted(name))
+    for name, home in COUNTED_HOMES.items():
+        monkeypatch.setattr(home, name, counted(name))
     alg, levi = direct_sum_many([sl2()] * 8)
     cert = is_simple_certified(alg, levi)
     assert (cert.verdict, cert.witness) == ("no", Subspace.coordinate(24, range(3)))
@@ -847,15 +853,15 @@ def test_simple_certified_proves_nothing_twice_after_the_radical(make, monkeypat
     seen = []
 
     def recorded(name):
-        fn = getattr(core, name).__wrapped__
+        fn = getattr(COUNTED_HOMES[name], name).__wrapped__
 
         def run(a):
             seen.append((name, a))
             return fn(a)
         return core.per_algebra(run)
 
-    for name in ("leibniz_check", "solvable_radical"):
-        monkeypatch.setattr(core, name, recorded(name))
+    for name, home in COUNTED_HOMES.items():
+        monkeypatch.setattr(home, name, recorded(name))
     alg, levi = make()
     solvable_radical(alg)
     is_simple_certified(alg, levi)

@@ -38,6 +38,7 @@ from leibnizalg.catalog import (
 from leibnizalg import core, exactlin
 from leibnizalg.core import Algebra, LeviDatum, identity_rows, per_algebra
 from leibnizalg.sl2 import Sl2Triple
+from reference import dense_basis
 
 
 EXPECTED_DIMS = {
@@ -201,7 +202,7 @@ def test_split_reconstructs_catalog_wide():
             assert rebuilt == mat
             assert check_module_endomorphism(alg, split.ideal_endo)
             # the raising part must kill the whole ideal
-            for v in sq.basis.data:
+            for v in dense_basis(sq).data:
                 assert all(c == 0 for c in split.raising_map.apply(v))
 
 
@@ -333,7 +334,7 @@ def test_ideal_endo_blocks_match_sympy_coordinates():
             rows[r][c] = F(len(ideal) * a + b + 1, 2)
     rep = ideal_endo_blocks(alg, Matrix.from_rows(rows), comps)
     # column t of coords: coordinates of the image of stacked vector t
-    stacked = sym([v for comp in comps for v in comp.basis.data]).T
+    stacked = sym([v for comp in comps for v in dense_basis(comp).data]).T
     coords, params = stacked.gauss_jordan_solve(sym(rows) * stacked)
     assert params.shape[0] == 0
     offsets = [0, comps[0].dim, comps[0].dim + comps[1].dim]
@@ -578,7 +579,7 @@ def test_integer_identity_rows_keep_the_kernel():
             assert all(type(v) is int for v in row.values())
     der = derivation_algebra(alg)
     assert der.dim == 7
-    assert list(der.span.basis.data) == sympy_kernel_rref(alg, (True, True))
+    assert list(dense_basis(der.span).data) == sympy_kernel_rref(alg, (True, True))
     assert ([m.flatten() for m in centroid(alg)]
             == sympy_kernel_rref(alg, (True, False), (False, True)))
 

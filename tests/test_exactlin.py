@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from leibnizalg import (
     Sl2Triple,
-    exactlin,
+    eigen,
     highest_weight_vectors,
     irreducible_decomposition_sl2,
     is_simple_certified,
@@ -26,17 +26,16 @@ from leibnizalg.exactlin import (
     Matrix,
     SparseRref,
     Subspace,
-    charpoly,
     format_rational,
     kernel_of_constraints,
     nullspace,
     parse_rational,
-    rational_eigen,
     solve,
 )
 from leibnizalg.catalog import simple_sl2_leibniz
 from leibnizalg.core import kernel_maps
-from leibnizalg.exactlin import _rational_roots, _root_bound
+from leibnizalg.eigen import _rational_roots, _root_bound, charpoly, rational_eigen
+from reference import dense_basis
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -80,7 +79,7 @@ def rref_of(m: Matrix) -> Subspace:
 
 def test_rref_rank_deficient():
     r = rref_of(Matrix.from_rows([[2, 4], [1, 2]]))
-    assert r.basis == Matrix.from_rows([[1, 2]])
+    assert dense_basis(r) == Matrix.from_rows([[1, 2]])
     assert r.dim == 1
     assert r.pivot_cols() == (0,)
 
@@ -88,13 +87,13 @@ def test_rref_rank_deficient():
 def test_rref_identity_fixed():
     m = Matrix.identity(3)
     r = rref_of(m)
-    assert r.basis == m and r.dim == 3 and r.pivot_cols() == (0, 1, 2)
+    assert dense_basis(r) == m and r.dim == 3 and r.pivot_cols() == (0, 1, 2)
 
 
 def test_rref_generic_invertible():
     # hand elimination: [[1,2],[3,4]] -> [[1,0],[0,1]]
     r = rref_of(Matrix.from_rows([[1, 2], [3, 4]]))
-    assert r.basis == Matrix.identity(2)
+    assert dense_basis(r) == Matrix.identity(2)
     assert r.dim == 2
 
 
@@ -102,7 +101,7 @@ def test_rref_generic_invertible():
 @settings(max_examples=60)
 def test_rref_idempotent(m):
     once = rref_of(m)
-    assert rref_of(once.basis) == once
+    assert rref_of(dense_basis(once)) == once
 
 
 @given(matrices())
@@ -110,7 +109,7 @@ def test_rref_idempotent(m):
 def test_rref_matches_sympy(m):
     ours = rref_of(m)
     sym_reduced, sym_pivots = to_sympy(m).rref()
-    assert to_sympy(ours.basis) == sym_reduced[:len(sym_pivots), :]
+    assert to_sympy(dense_basis(ours)) == sym_reduced[:len(sym_pivots), :]
     assert ours.pivot_cols() == tuple(sym_pivots)
     # the sparse entry point, given every entry (explicit zeros included)
     # plus the negated first row and the sum of the first and last rows,
@@ -126,13 +125,13 @@ def test_rref_matches_sympy(m):
 
 def test_nullspace_line():
     ns = nullspace(Matrix.from_rows([[1, 1]]))
-    assert ns.basis == Matrix.from_rows([[1, -1]])
+    assert dense_basis(ns) == Matrix.from_rows([[1, -1]])
 
 
 def test_nullspace_dependent_rows():
     ns = nullspace(Matrix.from_rows([[1, 2], [2, 4]]))
     assert ns.dim == 1
-    assert ns.basis == Matrix.from_rows([[1, F(-1, 2)]])
+    assert dense_basis(ns) == Matrix.from_rows([[1, F(-1, 2)]])
 
 
 def test_nullspace_trivial():
@@ -149,14 +148,14 @@ def test_rank_nullity(m):
 @settings(max_examples=60)
 def test_nullspace_vectors_annihilate(m):
     ns = nullspace(m)
-    for v in ns.basis.data:
+    for v in dense_basis(ns).data:
         assert all(x == 0 for x in m.apply(v))
 
 
 def test_kernel_of_constraints_matches_dense():
     rows = [{0: F(1), 2: F(-1)}, {1: F(2), 2: F(2)}]
     dense = Matrix.from_rows([[1, 0, -1], [0, 2, 2]])
-    assert kernel_of_constraints(rows, 3).basis == nullspace(dense).basis
+    assert dense_basis(kernel_of_constraints(rows, 3)) == dense_basis(nullspace(dense))
 
 
 @pytest.mark.parametrize("rows", [[{5: 1}], [{0: 1, 5: 1}], [{-1: F(1, 2)}]])
@@ -355,7 +354,7 @@ def dense_residue(s: Subspace, v) -> tuple:
     """Reference reduction: every dense RREF row in turn, read at its pivot
     and subtracted across the whole vector."""
     residue = [F(x) for x in v]
-    for row in s.basis.data:
+    for row in dense_basis(s).data:
         p = next(c for c, x in enumerate(row) if x)
         t = residue[p]
         if t:
@@ -370,7 +369,7 @@ entries = st.one_of(rationals, st.integers(-9, 9))
 @settings(max_examples=60)
 def test_residue_matches_dense_reference(s, data):
     coeffs = data.draw(st.lists(entries, min_size=s.dim, max_size=s.dim))
-    inside = tuple(sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), F(0))
+    inside = tuple(sum((c * row[k] for c, row in zip(coeffs, dense_basis(s).data)), F(0))
                    for k in range(5))
     outside = tuple(data.draw(st.lists(entries, min_size=5, max_size=5)))
     for v in (inside, outside):
@@ -403,7 +402,7 @@ def row_forms(v):
 def test_holds_agrees_with_reduce(vectors, data):
     s = Subspace.from_vectors(5, vectors)
     coeffs = data.draw(st.lists(big_entries, min_size=s.dim, max_size=s.dim))
-    inside = [sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), F(0))
+    inside = [sum((c * row[k] for c, row in zip(coeffs, dense_basis(s).data)), F(0))
               for k in range(5)]
     nudged = list(inside)
     nudged[data.draw(st.integers(0, 4))] += data.draw(big_entries)
@@ -664,7 +663,7 @@ def test_rational_eigen_fractional_eigenvalue():
 def test_eigenvectors_are_eigenvectors(m):
     ed = rational_eigen(m)
     for lam, space in ed.pairs:
-        for v in space.basis.data:
+        for v in dense_basis(space).data:
             assert m.apply(v) == tuple(lam * x for x in v)
 
 
@@ -872,7 +871,7 @@ def test_block_eigen_named_cases(m, dims, complete):
     assert {lam: space.dim for lam, space in ed.pairs} == dims
     assert ed.complete == complete
     for lam, space in ed.pairs:
-        for v in space.basis.data:
+        for v in dense_basis(space).data:
             assert m.apply(v) == tuple(lam * x for x in v)
 
 
@@ -886,7 +885,7 @@ def test_sl2_takes_no_charpoly_and_eigen_takes_one_per_matrix(monkeypatch):
         seen.append(m)
         return charpoly(m)
 
-    monkeypatch.setattr(exactlin, "charpoly", counted)
+    monkeypatch.setattr(eigen, "charpoly", counted)
     alg, levi = simple_sl2_leibniz(16)
     triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
     sq = squares_ideal(alg)

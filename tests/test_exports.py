@@ -1,6 +1,7 @@
 """The package's export list, and the imports of its modules."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 
 import leibnizalg
 from leibnizalg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -51,7 +54,8 @@ COMMANDS = {
     "check": ("from leibnizalg.cli import main; "
               "assert main(['check', PATH]) == 0", CLI),
     "radical": ("from leibnizalg.cli import main; "
-                "assert main(['radical', PATH]) == 0", CLI),
+                "assert main(['radical', PATH]) == 0",
+                sorted(CLI + ["leibnizalg.radical"])),
     "modules": ("from leibnizalg.cli import main; "
                 "assert main(['modules', PATH]) == 0",
                 sorted(CLI + ["leibnizalg.sl2"])),
@@ -86,6 +90,32 @@ def probe_command(label: str, tmp_path, probe: str) -> str:
 def test_each_command_runs_only_its_layers(label, tmp_path, capsys):
     out = probe_command(label, tmp_path, LOADED_PROBE)
     assert json.loads(out) == COMMANDS[label][1]
+
+
+def traced_functions() -> list[tuple[str, str]]:
+    """(layer, name) of each plain function that perfbench/tracer.py's
+    ``WRAPPED`` lists, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["WRAPPED"])
+    return [(layer, name) for layer, names in wrapped.items()
+            for name in names if "." not in name]
+
+
+def test_traced_paths_resolve_to_the_exported_functions():
+    # the tracer wraps functions by their path in a layer; where a function
+    # has moved to a lazily loaded layer, the old path must still give the
+    # object the package exports
+    unexported = []
+    for layer, name in traced_functions():
+        module = importlib.import_module(f"leibnizalg.{layer}")
+        if name in leibnizalg.__all__:
+            assert getattr(module, name) is getattr(leibnizalg, name), (layer, name)
+        else:
+            assert callable(getattr(module, name)), (layer, name)
+            unexported.append(f"{layer}.{name}")
+    assert unexported == ["cli.main"]
 
 
 # What the standard library's class generator imports to write methods as
@@ -141,9 +171,6 @@ def test_package_modules_use_every_import():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def definitions(source: str) -> list[str]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import leibnizalg
-from leibnizalg import catalog, core, derivations, exactlin, sl2
+from leibnizalg import catalog, core, derivations, eigen, exactlin, radical, sl2
 from leibnizalg.exactlin import Subspace, value_type
 
 SPACE = Subspace.span(2, [{0: F(1), 1: F(2)}])
@@ -18,11 +18,11 @@ TYPES = {
                      ((0, 1, 2), (3,), ((0, 1, 2),))),
     core.Sl2Triple: (("e", "f", "h"), ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))),
     core.Quotient: (("algebra", "ideal", "complement_cols"), ("alg", SPACE, (1,))),
-    core.SummandSplit: (("summands", "determined"), ((SPACE,), True)),
-    core.SimplicityCertificate: (("verdict", "witness", "detail"),
-                                 ("no", SPACE, "nonzero solvable radical")),
+    radical.SummandSplit: (("summands", "determined"), ((SPACE,), True)),
+    radical.SimplicityCertificate: (("verdict", "witness", "detail"),
+                                    ("no", SPACE, "nonzero solvable radical")),
     exactlin.Subspace: (("ambient_dim", "rows"), (2, {0: {0: 1}})),
-    exactlin.EigenDecomposition: (("pairs", "complete"), (((F(2), SPACE),), False)),
+    eigen.EigenDecomposition: (("pairs", "complete"), (((F(2), SPACE),), False)),
     derivations.DerivationBasis: (("algebra", "maps", "span"), ("alg", (), SPACE)),
     derivations.OuterReport: (("dim_der", "dim_inner"), (7, 6)),
     derivations.GradedParts: (("diagonal", "raising", "lowering"), (1, 2, 3)),
@@ -127,6 +127,6 @@ def test_defaults_and_post_init_checks():
 
 def test_subspace_keeps_its_cached_basis_and_repr():
     space = Subspace.span(3, [{0: F(1), 2: F(1)}, {1: F(2)}])
-    assert space.basis is space.basis
+    assert space.pivot_rows is space.pivot_rows
     assert space == Subspace.span(3, [{1: F(1)}, {0: F(2), 2: F(2)}])
     assert repr(space) == "Subspace(dim 2 of 3)"
