@@ -8,23 +8,24 @@ equality of subspaces is literal equality of those rows.
 
 The computations run on sparse integer rows.  The elimination engine,
 ``SparseRref``, takes rows with ``int`` or ``Fraction`` entries, clears
-denominators in integer arithmetic (an ``int`` row is only copied) and
-keeps each row primitive, which keeps intermediate entries small.  A
-column-occurrence index over its stored rows (Davis, *Direct Methods for
-Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
-new pivot reach only the rows that hold its column, and a row with one
-term pins its unknown to zero before any other row is eliminated
-(singleton presolve), so kernels of large, very sparse constraint systems
-cost what their nonzeros cost; its kernel rows are integer rows too.
+denominators in integer arithmetic (an ``int`` row is only copied),
+reduces a row in one fraction-free pass and keeps each row primitive,
+which keeps intermediate entries small.  A column-occurrence index over
+its stored rows (Davis, *Direct Methods for Sparse Linear Systems*, 2006,
+ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a new pivot reach only the rows
+that hold its column, and a row with one term pins its unknown to zero
+before any other row is eliminated (singleton presolve), so kernels of
+large, very sparse constraint systems cost what their nonzeros cost; its
+kernel rows are integer rows too.
 The eigen theory (``charpoly``, ``rational_eigen``) is the module
 ``eigen``, which only the summand split loads; ``charpoly`` and
 ``rational_eigen`` still resolve here, for the benchmark's tracer.  A
 ``Subspace`` keeps the engine's rows, signs fixed, and leading-1
 ``Fraction`` rows only as the view ``pivot_rows``; ``Subspace.coordinate``
 writes its unit rows directly.  A row is reduced modulo a subspace in
-integers: ``Subspace.holds`` and ``Subspace.reduce`` share one
-fraction-free elimination against ``rows``, and only ``reduce`` divides,
-once per entry; callers that need only a span multiply those rows too.
+integers, by the engine's pass against ``rows``: ``Subspace.holds`` and
+``Subspace.reduce`` share it, and only ``reduce`` divides, once per
+entry; callers that need only a span multiply those rows too.
 ``Matrix`` is the value type that crosses the API.  Its one storage form
 is sparse columns, and ``Matrix.row_dicts`` transposes them into the
 sparse rows that ``nullspace``, ``solve`` and ``eigen`` read, so
@@ -287,15 +288,26 @@ def _cleared(frow: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
     return den, {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
 
 
-def _int_row(frow: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear the denominators of a row with no zero entries; the row scale
-    is irrelevant."""
-    return _primitive(_cleared(frow)[1])
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _reduce(rows: Mapping[int, dict[int, int]],
+            acc: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(L, L times acc reduced modulo rows, the fully reduced rows by
+    pivot) by fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+    only the rows at acc's pivots are read, each subtracted once, and L > 0
+    is the lcm of their leads.  acc, updated in place if L = 1, keeps zeros."""
+    at = [(rows[p], p, t) for p, t in acc.items() if p in rows]
+    lead = math.lcm(*(r[p] for r, p, _ in at))
+    if lead > 1:
+        acc = {c: lead * v for c, v in acc.items()}
+    for r, p, t in at:
+        f = t * (lead // r[p])
+        for c, e in r.items():
+            acc[c] = acc.get(c, 0) - f * e
+    return lead, acc
 
 
 def _axpy(a: int, r1: dict[int, int], b: int, r2: dict[int, int]) -> dict[int, int]:
@@ -314,9 +326,11 @@ class SparseRref:
     """Incremental reduced row echelon form over sparse integer rows.
 
     Pivot rows are kept fully reduced against one another, so each stored
-    row touches only its own pivot column plus free columns.  For systems
-    whose kernel is small that keeps every stored row tiny regardless of
-    how many input rows stream through.
+    row touches only its own pivot column plus free columns, and
+    ``add_row`` reduces a new row in the one pass of ``_reduce``, reading
+    each stored row at the row's pivots once.  For systems whose kernel
+    is small that keeps every stored row tiny regardless of how many
+    input rows stream through.
 
     Rows come in with ``int`` or ``Fraction`` entries and are stored as
     primitive integer rows.  ``holders`` is the column-occurrence index of
@@ -373,15 +387,10 @@ class SparseRref:
         frow = {c: v for c, v in frow.items() if v and c not in pinned}
         if not frow:
             return
-        row = _int_row(frow)
-        pivots = self.pivots
-        # stored rows hold no other pivot column, so reducing by one pivot
-        # leaves the row's entries at the others nonzero
-        for c in sorted(row.keys() & pivots.keys()):
-            p = pivots[c]
-            row = _primitive(_axpy(p[c], row, -row[c], p))
+        row = _reduce(self.pivots, _cleared(frow)[1])[1]
+        row = {c: v for c, v in row.items() if v}
         if row:
-            self._place(row)
+            self._place(_primitive(row))
 
     def _place(self, row: dict[int, int]) -> None:
         """Store a reduced row under its leading column c after
@@ -553,23 +562,10 @@ class Subspace:
         return {c: Fraction(v, s) for c, v in acc.items() if v}
 
     def _eliminate(self, row: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
-        """(s, s times the reduced row), s = d·L > 0, by fraction-free
-        elimination (Bareiss, Math. Comp. 22, 1968): the row cleared by the
-        lcm d of its denominators, times L, the lcm of the leads of the
-        stored rows at its pivots, less each of those rows times its entry
-        and L / lead.  No stored row has an entry at another pivot, so only
-        the rows at the row's own pivots are read; cancelled sums stay as
-        zeros."""
+        """(s, s times the reduced row), s = d·L > 0: the row cleared by the
+        lcm d of its denominators, then reduced by ``_reduce``."""
         den, acc = _cleared({c: v for c, v in row.items() if v})
-        rows = self.rows
-        at = [(rows[p], p, t) for p, t in acc.items() if p in rows]
-        lead = math.lcm(*(r[p] for r, p, _ in at))
-        if lead > 1:
-            acc = {c: lead * v for c, v in acc.items()}
-        for r, p, t in at:
-            f = t * (lead // r[p])
-            for c, e in r.items():
-                acc[c] = acc.get(c, 0) - f * e
+        lead, acc = _reduce(self.rows, acc)
         return den * lead, acc
 
     def residue(self, v: Sequence[Fraction]) -> Vec:

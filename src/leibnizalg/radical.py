@@ -155,9 +155,6 @@ class SummandSplit:
     determined: bool
 
 
-_SWEEP_LIMIT = 20
-
-
 def simple_summands(alg: Algebra) -> SummandSplit:
     """Split a radical-free Lie algebra into ideals via centroid eigenspaces.
 
@@ -172,21 +169,28 @@ def simple_summands(alg: Algebra) -> SummandSplit:
 
 
 def _split_summands(alg: Algebra) -> SummandSplit:
-    """``simple_summands`` of a Lie algebra known to be radical free."""
+    """``simple_summands`` of a Lie algebra known to be radical free.
+
+    The eigenspaces of c(t) = Σ t^p c_p, c_p the centroid basis, are
+    ideals, so k = dim centroid of them need a split centroid (≅ Q^k).
+    There every c(t) is diagonalizable over Q, so an incomplete one ends
+    the sweep, and its eigenvalues on the k summands are distinct
+    polynomials in t of degree < k, so some t ≤ 1 + (k-1)·k(k-1)/2
+    separates them."""
     n = alg.dim
     cents = centroid(alg)
-    want = len(cents)
-    if want == 1:
+    k = len(cents)
+    if k == 1:
         return SummandSplit((Subspace.full(n),), True)
     from .eigen import rational_eigen
-    for t in range(1, _SWEEP_LIMIT + 1):
+    for t in range(1, 2 + (k - 1) * k * (k - 1) // 2):
         combo = Matrix.combination(
             n, n, ((t ** power, c) for power, c in enumerate(cents)))
         eigen = rational_eigen(combo)
-        if not eigen.complete or len(eigen.pairs) != want:
-            continue
+        if not eigen.complete:
+            break
         spaces = tuple(space for _, space in eigen.pairs)
-        if all(_is_ideal(alg, s) for s in spaces):
+        if len(spaces) == k and all(_is_ideal(alg, s) for s in spaces):
             return SummandSplit(spaces, True)
     return SummandSplit((), False)
 

@@ -658,9 +658,10 @@ def test_simple_summands_requires_zero_radical():
 
 def sweep_split(alg):
     """The centroid eigenspace sweep of simple_summands, run whatever the
-    centroid's dimension."""
+    centroid's dimension, over a fixed 20 candidates: at least the bound
+    1 + (k-1)·k(k-1)/2 of simple_summands for every k <= 4."""
     n, cents = alg.dim, centroid(alg)
-    for t in range(1, radical._SWEEP_LIMIT + 1):
+    for t in range(1, 21):
         combo = Matrix.combination(n, n, ((F(t) ** p, c) for p, c in enumerate(cents)))
         dec = rational_eigen(combo)
         spaces = tuple(space for _, space in dec.pairs)
@@ -700,6 +701,31 @@ def test_simple_summands_skip_the_eigenspaces_of_a_one_dimensional_centroid(
     assert calls == []
     assert simple_summands(sl2()[0]) == SummandSplit((Subspace.full(3),), True)
     assert calls == []
+
+
+def test_a_centroid_that_does_not_split_ends_the_sweep(monkeypatch):
+    # sl2 over Q(√2), written over Q on e, f, h, √2e, √2f, √2h: simple over
+    # Q with centroid Q(√2), dimension 2.  No centroid element has two
+    # rational eigenspaces, so the first incomplete decomposition ends the
+    # sweep (the fixed sweep of 20 candidates took 20)
+    products = {}
+    for (i, j), entries in core.SL2_TABLE.items():
+        products[(i, j)] = [(k, c) for k, c in entries]
+        products[(i, j + 3)] = products[(i + 3, j)] = [(k + 3, c) for k, c in entries]
+        products[(i + 3, j + 3)] = [(k, 2 * c) for k, c in entries]
+    alg = Algebra(6, products)
+    assert alg.is_lie() and solvable_radical(alg).dim == 0
+    assert len(centroid(alg)) == 2
+    calls = []
+    original = eigen.rational_eigen
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(eigen, "rational_eigen", counted)
+    assert simple_summands(alg) == SummandSplit((), False)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- simplicity

@@ -1,6 +1,7 @@
 """Derivation algebras: exact kernels, grading, the inner + module-map +
 raising-map split, and block analysis of the middle part."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from leibnizalg.catalog import (
 from leibnizalg import core, exactlin
 from leibnizalg.core import Algebra, LeviDatum, identity_rows, per_algebra
 from leibnizalg.sl2 import Sl2Triple
-from reference import dense_basis
+from reference import conjugate, dense_basis
 
 
 EXPECTED_DIMS = {
@@ -584,6 +585,29 @@ def test_integer_identity_rows_keep_the_kernel():
             == sympy_kernel_rref(alg, (True, False), (False, True)))
 
 
+def test_sheared_kernel_matches_sympy(monkeypatch):
+    # 3·dim shears e_i += c·e_j mix every coordinate, so the identity rows
+    # are dense and a new row meets several stored rows with distinct leads
+    # other than 1: the one reduction scales the row by the lcm of those
+    # leads and subtracts each row once
+    alg, _ = simple_sl2_leibniz(3)
+    n, rng = alg.dim, random.Random(1)
+    shears = [(*rng.sample(range(n), 2), F(rng.choice((-2, -1, 1, 2))))
+              for _ in range(3 * n)]
+    moved = conjugate(alg, shears)
+    distinct = []
+    reduce = exactlin._reduce
+
+    def recorded(rows, acc):
+        distinct.append(len({abs(rows[p][p]) for p in acc if p in rows} - {1}))
+        return reduce(rows, acc)
+
+    monkeypatch.setattr(exactlin, "_reduce", recorded)
+    der = derivation_algebra.__wrapped__(moved)
+    assert max(distinct) >= 3
+    assert list(dense_basis(der.span).data) == sympy_kernel_rref(moved, (True, True))
+
+
 def test_elimination_cost_follows_the_nonzeros(monkeypatch):
     # back-substitution rewrites exactly the stored rows that hold the new
     # pivot's column, each once, through the one row-writing helper
@@ -607,18 +631,27 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
             assert sorted(rewritten) == sorted(p for p, cols in held.items() if c in cols)
         else:
             assert eng.pivots.keys() == held.keys()
-    # the elimination steps grow like dim**2.01 from m = 48 to m = 96 (4 011
-    # to 14 931 _axpy calls); dim**2.5 leaves room for that and fails a
-    # back-substitution or fill-in that grows like dim**3.  Rows reduced by
-    # unit rows alone cost no _axpy: without pinned columns m = 96 took
-    # 81 766 calls
-    axpy, calls = exactlin._axpy, 0
+    # an elimination step is a stored row read by the reduction of a new
+    # row, or an _axpy back-substitution of a new pivot into a stored row.
+    # The steps grow like dim**2.01 from m = 48 to m = 96 (481 + 3 529 =
+    # 4 010 to 961 + 13 969 = 14 930); dim**2.5 leaves room for that and
+    # fails a back-substitution or fill-in that grows like dim**3.  Pinned
+    # columns are dropped before the reduction and a unit pivot deletes its
+    # column with no _axpy: without pinned columns m = 96 took 81 766
+    # _axpy calls, one per stored row read or rewritten
+    reduce, axpy, calls = exactlin._reduce, exactlin._axpy, 0
+
+    def counted_reduce(rows, acc):
+        nonlocal calls
+        calls += sum(p in rows for p in acc)
+        return reduce(rows, acc)
 
     def counted_axpy(*args):
         nonlocal calls
         calls += 1
         return axpy(*args)
 
+    monkeypatch.setattr(exactlin, "_reduce", counted_reduce)
     monkeypatch.setattr(exactlin, "_axpy", counted_axpy)
     counts = {}
     for m in (48, 96):
@@ -634,16 +667,18 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
 def test_one_term_rows_pin_before_any_row_is_eliminated(monkeypatch):
     # at semisimple_pair(5) 1 600 of 2 360 identity rows have one term and
     # pin 268 unknowns; the other rows wait for every pin, and 195 of them
-    # reach the elimination (463 when each row was eliminated on arrival)
+    # reach the elimination (463 when each row was eliminated on arrival):
+    # add_row hands each of them to the one reduction, and a row with no
+    # live entry never gets there
     cleared = 0
-    int_row = exactlin._int_row
+    reduce = exactlin._reduce
 
-    def counted(row):
+    def counted(rows, acc):
         nonlocal cleared
         cleared += 1
-        return int_row(row)
+        return reduce(rows, acc)
 
-    monkeypatch.setattr(exactlin, "_int_row", counted)
+    monkeypatch.setattr(exactlin, "_reduce", counted)
     alg, _ = semisimple_pair(5)
     der = derivation_algebra.__wrapped__(alg)
     assert der.dim == 7

@@ -300,6 +300,71 @@ def test_presolve_keeps_the_kernel_and_the_indexes(system):
 
 # ----------------------------------------------------------------- solve
 
+def sympy_rref_rows(dense: sympy.Matrix) -> dict[int, dict[int, F]]:
+    reduced, pivots = dense.rref()
+    return {p: {c: F(int(x.p), int(x.q)) for c, x in enumerate(reduced.row(i)) if x}
+            for i, p in enumerate(pivots)}
+
+
+@st.composite
+def systems_with_distinct_leads(draw):
+    """(ncols, leads, rows): first k >= 3 rows already reduced, one per
+    pivot column, with distinct leads among ±2, ±3, ±5, ±7 and a 1 at the
+    last column, so each is stored as it comes and leads maps each pivot to
+    its stored lead; then rows that hit at least 3 of those pivots, the
+    first always, mixed with rows as in ``sparse_systems``."""
+    ncols = draw(st.integers(4, 9))
+    k = draw(st.integers(3, min(4, ncols - 1)))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 2), min_size=k, max_size=k)))
+    free = [c for c in range(ncols) if c not in pivots]
+    primes = draw(st.permutations([2, 3, 5, 7]))
+    leads = {p: draw(st.sampled_from([q, -q])) for p, q in zip(pivots, primes)}
+    rows: list[dict[int, object]] = []
+    for p, lead in leads.items():
+        later = [c for c in free if c > p]
+        rows.append({c: draw(st.integers(-4, 4)) for c in draw(st.sets(
+            st.sampled_from(later), max_size=2))} | {p: lead, ncols - 1: 1})
+    for i in range(draw(st.integers(1, 6))):
+        if i == 0 or draw(st.booleans()):
+            hit = draw(st.sets(st.sampled_from(pivots), min_size=3))
+            row = {c: draw(entries) for c in draw(st.sets(st.sampled_from(free), max_size=3))}
+            rows.append(row | {p: draw(entries.filter(bool)) for p in hit})
+        else:
+            rows.append({c: draw(entries) for c in draw(st.sets(
+                st.integers(0, ncols - 1), max_size=4))})
+    return ncols, leads, rows
+
+
+@given(systems_with_distinct_leads())
+@settings(max_examples=120)
+def test_rows_hitting_distinct_leads_match_sympy(system):
+    # a row that hits stored rows with leads 2, 3, 5, ... is reduced in one
+    # pass, scaled by the lcm of those leads; the engine, spans, kernels and
+    # solve all give sympy's answer
+    ncols, leads, rows = system
+    eng = SparseRref(ncols)
+    for i, row in enumerate(rows):
+        if i == len(leads):
+            assert {p: r[p] for p, r in eng.pivots.items()} == leads
+        eng.add_row(row)
+        assert_indexes(eng)
+    assert_rref_matches_sympy(eng, ncols, rows)
+    dense = sympy.Matrix(len(rows), ncols, [sympy.Rational(F(row.get(c, 0)))
+                                            for row in rows for c in range(ncols)])
+    assert Subspace.span(ncols, rows).pivot_rows == sympy_rref_rows(dense)
+    null = dense.nullspace()
+    expected = sympy_rref_rows(sympy.Matrix.hstack(*null).T) if null else {}
+    assert kernel_of_constraints(rows, ncols).pivot_rows == expected
+    # the last column as the right-hand side: no solution when it is a
+    # pivot of the augmented system, else the pivots' values, free ones 0
+    a = Matrix.from_rows([[row.get(c, 0) for c in range(ncols - 1)] for row in rows])
+    augmented = sympy_rref_rows(dense)
+    want = None
+    if ncols - 1 not in augmented:
+        want = tuple(augmented.get(c, {}).get(ncols - 1, F(0)) for c in range(ncols - 1))
+    assert solve(a, [F(row.get(ncols - 1, 0)) for row in rows]) == want
+
+
 def test_solve_identity():
     b = (F(1), F(2), F(3))
     assert solve(Matrix.identity(3), b) == b

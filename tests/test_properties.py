@@ -37,7 +37,7 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
-from reference import dense_basis
+from reference import conjugate, dense_basis, shear_product
 
 
 SMALL_ALGEBRAS = [
@@ -50,35 +50,6 @@ WITH_LEVI = [entry for entry in standard_catalog() if entry[2] is not None]
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 small_rationals = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2)])
-
-
-def shear_product(n, shears):
-    """P, the product of the shears I + c·E_ij in order, and its inverse:
-    multiplying P on the right by a shear adds c times its column i to its
-    column j, and multiplying P^-1 on the left by the inverse shear
-    subtracts c times its row j from its row i."""
-    p = [[F(1) if r == s else F(0) for s in range(n)] for r in range(n)]
-    pinv = [list(row) for row in p]
-    for i, j, c in shears:
-        for row in p:
-            row[j] += c * row[i]
-        pinv[i] = [a - c * b for a, b in zip(pinv[i], pinv[j])]
-    return Matrix.from_rows(p), Matrix.from_rows(pinv)
-
-
-def conjugate(alg, shears):
-    """Rewrite the table in the basis P e_0, ..., P e_{n-1}."""
-    n = alg.dim
-    p, pinv = shear_product(n, shears)
-    cols = [p.apply(alg.basis_vector(i)) for i in range(n)]
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            w = pinv.apply(alg.product(cols[i], cols[j]))
-            entries = [(k, c) for k, c in enumerate(w) if c != 0]
-            if entries:
-                products[(i, j)] = entries
-    return Algebra(n, products)
 
 
 shear_lists = st.lists(
