@@ -7,15 +7,16 @@ unknowns (the matrix entries) and n^3 equations (the derivation identity
 per basis pair and coordinate).  Each kernel row becomes a map stored as
 sparse columns, and everything downstream runs on those columns, so a
 derivation with about n nonzeros costs about n entries, not n^2: the
-grading sorts nonzeros into blocks, the inner match solves a small sparse
-system, and the module-endomorphism, complement and reconstruction checks
-read only the columns some term occupies.  Everything is exact: splits
-reconstruct their input matrix entry for entry.
+grading sorts nonzeros into blocks, the inner match of every map reduces
+against one span eliminated per algebra and split, and the
+module-endomorphism, complement and reconstruction checks read only the
+columns some term occupies.  Everything is exact: splits reconstruct
+their input matrix entry for entry.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +26,6 @@ from .core import (Algebra, LeviDatum, StructureError, _accumulate,
 from .exactlin import (
     Matrix,
     ONE,
-    SparseRref,
     Subspace,
     Vec,
     ZERO,
@@ -148,18 +148,17 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
         raise ValueError("grading requires a square matrix")
     if not levi.partitions(n):
         raise ValueError("declared index sets do not partition the basis")
-    g_set = set(levi.g_indices)
-    blocks: tuple[dict, dict, dict] = ({}, {}, {})  # diagonal, raising, lowering
+    return GradedParts(*(Matrix(n, n, b) for b in _blocks(set(levi.g_indices), m)))
+
+
+def _blocks(g_set: set[int], m: Matrix) -> tuple[dict, dict, dict]:
+    """The columns of m's diagonal, raising and lowering blocks."""
+    blocks: tuple[dict, dict, dict] = ({}, {}, {})
     for c, col in m.columns.items():
+        c_in = c in g_set
         for r, v in col.items():
-            if (r in g_set) == (c in g_set):
-                block = blocks[0]
-            elif c in g_set:
-                block = blocks[1]
-            else:
-                block = blocks[2]
-            block.setdefault(c, {})[r] = v
-    return GradedParts(*(Matrix(n, n, b) for b in blocks))
+            blocks[0 if (r in g_set) == c_in else 1 if c_in else 2].setdefault(c, {})[r] = v
+    return blocks
 
 
 # ------------------------------------------------------------------- split
@@ -175,58 +174,71 @@ class DerivationSplit:
     derivation: Matrix
 
 
-def _inner_match(alg: Algebra, g_list: Sequence[int],
-                 diagonal: Matrix) -> dict[int, Fraction] | None:
-    """Coordinates a_s (s in g_list) with [e_c, a] = diagonal(e_c) for
-    every complement column c, free coordinates zero; None if there are
-    none.
+@per_algebra
+def _inner_match_span(alg: Algebra, levi: LeviDatum) -> tuple[set[int], Subspace]:
+    """The complement's indices and the span that solves the inner match
+    of every map, eliminated once per algebra and split; LeviError or
+    ValueError unless the split partitions the basis.
 
-    Coordinate r of [e_c, e_s] is the coefficient of a_s in equation
-    (c, r); column k = len(g_list) carries the right-hand side, so the
-    system is consistent exactly when k is no pivot, and then the stored
-    row of each pivot t holds its solution at k, times the row's lead."""
-    k = len(g_list)
-    eng = SparseRref(k + 1)
-    cols = diagonal.columns
-    for c in g_list:
-        eqs: dict[int, dict[int, Fraction]] = {}
-        for t, s in enumerate(g_list):
-            for r, coeff in alg.c(c, s):
-                eqs.setdefault(r, {})[t] = coeff
-        for r, value in cols.get(c, {}).items():
-            eqs.setdefault(r, {})[k] = value
-        eng.extend(eqs.values())
-    if k in eng.pivots:
-        return None
-    return {g_list[t]: Fraction(row[k], row[t])
-            for t, row in eng.pivots.items() if k in row}
+    Row t is D·R(e_s), s the t-th complement index, on the complement
+    columns, flattened (entry (r, c) at c·n + r) and tagged with D at
+    n² + k - 1 - t.  Reducing d's flattened complement columns leaves
+    nothing below n² exactly when some a = Σ a_s e_s has [e_c, a] = d(e_c)
+    for every complement c, and -a_s at s's tag; the tags run backwards, so
+    if the R(e_s) are dependent the a_s a solve in basis order leaves free
+    read 0."""
+    _require_levi(levi)
+    n = alg.dim
+    if not levi.partitions(n):
+        raise ValueError("declared index sets do not partition the basis")
+    g_set = set(levi.g_indices)
+    nn, k = n * n, len(levi.g_indices)
+    rows = [{c * n + r: x for c, entries in alg._by_right.get(s, ()) if c in g_set
+             for r, x in entries} | {nn + k - 1 - t: alg._den}
+            for t, s in enumerate(levi.g_indices)]
+    return g_set, Subspace.span(nn + k, rows)
 
 
 def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSplit:
     """Split a derivation along the declared grading.
 
-    The diagonal part is matched by a right multiplication on the
-    complement columns; the leftover is a module endomorphism of the ideal;
-    the raising corner passes through unchanged, and must satisfy the
-    derivation identity on the complement.  The three parts sum back to the
-    input exactly or the function raises.  Every step reads the maps'
-    sparse columns.
+    The diagonal part is matched by a right multiplication R_a on the
+    complement columns, by one reduction against ``_inner_match_span``;
+    the leftover is a module endomorphism of the ideal; the raising corner
+    passes through unchanged, and must satisfy the derivation identity on
+    the complement.  The three parts sum back to the input exactly or the
+    function raises.  Every step reads the maps' sparse columns.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
-    parts = graded_parts(levi, m)
-    if not parts.lowering.is_zero():
+    g_set, match = _inner_match_span(alg, levi)
+    diagonal, raising, lowering = _blocks(g_set, m)
+    if lowering:
         raise LoweringBlockNonZero(
             "derivation maps the squares ideal outside itself")
-    a = _inner_match(alg, levi.g_indices, parts.diagonal)
-    if a is None:
+    nn, g_list = n * n, levi.g_indices
+    den, acc = match._eliminate({c * n + r: v for c, col in diagonal.items()
+                                 if c in g_set for r, v in col.items()})
+    if any(v for c, v in acc.items() if c < nn):
         raise NoInnerMatch(
             "no right multiplication induces this map on the complement")
-    inner_element = tuple(a.get(s, ZERO) for s in range(n))
-    inner = alg.right_mult(inner_element)
-    endo = Matrix.combination(n, n, [(ONE, parts.diagonal), (-ONE, inner)])
-    if any(c in endo.columns for c in levi.g_indices):
+    a = [ZERO] * n
+    inner: dict = {}  # den·D·R_a, then R_a
+    for t, s in enumerate(g_list):
+        if x := -acc.get(nn + len(g_list) - 1 - t, 0):
+            a[s] = Fraction(x, den)
+            for c, entries in alg._by_right.get(s, ()):
+                _accumulate(inner.setdefault(c, {}), x, entries)
+    scale = den * alg._den
+    inner = {c: {r: Fraction(v, scale) for r, v in col.items() if v}
+             for c, col in inner.items()}
+    for c, col in inner.items():  # the diagonal part minus R_a
+        out = diagonal.setdefault(c, {})
+        for r, x in col.items():
+            out[r] = out.get(r, 0) - x
+    endo, raising_map = Matrix(n, n, diagonal), Matrix(n, n, raising)
+    if any(c in endo.columns for c in g_list):
         raise StructureError(
             "leftover diagonal part does not vanish on the complement")
     if not check_module_endomorphism(alg, endo):
@@ -235,7 +247,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     # with the other two parts derivations, d is one exactly when the
     # raising corner is; pairs that touch the ideal vanish on both sides,
     # so the pruned scan visits complement pairs alone
-    bad = next(identity_failures(alg, parts.raising, False), None)
+    bad = next(identity_failures(alg, raising_map, False), None)
     if bad is not None:
         i, j, residual = bad
         x, y = alg.basis_names[i], alg.basis_names[j]
@@ -243,10 +255,10 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
             f"with residual ({', '.join(map(format_rational, residual))}), "
             f"the raising corner fails the derivation identity at ({x}, {y})")
     rebuilt = Matrix.combination(
-        n, n, [(ONE, inner), (ONE, endo), (ONE, parts.raising)])
+        n, n, [(ONE, Matrix(n, n, inner)), (ONE, endo), (ONE, raising_map)])
     if rebuilt != m:
         raise StructureError("split does not reconstruct the derivation")
-    return DerivationSplit(inner_element, endo, parts.raising, m)
+    return DerivationSplit(tuple(a), endo, raising_map, m)
 
 
 def check_module_endomorphism(alg: Algebra, endo: Matrix) -> bool:
@@ -281,17 +293,19 @@ def scalar_of(block: Matrix) -> Fraction | None:
 
 @per_algebra
 def _stacked_span(alg: Algebra, components: tuple[Subspace, ...],
-                  ) -> tuple[list[dict[int, Fraction]], Subspace]:
-    """The components' basis rows, stacked, and the span of each row t
-    tagged with unit column n + t; ValueError unless they are
-    independent."""
+                  ) -> tuple[list, list[tuple[int, int]], Subspace]:
+    """The components' basis vectors, stacked, each as (lead, its integer
+    row), lead times its RREF row; the component of each and its place
+    there; and the span of each vector t tagged with unit column n + t.
+    ValueError unless the components are independent."""
     n = alg.dim
-    stacked = [v for comp in components for v in comp.pivot_rows.values()]
-    tagged = Subspace.span(
-        n + len(stacked), [{**v, n + t: ONE} for t, v in enumerate(stacked)])
+    stacked = [(row[p], row) for comp in components for p, row in comp.rows.items()]
+    places = [(i, u) for i, comp in enumerate(components) for u in range(comp.dim)]
+    tagged = Subspace.span(n + len(stacked), [
+        {**row, n + t: lead} for t, (lead, row) in enumerate(stacked)])
     if any(p >= n for p in tagged.pivot_cols()):
         raise ValueError("components are not independent")
-    return stacked, tagged
+    return stacked, places, tagged
 
 
 def ideal_endo_blocks(
@@ -304,35 +318,39 @@ def ideal_endo_blocks(
     basis vector t is tagged with unit column n + t, so reducing
     (endo(v), 0) leaves zero in the first n columns exactly when endo(v)
     lies in the stacked span, and minus its stacked coordinates in the
-    tail.  Images are summed over endo's sparse columns.
+    tail.  Images are summed in integers over endo's cleared columns, and
+    each tail coordinate goes straight into its block.
     """
     n = alg.dim
     if endo.rows != n or endo.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
     if not components:
         return EndoBlockReport((), (), True)
-    stacked, tagged = _stacked_span(alg, tuple(components))
+    stacked, places, tagged = _stacked_span(alg, tuple(components))
     cols = endo.columns
-    coords = []  # coords[t][u]: coordinate u of endo(stacked[t])
-    for v in stacked:
-        image: dict[int, Fraction] = {}
+    den = math.lcm(*(x.denominator for col in cols.values() for x in col.values()))
+    ints = {c: [(r, x.numerator * (den // x.denominator)) for r, x in col.items()]
+            for c, col in cols.items()}
+    k = len(components)
+    parts = [[{} for _ in range(k)] for _ in range(k)]  # the columns of each block
+    for (lead, v), (j, col) in zip(stacked, places):
+        image: dict[int, int] = {}  # den·lead·endo(v / lead)
         for c, x in v.items():
-            _accumulate(image, x, cols.get(c, {}).items())
-        residue = tagged.reduce(image)
-        if any(c < n for c in residue):
+            _accumulate(image, x, ints.get(c, ()))
+        if not image:  # endo kills v: its column is zero in every block
+            continue
+        s, acc = tagged._eliminate(image)
+        if any(x for c, x in acc.items() if c < n):
             raise ValueError(
                 "endomorphism image leaves the span of the components")
-        coords.append({c - n: -x for c, x in residue.items()})
-    offsets = list(itertools.accumulate((c.dim for c in components), initial=0))
+        scale = -s * den * lead
+        for u, x in acc.items():
+            if x:
+                i, row = places[u - n]
+                parts[i][j].setdefault(col, {})[row] = Fraction(x, scale)
     blocks = tuple(
-        tuple(
-            Matrix(ci.dim, cj.dim, {
-                col: {u - oi: x for u, x in coords[oj + col].items()
-                      if oi <= u < oi + ci.dim}
-                for col in range(cj.dim)})
-            for cj, oj in zip(components, offsets))
-        for ci, oi in zip(components, offsets))
-    k = len(components)
+        tuple(Matrix(ci.dim, cj.dim, parts[i][j]) for j, cj in enumerate(components))
+        for i, ci in enumerate(components))
     scalars = tuple(scalar_of(blocks[i][i]) for i in range(k))
     offdiag = all(
         blocks[i][j].is_zero() for i in range(k) for j in range(k) if i != j)
@@ -377,6 +395,8 @@ class SplitSurvey:
 
 
 def split_all(alg: Algebra, levi: LeviDatum) -> SplitSurvey:
+    """Split every map of the derivation basis, in order; one elimination
+    serves the inner match of them all (``_inner_match_span``)."""
     _require_levi(levi)
     der = derivation_algebra(alg)
     splits = tuple(split_derivation(alg, levi, m) for m in der.maps)

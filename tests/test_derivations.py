@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
     LoweringBlockNonZero,
@@ -29,6 +30,8 @@ from leibnizalg import (
     squares_ideal,
 )
 from leibnizalg.catalog import (
+    _semidirect,
+    _sl2_action,
     direct_sum_sample,
     semisimple_pair,
     simple_sl2_leibniz,
@@ -36,10 +39,13 @@ from leibnizalg.catalog import (
     standard_catalog,
     two_dim_solvable,
 )
-from leibnizalg import core, exactlin
-from leibnizalg.core import Algebra, LeviDatum, identity_rows, per_algebra
+from leibnizalg import core, derivations, exactlin
+from leibnizalg.core import (SL2_TABLE, Algebra, LeviDatum, ModuleError,
+                             identity_rows, per_algebra)
+from leibnizalg.derivations import DerivationBasis
 from leibnizalg.sl2 import Sl2Triple
-from reference import conjugate, dense_basis
+from reference import (conjugate, dense_basis, reference_endo_blocks,
+                       reference_split)
 
 
 EXPECTED_DIMS = {
@@ -270,6 +276,126 @@ def test_no_inner_match_for_trace_map():
         split_derivation(alg, levi, ident)
 
 
+# ------------------------------------------- the split against a reference
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_splits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.inner_element == w.inner_element
+        assert g.ideal_endo == w.ideal_endo
+        assert g.raising_map == w.raising_map
+        assert g.derivation == w.derivation
+
+
+def test_split_all_matches_the_reference_split_catalog_wide():
+    for _, alg, levi in standard_catalog():
+        if levi is None:
+            continue
+        want = [reference_split(alg, levi, m) for m in derivation_algebra(alg).maps]
+        assert_same_splits(split_all(alg, levi).splits, want)
+
+
+def sl2_module(weights):
+    """sl2 ⋉ (V(m_1) ⊕ ... ⊕ V(m_r)) with its coordinate split; a
+    trivial summand V(0) is declared in the ideal part all the same."""
+    dim_v = sum(m + 1 for m in weights)
+    names = ("e", "f", "h") + tuple(f"x{v}" for v in range(dim_v))
+    alg = _semidirect(SL2_TABLE, _sl2_action(weights), names, "sl2_module")
+    return alg, LeviDatum((0, 1, 2), tuple(range(3, 3 + dim_v)), ((0, 1, 2),))
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_split_all_matches_the_reference_split_on_sl2_modules(weights):
+    alg, levi = sl2_module(weights)
+    maps = derivation_algebra(alg).maps
+    assert_same_splits(split_all(alg, levi).splits,
+                       [reference_split(alg, levi, m) for m in maps])
+    # maps that are no derivations: a basis map plus a unit entry in the
+    # lowering block, the complement block (which R(S) has to match), the
+    # raising corner or the ideal block fails as the reference does
+    n, g, ideal = alg.dim, levi.g_indices, levi.i_indices
+    bumps = [(g[0], ideal[-1]), (g[-1], g[0]), (ideal[0], g[1]), (ideal[0], ideal[-1])]
+    for m, (r, c) in zip(maps, bumps):
+        columns = {k: dict(col) for k, col in m.columns.items()}
+        columns.setdefault(c, {})[r] = columns.get(c, {}).get(r, F(0)) + 1
+        bent = Matrix(n, n, columns)
+        assert outcome(split_derivation, alg, levi, bent) == \
+            outcome(reference_split, alg, levi, bent)
+
+
+def fabricated_survey(monkeypatch, alg, maps):
+    """split_all over maps in place of the derivation basis."""
+    der = derivation_algebra(alg)
+    monkeypatch.setattr(derivations, "derivation_algebra",
+                        lambda _: DerivationBasis(alg, tuple(maps), der.span))
+
+
+def test_split_all_raises_for_the_first_failing_map(monkeypatch):
+    # maps 1 and 3 have no inner match (a scalar on sl2), or map 1 has a
+    # lowering block: the first failing map in basis order decides the
+    # error, as splitting the maps one by one does
+    alg, levi = simple_sl2_leibniz(2)
+    good = derivation_algebra(alg).maps
+    n = alg.dim
+    trace = Matrix(n, n, {c: {c: F(1)} for c in levi.g_indices})
+    lowering = Matrix(n, n, {levi.i_indices[0]: {levi.g_indices[0]: F(1)}})
+    cases = [
+        ((good[0], trace, good[1], trace), NoInnerMatch),
+        ((good[0], trace, good[1], lowering), NoInnerMatch),
+        ((good[0], lowering, good[1], trace), LoweringBlockNonZero),
+        ((trace, lowering), NoInnerMatch),
+    ]
+    for maps, error in cases:
+        fabricated_survey(monkeypatch, alg, maps)
+        with pytest.raises(error):
+            split_all(alg, levi)
+        for m in maps:
+            assert outcome(split_derivation, alg, levi, m) == \
+                outcome(reference_split, alg, levi, m)
+    # the maps ahead of a failing one split as they do alone
+    fabricated_survey(monkeypatch, alg, (good[0], good[1], trace))
+    splits = []
+
+    def recorded(*args):
+        splits.append(split_derivation(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(derivations, "split_derivation", recorded)
+    with pytest.raises(NoInnerMatch):
+        split_all(alg, levi)
+    assert_same_splits(splits, [reference_split(alg, levi, m) for m in good[:2]])
+
+
+def test_split_all_builds_two_engines_whatever_dim_der(monkeypatch):
+    # one elimination serves the inner match of every map and one spans the
+    # raising images; the derivation kernel's engines are not counted
+    built = []
+    init = exactlin.SparseRref.__init__
+
+    def counted(self, ncols):
+        built.append(ncols)
+        init(self, ncols)
+
+    monkeypatch.setattr(exactlin.SparseRref, "__init__", counted)
+    dims = []
+    for alg, levi in (direct_sum_sample(3), simple_sl2_leibniz(2),
+                      semisimple_pair(2), simple_sl2_leibniz(12)):
+        dims.append(derivation_algebra(alg).dim)
+        built.clear()
+        split_all(alg, levi)
+        assert len(built) == 2, alg
+    assert dims[0] == 8 and len(set(dims)) > 1
+
+
 # ---------------------------------------------------------- middle blocks
 
 def pair_components(alg, levi):
@@ -348,6 +474,56 @@ def test_ideal_endo_blocks_match_sympy_coordinates():
             assert not block.is_zero()
     assert not rep.offdiag_all_zero
     assert rep.scalars == (None, None)
+
+
+def test_ideal_endo_blocks_match_the_reference_on_every_catalog_split():
+    # every split of every member with a decomposition, under each declared
+    # triple: pair m's second triple splits the ideal into m + 1 doublets
+    members = [(alg, levi) for _, alg, levi in standard_catalog() if levi is not None]
+    members.append(semisimple_pair(3))
+    compared = 0
+    for alg, levi in members:
+        splits = split_all(alg, levi).splits
+        for raw in levi.sl2_triples:
+            t = Sl2Triple.from_indices(alg.dim, raw)
+            try:
+                comps = irreducible_decomposition_sl2(alg, squares_ideal(alg), t).components
+            except ModuleError:
+                continue
+            if raw == (3, 4, 5) and alg.name.startswith("semisimple_pair"):
+                assert len(comps) == len(levi.i_indices) // 2
+            for sp in splits:
+                assert ideal_endo_blocks(alg, sp.ideal_endo, comps) == \
+                    reference_endo_blocks(alg, sp.ideal_endo, comps)
+                compared += 1
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("triple", [0, 1])
+def test_ideal_endo_blocks_match_the_reference_off_the_diagonal(triple):
+    # a map of the ideal into itself with distinct entries and denominators,
+    # so that every block has its own values; then the same map leaking
+    # into the complement, and dependent components
+    alg, levi = semisimple_pair(3)
+    t = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[triple])
+    comps = irreducible_decomposition_sl2(alg, squares_ideal(alg), t).components
+    ideal = levi.i_indices
+    columns = {c: {r: F((-1) ** a * (len(ideal) * a + b + 1), b + 2)
+                   for a, r in enumerate(ideal)} for b, c in enumerate(ideal)}
+    endo = Matrix(alg.dim, alg.dim, columns)
+    rep = ideal_endo_blocks(alg, endo, comps)
+    assert rep == reference_endo_blocks(alg, endo, comps)
+    assert not rep.offdiag_all_zero
+    columns[ideal[-1]][levi.g_indices[0]] = F(1)
+    leak = Matrix(alg.dim, alg.dim, columns)
+    with pytest.raises(ValueError, match="leaves the span") as got:
+        ideal_endo_blocks(alg, leak, comps)
+    with pytest.raises(ValueError) as want:
+        reference_endo_blocks(alg, leak, comps)
+    assert str(got.value) == str(want.value)
+    twice = [comps[0], comps[1], comps[0]]
+    assert outcome(ideal_endo_blocks, alg, endo, twice) == \
+        outcome(reference_endo_blocks, alg, endo, twice)
 
 
 def test_ideal_endo_blocks_rejects_dependent_components():
