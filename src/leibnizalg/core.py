@@ -38,6 +38,7 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    _cleared,
     _row_to_dict,
     format_rational,
     parse_rational,
@@ -156,17 +157,17 @@ class Algebra:
 
     def _mult(self, index: Mapping, z: Sequence[Fraction]) -> Matrix:
         """Columns of x -> [x, z] (index ``_by_right``) or x -> [z, x]
-        (``_by_left``): column c sums z_s / D times D times the product of
-        e_c and e_s that index[s] lists, over z's nonzero coordinates s."""
+        (``_by_left``): column c sums d·z_s times D times the product of
+        e_c and e_s that index[s] lists, over z's nonzero coordinates s,
+        over the denominator D·d, d the lcm of z's denominators."""
         if len(z) != self.dim:
             raise ValueError("vector length does not match the dimension")
-        cols: dict[int, dict[int, Fraction]] = {}
-        for s, x in enumerate(z):
-            if x:
-                x = Fraction(x, self._den)
-                for c, entries in index.get(s, ()):
-                    _accumulate(cols.setdefault(c, {}), x, entries)
-        return Matrix(self.dim, self.dim, cols)
+        den, ints = _cleared(_row_to_dict(z))
+        cols: dict[int, dict[int, int]] = {}
+        for s, x in ints.items():
+            for c, entries in index.get(s, ()):
+                _accumulate(cols.setdefault(c, {}), x, entries)
+        return Matrix(self.dim, self.dim, cols, self._den * den)
 
     def is_lie(self) -> bool:
         """Antisymmetry on basis pairs (with Leibniz this implies Jacobi)."""
@@ -272,6 +273,7 @@ def check_sl2_triple(alg: Algebra, levi: LeviDatum, t: Sl2Triple) -> tuple[str, 
     and the six products of ``SL2_TABLE`` must hold exactly; failures are
     named in table order.
     """
+    _require_levi(levi)
     problems = []
     g_set = set(levi.g_indices)
     rows = []
@@ -570,26 +572,23 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     - [e_i, m(e_j)]; left=False drops the last term and checks
     m([x,y]) = [m(x), y] alone.
 
-    m's nonzero columns are scaled to integers by their common denominator
-    den and pushed through the integer table (see ``_failures``); the
-    residual is divided by D·den at the end."""
+    m's integer columns, den·m, are pushed through the integer table as
+    they are stored (see ``_failures``); the residual is divided by D·den
+    at the end."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
-    columns = m.columns
-    if not columns:  # the zero map satisfies the identity everywhere
+    if not m.columns:  # the zero map satisfies the identity everywhere
         return
-    den = math.lcm(*(x.denominator for col in columns.values() for x in col.values()))
-    images = [(c, [(r, x.numerator * (den // x.denominator)) for r, x in col.items()])
-              for c, col in columns.items()]
-    yield from _failures(alg, images, den, left)
+    yield from _failures(alg, ((c, col.items()) for c, col in m.columns.items()),
+                         m.den, left)
 
 
-def _failures(alg: Algebra, images: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+def _failures(alg: Algebra, images: Iterable[tuple[int, Iterable[tuple[int, int]]]],
               den: int, left: bool) -> Iterator[tuple[int, int, Vec]]:
     """``identity_failures`` of the map whose nonzero columns c, times den,
-    have the integer entries image, given as (c, image) pairs; the residual
-    is divided by D·den.
+    have the integer entries image, given as (c, image) pairs of (row,
+    entry) pairs; the residual is divided by D·den.
 
     Push form, with a sparse accumulator per pair (Gustavson, ACM TOMS 4,
     1978): each term, an entry m_(l,c) times a table factor, is added once
@@ -627,14 +626,16 @@ def _failures(alg: Algebra, images: Iterable[tuple[int, Sequence[tuple[int, int]
 
 def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
     """The n×n maps whose row-major flattenings are span's RREF rows, built
-    as sparse columns: index k holds entry (r, c) = divmod(k, n)."""
+    as sparse columns: index k holds entry (r, c) = divmod(k, n).  Each
+    stored row is primitive, so it is the map's integer columns over its
+    lead."""
     maps = []
-    for row in span.pivot_rows.values():
-        columns: dict[int, dict[int, Fraction]] = {}
+    for p, row in span.rows.items():
+        columns: dict[int, dict[int, int]] = {}
         for k, x in row.items():
             r, c = divmod(k, n)
             columns.setdefault(c, {})[r] = x
-        maps.append(Matrix(n, n, columns))
+        maps.append(Matrix(n, n, columns, row[p]))
     return tuple(maps)
 
 

@@ -4,11 +4,11 @@ the squares ideal, and a raising map.
 
 The derivation space is the nullspace of a sparse linear system with n^2
 unknowns (the matrix entries) and n^3 equations (the derivation identity
-per basis pair and coordinate).  Each kernel row becomes a map stored as
-sparse columns, and everything downstream runs on those columns, so a
-derivation with about n nonzeros costs about n entries, not n^2: the
-grading sorts nonzeros into blocks, the inner match of every map reduces
-against one span eliminated per algebra and split, and the
+per basis pair and coordinate).  Each primitive kernel row is a map's
+integer columns over its lead, and everything downstream runs on those
+integers, so a derivation with about n nonzeros costs about n entries,
+not n^2: the grading sorts nonzeros into blocks, the inner match of every
+map reduces against one span eliminated per algebra and split, and the
 module-endomorphism, complement and reconstruction checks read only the
 columns some term occupies.  Everything is exact: splits reconstruct
 their input matrix entry for entry.
@@ -25,7 +25,6 @@ from .core import (Algebra, LeviDatum, StructureError, _accumulate,
                    per_algebra, squares_ideal)
 from .exactlin import (
     Matrix,
-    ONE,
     Subspace,
     Vec,
     ZERO,
@@ -148,11 +147,12 @@ def graded_parts(levi: LeviDatum, m: Matrix) -> GradedParts:
         raise ValueError("grading requires a square matrix")
     if not levi.partitions(n):
         raise ValueError("declared index sets do not partition the basis")
-    return GradedParts(*(Matrix(n, n, b) for b in _blocks(set(levi.g_indices), m)))
+    return GradedParts(*(Matrix(n, n, b, m.den) for b in _blocks(set(levi.g_indices), m)))
 
 
 def _blocks(g_set: set[int], m: Matrix) -> tuple[dict, dict, dict]:
-    """The columns of m's diagonal, raising and lowering blocks."""
+    """The integer columns of m's diagonal, raising and lowering blocks,
+    over m's denominator."""
     blocks: tuple[dict, dict, dict] = ({}, {}, {})
     for c, col in m.columns.items():
         c_in = c in g_set
@@ -207,7 +207,8 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     the leftover is a module endomorphism of the ideal; the raising corner
     passes through unchanged, and must satisfy the derivation identity on
     the complement.  The three parts sum back to the input exactly or the
-    function raises.  Every step reads the maps' sparse columns.
+    function raises.  Every step reads the maps' sparse integer columns,
+    and only ``inner_element`` is built as Fractions.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
@@ -217,27 +218,24 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     if lowering:
         raise LoweringBlockNonZero(
             "derivation maps the squares ideal outside itself")
+    # the blocks hold m.den·m, so the match solves for m.den·a
     nn, g_list = n * n, levi.g_indices
-    den, acc = match._eliminate({c * n + r: v for c, col in diagonal.items()
-                                 if c in g_set for r, v in col.items()})
+    s, acc = match._eliminate({c * n + r: v for c, col in diagonal.items()
+                               if c in g_set for r, v in col.items()})
     if any(v for c, v in acc.items() if c < nn):
         raise NoInnerMatch(
             "no right multiplication induces this map on the complement")
     a = [ZERO] * n
-    inner: dict = {}  # den·D·R_a, then R_a
-    for t, s in enumerate(g_list):
+    inner: dict = {}  # s·D·m.den·R_a
+    for t, g in enumerate(g_list):
         if x := -acc.get(nn + len(g_list) - 1 - t, 0):
-            a[s] = Fraction(x, den)
-            for c, entries in alg._by_right.get(s, ()):
+            a[g] = Fraction(x, s * m.den)
+            for c, entries in alg._by_right.get(g, ()):
                 _accumulate(inner.setdefault(c, {}), x, entries)
-    scale = den * alg._den
-    inner = {c: {r: Fraction(v, scale) for r, v in col.items() if v}
-             for c, col in inner.items()}
-    for c, col in inner.items():  # the diagonal part minus R_a
-        out = diagonal.setdefault(c, {})
-        for r, x in col.items():
-            out[r] = out.get(r, 0) - x
-    endo, raising_map = Matrix(n, n, diagonal), Matrix(n, n, raising)
+    right = Matrix(n, n, inner, s * alg._den * m.den)
+    raising_map = Matrix(n, n, raising, m.den)
+    # with no lowering block, d less its raising corner is its diagonal part
+    endo = Matrix.combination(n, n, [(1, m), (-1, raising_map), (-1, right)])
     if any(c in endo.columns for c in g_list):
         raise StructureError(
             "leftover diagonal part does not vanish on the complement")
@@ -254,8 +252,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
         raise StructureError(
             f"with residual ({', '.join(map(format_rational, residual))}), "
             f"the raising corner fails the derivation identity at ({x}, {y})")
-    rebuilt = Matrix.combination(
-        n, n, [(ONE, Matrix(n, n, inner)), (ONE, endo), (ONE, raising_map)])
+    rebuilt = Matrix.combination(n, n, [(1, right), (1, endo), (1, raising_map)])
     if rebuilt != m:
         raise StructureError("split does not reconstruct the derivation")
     return DerivationSplit(tuple(a), endo, raising_map, m)
@@ -286,9 +283,9 @@ def scalar_of(block: Matrix) -> Fraction | None:
     """The lambda with block = lambda * identity, if there is one."""
     if block.rows != block.cols or block.rows == 0:
         return None
-    lam = block.columns.get(0, {}).get(0, ZERO)
+    lam = block.columns.get(0, {}).get(0, 0)
     want = {c: {c: lam} for c in range(block.rows)} if lam else {}
-    return lam if block.columns == want else None
+    return Fraction(lam, block.den) if block.columns == want else None
 
 
 @per_algebra
@@ -313,43 +310,46 @@ def ideal_endo_blocks(
 ) -> EndoBlockReport:
     """Express an endomorphism of the ideal in component-block form.
 
-    The components must be independent.  One elimination serves every
+    The components must be independent subspaces of the algebra's
+    space, or ValueError.  One elimination serves every
     image, and every call with the same components: stacked component
     basis vector t is tagged with unit column n + t, so reducing
     (endo(v), 0) leaves zero in the first n columns exactly when endo(v)
     lies in the stacked span, and minus its stacked coordinates in the
-    tail.  Images are summed in integers over endo's cleared columns, and
-    each tail coordinate goes straight into its block.
+    tail.  Images are summed in integers over endo's stored columns, and
+    each tail coordinate goes into its block over one common denominator.
     """
     n = alg.dim
     if endo.rows != n or endo.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
+    if any(comp.ambient_dim != n for comp in components):
+        raise ValueError("component ambient dimension mismatch")
     if not components:
         return EndoBlockReport((), (), True)
     stacked, places, tagged = _stacked_span(alg, tuple(components))
-    cols = endo.columns
-    den = math.lcm(*(x.denominator for col in cols.values() for x in col.values()))
-    ints = {c: [(r, x.numerator * (den // x.denominator)) for r, x in col.items()]
-            for c, col in cols.items()}
+    cols, den = endo.columns, endo.den
+    # a multiple of every scale s·den·lead below, so every block's den
+    common = den * math.lcm(*(row[p] for p, row in tagged.rows.items())) * math.lcm(
+        *(lead for lead, _ in stacked))
     k = len(components)
     parts = [[{} for _ in range(k)] for _ in range(k)]  # the columns of each block
     for (lead, v), (j, col) in zip(stacked, places):
         image: dict[int, int] = {}  # den·lead·endo(v / lead)
         for c, x in v.items():
-            _accumulate(image, x, ints.get(c, ()))
+            _accumulate(image, x, cols.get(c, {}).items())
         if not image:  # endo kills v: its column is zero in every block
             continue
         s, acc = tagged._eliminate(image)
         if any(x for c, x in acc.items() if c < n):
             raise ValueError(
                 "endomorphism image leaves the span of the components")
-        scale = -s * den * lead
+        f = common // (-s * den * lead)
         for u, x in acc.items():
             if x:
                 i, row = places[u - n]
-                parts[i][j].setdefault(col, {})[row] = Fraction(x, scale)
+                parts[i][j].setdefault(col, {})[row] = f * x
     blocks = tuple(
-        tuple(Matrix(ci.dim, cj.dim, parts[i][j]) for j, cj in enumerate(components))
+        tuple(Matrix(ci.dim, cj.dim, parts[i][j], common) for j, cj in enumerate(components))
         for i, ci in enumerate(components))
     scalars = tuple(scalar_of(blocks[i][i]) for i in range(k))
     offdiag = all(
@@ -371,6 +371,7 @@ class RaisingReport:
 
 
 def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> RaisingReport:
+    _require_levi(levi)
     cols = raising.columns
     image = Subspace.span(
         alg.dim, [cols[c] for c in levi.g_indices if c in cols])

@@ -1,7 +1,7 @@
 """Rational eigenvalues and eigenspaces of a square matrix.
 
-``charpoly`` clears one denominator for the whole matrix and runs
-Berkowitz's recursion on the nonzero integer entries; ``_rational_roots``
+``charpoly`` runs Berkowitz's recursion on a matrix's stored integer
+entries, over its one denominator; ``_rational_roots``
 isolates the polynomial's real roots with a Sturm chain and keeps the
 rational ones; ``rational_eigen`` pairs each root with one kernel.  The
 package's one caller is the summand split in ``radical``, which imports
@@ -22,22 +22,18 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Coefficients of det(x·I - m), monic, highest degree first.
 
     Berkowitz's division-free recursion (Inf. Process. Lett. 18, 1984) on
-    sparse integer columns.  B = den·m, with den the lcm of every
-    denominator, is integral, and coefficient i of det(x·I - B) is den**i
-    times that of m: one common scale, not one per row.  Products skip
+    sparse integer columns: m's stored columns are B = den·m, and
+    coefficient i of det(x·I - B) is den**i times that of m, one common
+    scale, not one per row.  Products skip
     zero entries, and a step stops once its row or vector has vanished, so
     each step of a triangular matrix is a linear factor.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    den = math.lcm(*(x.denominator for col in m.columns.values() for x in col.values()))
+    den = m.den
     # cols[j]: (i, entry (i, j) of B) for its nonzero entries, i ascending
-    cols = [sorted((i, int(x * den)) for i, x in m.columns.get(j, {}).items())
-            for j in range(m.cols)]
-    rows: list[dict[int, int]] = [{} for _ in cols]  # the same entries by row
-    for j, col in enumerate(cols):
-        for i, b in col:
-            rows[i][j] = b
+    cols = [sorted(m.columns.get(j, {}).items()) for j in range(m.cols)]
+    rows = m.row_dicts()  # the same entries by row
     p = [1]  # det(x·I - B_k) for the leading k×k block B_k of B
     for k, col in enumerate(cols):
         # B_(k+1) = [[B_k, c], [r, a]]; the Toeplitz column 1, -a, -r·c,
@@ -245,10 +241,11 @@ def rational_eigen(m: Matrix) -> EigenDecomposition:
     eigenproblem."""
     if m.rows != m.cols:
         raise ValueError("eigen decomposition of a non-square matrix")
-    rows = m.row_dicts()
+    rows = m.row_dicts()  # den·m, so den·λ is the shift
     pairs = []
     for lam in _rational_roots(charpoly(m)):
-        shifted = ({**row, i: row.get(i, ZERO) - lam} for i, row in enumerate(rows))
+        shift = m.den * lam
+        shifted = ({**row, i: row.get(i, 0) - shift} for i, row in enumerate(rows))
         pairs.append((lam, kernel_of_constraints(shifted, m.rows)))
     return EigenDecomposition(tuple(pairs),
                               sum(space.dim for _, space in pairs) == m.rows)

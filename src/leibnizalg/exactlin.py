@@ -1,41 +1,32 @@
 """Exact linear algebra over the rationals.
 
-Everything here is deterministic and exact.  Matrices hold
-``fractions.Fraction`` entries, row reduction produces the unique reduced
-row echelon form, and a subspace is identified with its canonical RREF
-rows, each stored as a primitive integer row with a positive lead, so
-equality of subspaces is literal equality of those rows.
-
-The computations run on sparse integer rows.  The elimination engine,
-``SparseRref``, takes rows with ``int`` or ``Fraction`` entries, clears
-denominators in integer arithmetic (an ``int`` row is only copied),
-reduces a row in one fraction-free pass and keeps each row primitive,
-which keeps intermediate entries small.  A column-occurrence index over
-its stored rows (Davis, *Direct Methods for Sparse Linear Systems*, 2006,
-ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a new pivot reach only the rows
-that hold its column, and a row with one term pins its unknown to zero
-before any other row is eliminated (singleton presolve), so kernels of
-large, very sparse constraint systems cost what their nonzeros cost; its
-kernel rows are integer rows too.
+Everything here is deterministic and exact, and computes on sparse integer
+rows.  The elimination engine, ``SparseRref``, takes rows with ``int`` or
+``Fraction`` entries, clears denominators in integer arithmetic (an ``int``
+row is only copied), reduces a row in one fraction-free pass and keeps
+each row primitive, which keeps intermediate entries small.  A
+column-occurrence index over its stored rows (Davis, *Direct Methods for
+Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
+new pivot reach only the rows that hold its column, and a row with one
+term pins its unknown to zero before any other row is eliminated
+(singleton presolve), so kernels of large, very sparse constraint systems
+cost what their nonzeros cost; its kernel rows are integer rows too.
+A ``Subspace`` is identified with its canonical RREF rows, the engine's
+primitive integer rows with a positive lead, so equality of subspaces is
+literal equality of those rows; ``holds`` and ``reduce`` share the
+engine's pass, and only ``reduce`` divides.  ``Matrix``, the value type of
+maps, is stored the same way: integer sparse columns over one
+denominator, and its constructor is the one place a map's entries are
+scaled to integers.  Computations read those integers; the ``Fraction``
+views (``Matrix.data`` and ``col``, ``Subspace.pivot_rows``) serve the
+edges and the tests.  ``solve`` and ``nullspace`` have no caller in the
+package: ``solve`` stays as the reference the tests compare against, and
+``nullspace`` as the public kernel of a ``Matrix``.  Outside values become
+Fractions at the edge, in ``parse_rational`` and ``Matrix.from_rows``;
+everything else takes entries as given and never re-wraps an exact vector.
 The eigen theory (``charpoly``, ``rational_eigen``) is the module
-``eigen``, which only the summand split loads; ``charpoly`` and
-``rational_eigen`` still resolve here, for the benchmark's tracer.  A
-``Subspace`` keeps the engine's rows, signs fixed, and leading-1
-``Fraction`` rows only as the view ``pivot_rows``; ``Subspace.coordinate``
-writes its unit rows directly.  A row is reduced modulo a subspace in
-integers, by the engine's pass against ``rows``: ``Subspace.holds`` and
-``Subspace.reduce`` share it, and only ``reduce`` divides, once per
-entry; callers that need only a span multiply those rows too.
-``Matrix`` is the value type that crosses the API.  Its one storage form
-is sparse columns, and ``Matrix.row_dicts`` transposes them into the
-sparse rows that ``nullspace``, ``solve`` and ``eigen`` read, so
-every computation reads a map at the cost of its nonzeros; its dense rows
-are a view for the reference alone.  ``solve`` and ``nullspace`` have no
-caller in the package: ``solve`` stays as the reference the tests compare
-against, and ``nullspace`` as the public kernel of a ``Matrix``.  Outside
-values become Fractions at the edge, in ``parse_rational`` and
-``Matrix.from_rows``; everything else takes entries as given (Fraction or
-int) and never re-wraps an exact vector.
+``eigen``, which only the summand split loads; both still resolve here,
+for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -141,60 +132,71 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 # ---------------------------------------------------------------- matrices
 
 class Matrix:
-    """Immutable matrix of Fractions: the API's value type for maps.
+    """Immutable rational matrix: the API's value type for maps.
 
-    Stored as sparse columns, ``columns[c] = {row: nonzero}`` with no empty
-    column and no zero entry, which the constructor takes directly (it
-    drops zeros); ``from_rows`` is the entry point for dense input from
-    outside.  Every computation reads the columns, or the sparse rows of
-    ``row_dicts``, so a map costs what its nonzeros cost.  ``data`` (dense
-    rows) is built on each read, for the dense reference alone: ``+``,
-    ``scale``, ``mul``, ``apply``, ``flatten`` and ``dot`` stay as the
-    reference the tests compare against.
+    One stored form: sparse integer columns, ``columns[c] = {row: nonzero
+    int}`` with no empty column, over ``den``, the least positive int that
+    makes den·m integral (so gcd(den, entries) = 1); entry (r, c) is
+    columns[c][r] / den.  The form is canonical, so field equality is map
+    equality.  Computations read the columns, or the integer rows of den·m
+    that ``row_dicts`` gives, so a map costs what its nonzeros cost.
+    ``col`` and ``data`` (dense rows, built on each read) divide by den,
+    for the dense reference (``mul``, ``apply``, ``flatten``) and the tests.
     """
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "columns", "den")
 
     def __init__(self, rows: int, cols: int,
-                 columns: Mapping[int, Mapping[int, Fraction]]):
-        """The rows×cols matrix with entry (r, c) = columns[c][r]; absent
-        keys and zero values are zero entries."""
-        self.rows = rows
-        self.cols = cols
-        self.columns = {c: kept for c, col in columns.items()
-                        if (kept := {r: x for r, x in col.items() if x})}
+                 columns: Mapping[int, Mapping[int, Fraction | int]], den: int = 1):
+        """The rows×cols matrix with entry (r, c) = columns[c][r] / den, from
+        int or Fraction entries; absent keys and zero values are zero
+        entries.  ValueError for a nonzero entry outside rows×cols or a
+        den that is no positive int."""
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"denominator {den!r} is not a positive int")
+        kept = {c: nonzero for c, col in columns.items()
+                if (nonzero := {r: x for r, x in col.items() if x})}
+        if kept:
+            if (min(kept) < 0 or max(kept) >= cols or min(map(min, kept.values())) < 0
+                    or max(map(max, kept.values())) >= rows):
+                raise ValueError(f"entry outside the shape {rows}x{cols}")
+            values = [x for col in kept.values() for x in col.values()]
+            if not set(map(type, values)) <= {int}:
+                lcm = math.lcm(*(x.denominator for x in values))
+                kept = {c: {r: x.numerator * (lcm // x.denominator) for r, x in col.items()}
+                        for c, col in kept.items()}
+                den, values = den * lcm, [x for col in kept.values() for x in col.values()]
+            if (g := math.gcd(den, *values)) > 1:
+                kept = {c: {r: x // g for r, x in col.items()} for c, col in kept.items()}
+                den //= g
+        self.rows, self.cols, self.columns, self.den = rows, cols, kept, den if kept else 1
 
     @staticmethod
     def combination(rows: int, cols: int,
-                    terms: Iterable[tuple[Fraction, "Matrix"]]) -> "Matrix":
-        """Σ x·m over (x, m) in terms, summed over the union of the terms'
-        column keys."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for x, m in terms:
+                    terms: Iterable[tuple[Fraction | int, "Matrix"]]) -> "Matrix":
+        """Σ x·m over (x, m) in terms, summed in integers over the lcm of
+        the terms' denominators (x's times m's)."""
+        terms = list(terms)
+        for _, m in terms:
             if m.shape() != (rows, cols):
                 raise ValueError(f"shape mismatch: {m.shape()} vs {(rows, cols)}")
-            unit = x == 1
+        den = math.lcm(*(x.denominator * m.den for x, m in terms))
+        out: dict[int, dict[int, int]] = {}
+        for x, m in terms:
+            f = x.numerator * (den // (x.denominator * m.den))
             for c, col in m.columns.items():
                 acc = out.setdefault(c, {})
                 for r, v in col.items():
-                    if not unit:
-                        v = x * v
-                    acc[r] = acc[r] + v if r in acc else v
-        return Matrix(rows, cols, out)
+                    acc[r] = acc.get(r, 0) + f * v
+        return Matrix(rows, cols, out, den)
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        """Sparse rows, one {column: nonzero} dict per row, columns
-        ascending; each call returns new dicts."""
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+    def row_dicts(self) -> list[dict[int, int]]:
+        """Sparse rows of den·m, one {column: nonzero int} dict per row,
+        columns ascending; each call returns new dicts."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
         for c in sorted(self.columns):
             for r, x in self.columns[c].items():
                 rows[r][c] = x
@@ -204,7 +206,7 @@ class Matrix:
     def data(self) -> tuple[Vec, ...]:
         """Dense row tuples, built on each read for the dense reference and
         the tests; no computation reads them."""
-        return tuple(tuple(row.get(c, ZERO) for c in range(self.cols))
+        return tuple(tuple(Fraction(row.get(c, 0), self.den) for c in range(self.cols))
                      for row in self.row_dicts())
 
     @staticmethod
@@ -222,29 +224,23 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {i: {i: ONE} for i in range(n)})
+        return Matrix(n, n, {i: {i: 1} for i in range(n)})
 
     def col(self, j: int) -> Vec:
         col = self.columns.get(j, {})
-        return tuple(col.get(r, ZERO) for r in range(self.rows))
+        return tuple(Fraction(col.get(r, 0), self.den) for r in range(self.rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
-        return Matrix.from_rows(tuple(tuple(a + b for a, b in zip(r, s))
-                                      for r, s in zip(self.data, other.data)),
-                                self.cols)
+        return Matrix.combination(self.rows, self.cols, [(1, self), (1, other)])
 
     def scale(self, c: Fraction) -> "Matrix":
-        c = Fraction(c)
-        return Matrix.from_rows(tuple(tuple(c * a for a in r) for r in self.data),
-                                self.cols)
+        return Matrix.combination(self.rows, self.cols, [(Fraction(c), self)])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
         tcols = [other.col(j) for j in range(other.cols)]
-        return Matrix.from_rows(tuple(tuple(dot(r, c) for c in tcols)
+        return Matrix.from_rows(tuple(tuple(sum(map(operator.mul, r, c)) for c in tcols)
                                       for r in self.data), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
@@ -267,10 +263,11 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix)
                 and self.shape() == other.shape()
+                and self.den == other.den
                 and self.columns == other.columns)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, frozenset(
+        return hash((self.rows, self.cols, self.den, frozenset(
             (c, frozenset(col.items())) for c, col in self.columns.items())))
 
     def __repr__(self) -> str:
@@ -470,9 +467,9 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match the row count")
     eng = SparseRref(a.cols + 1)
-    for row, rhs in zip(a.row_dicts(), b):
+    for row, rhs in zip(a.row_dicts(), b):  # den·a·x = den·b
         if rhs != 0:
-            row[a.cols] = Fraction(rhs)
+            row[a.cols] = a.den * Fraction(rhs)
         eng.add_row(row)
     if a.cols in eng.pivots:
         return None

@@ -11,7 +11,6 @@ first meets a centroid of more than one dimension.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .core import (
     Algebra,
@@ -31,7 +30,7 @@ from .core import (
     squares_quotient,
     validate_levi,
 )
-from .exactlin import Matrix, Subspace, ZERO, kernel_of_constraints, value_type
+from .exactlin import Matrix, Subspace, kernel_of_constraints, value_type
 
 
 # ----------------------------------------------------------- derived series
@@ -73,21 +72,21 @@ def killing_form(alg: Algebra) -> Matrix:
     if not alg.is_lie():
         raise StructureError("Killing form requested on a non-Lie algebra")
     n = alg.dim
-    # mults[i][k][l] is entry (k, l) of right multiplication by e_i, the
-    # coefficient of e_k in [e_l, e_i], so
-    # tr(R_i R_j) = sum over k, l of mults[i][k][l] * mults[j][l][k]
-    mults: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
-    for (l, i), entries in alg.table_items():
+    # mults[i][k][l] is entry (k, l) of D times right multiplication by
+    # e_i, D times the coefficient of e_k in [e_l, e_i], so D²·tr(R_i R_j)
+    # = sum over k, l of mults[i][k][l] * mults[j][l][k]
+    mults: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for (l, i), entries in alg._ints.items():
         for k, coeff in entries:
             mults[i].setdefault(k, {})[l] = coeff
-    gram: dict[int, dict[int, Fraction]] = {c: {} for c in range(n)}
+    gram: dict[int, dict[int, int]] = {c: {} for c in range(n)}
     for i in range(n):
         for j in range(i, n):
             mj = mults[j]
             gram[j][i] = gram[i][j] = sum(
-                (a * mj[l].get(k, ZERO) for k, row in mults[i].items()
-                 for l, a in row.items() if l in mj), ZERO)
-    return Matrix(n, n, gram)
+                a * mj[l].get(k, 0) for k, row in mults[i].items()
+                for l, a in row.items() if l in mj)
+    return Matrix(n, n, gram, alg._den ** 2)
 
 
 # ---------------------------------------------------------------- radical
@@ -114,10 +113,11 @@ def solvable_radical(alg: Algebra) -> Subspace:
     gram = killing_form(qalg)
     derived = derived_subalgebra(qalg)
     # gram is symmetric, so the functional of w is the w-combination of
-    # columns; a multiple of w, its integer row, gives the same constraint
+    # columns; a multiple of w, its integer row, over gram's integer
+    # columns gives the same constraint
     constraint_rows = []
     for w in derived.rows.values():
-        functional: dict[int, Fraction] = {}
+        functional: dict[int, int] = {}
         for k, x in w.items():
             _accumulate(functional, x, gram.columns.get(k, {}).items())
         constraint_rows.append(functional)

@@ -146,8 +146,11 @@ def highest_weight_vectors(
     that together they fill ker e.  Then a vector u of weight w has
     u·f^w != 0 = u·f^(w+1).  Each weight's vectors are the ambient RREF
     rows of their span, so within one weight they ascend by leading
-    index, as ``ModuleDecomposition`` promises.
+    index, as ``ModuleDecomposition`` promises.  ValueError for a
+    subspace of another space than the algebra's.
     """
+    if sub.ambient_dim != alg.dim:
+        raise ValueError("subspace ambient dimension mismatch")
     e, f = (_cleared(_row_to_dict(g))[1] for g in (t.e, t.f))
     hden, h = _cleared(_row_to_dict(t.h))
     scale = alg._den * hden

@@ -77,7 +77,7 @@ def reference_inner_match(alg, g_list, diagonal):
             for r, coeff in alg.c(c, s):
                 eqs.setdefault(r, {})[t] = coeff
         for r, value in cols.get(c, {}).items():
-            eqs.setdefault(r, {})[k] = value
+            eqs.setdefault(r, {})[k] = Fraction(value, diagonal.den)
         eng.extend(eqs.values())
     if k in eng.pivots:
         return None
@@ -142,7 +142,7 @@ def reference_endo_blocks(alg, endo, components):
         image = {}
         for c, x in v.items():
             for r, y in cols.get(c, {}).items():
-                image[r] = image.get(r, 0) + x * y
+                image[r] = image.get(r, 0) + x * Fraction(y, endo.den)
         residue = tagged.reduce(image)
         if any(c < n for c in residue):
             raise ValueError(

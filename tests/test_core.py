@@ -38,6 +38,7 @@ from leibnizalg import (
     load_algebra_json,
     pair_structure_report,
     quotient_algebra,
+    raising_map_report,
     rational_eigen,
     simple_summands,
     solvable_radical,
@@ -959,6 +960,10 @@ def test_validate_levi_rejects_malformed_triple(triple):
     pytest.param(is_simple_certified, id="is_simple_certified"),
     pytest.param(split_all, id="split_all"),
     pytest.param(pair_structure_report, id="pair_structure_report"),
+    pytest.param(lambda alg, levi: raising_map_report(
+        alg, levi, Matrix(alg.dim, alg.dim, {})), id="raising_map_report"),
+    pytest.param(lambda alg, levi: core.check_sl2_triple(
+        alg, levi, Sl2Triple.from_indices(alg.dim, (0, 1, 2))), id="check_sl2_triple"),
 ])
 def test_a_missing_levi_datum_is_a_named_error(entry):
     # direct_sum_many returns no datum when a part has none, so a library

@@ -13,6 +13,7 @@ from leibnizalg import (
     Matrix,
     NoInnerMatch,
     StructureError,
+    Subspace,
     centroid,
     check_module_endomorphism,
     derivation_algebra,
@@ -326,8 +327,8 @@ def test_split_all_matches_the_reference_split_on_sl2_modules(weights):
     bumps = [(g[0], ideal[-1]), (g[-1], g[0]), (ideal[0], g[1]), (ideal[0], ideal[-1])]
     for m, (r, c) in zip(maps, bumps):
         columns = {k: dict(col) for k, col in m.columns.items()}
-        columns.setdefault(c, {})[r] = columns.get(c, {}).get(r, F(0)) + 1
-        bent = Matrix(n, n, columns)
+        columns.setdefault(c, {})[r] = columns.get(c, {}).get(r, 0) + m.den
+        bent = Matrix(n, n, columns, m.den)
         assert outcome(split_derivation, alg, levi, bent) == \
             outcome(reference_split, alg, levi, bent)
 
@@ -560,6 +561,19 @@ def test_ideal_endo_blocks_rejects_a_map_of_the_wrong_shape(label):
     with pytest.raises(ValueError, match="matrix shape does not match the "
                                          "algebra dimension"):
         ideal_endo_blocks(alg, WRONG_SHAPES[label], comps)
+
+
+@pytest.mark.parametrize("ambient", [5, 7])
+def test_ideal_endo_blocks_rejects_a_component_of_another_space(ambient):
+    # one dimension more once read as "not independent" (its last column
+    # met the first tag), and one less went through to a report
+    alg, levi = simple_sl2_leibniz(2)
+    triple = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    comps = irreducible_decomposition_sl2(alg, squares_ideal(alg), triple).components
+    stray = Subspace.coordinate(ambient, levi.i_indices[:2])
+    for components in ([stray], [*comps, stray]):
+        with pytest.raises(ValueError, match="component ambient dimension mismatch"):
+            ideal_endo_blocks(alg, Matrix.identity(alg.dim), components)
 
 
 def test_component_span_is_built_once_per_decomposition(monkeypatch):

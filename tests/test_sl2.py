@@ -153,6 +153,17 @@ def test_two_copies_give_two_lines():
     assert [c.dim for c in dec.components] == [m + 1, m + 1]
 
 
+@pytest.mark.parametrize("ambient", [5, 7])
+@pytest.mark.parametrize("entry", [highest_weight_vectors, weight_decomposition,
+                                   irreducible_decomposition_sl2])
+def test_a_subspace_of_another_space_is_rejected(entry, ambient):
+    # the whole of Q^7 once read as "not completely reducible over Q"
+    alg, levi = simple_sl2_leibniz(2)
+    t = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[0])
+    with pytest.raises(ValueError, match="subspace ambient dimension mismatch"):
+        entry(alg, Subspace.full(ambient), t)
+
+
 def test_e_non_invariant_subspace_raises():
     # span(f) is h-invariant, but [f, e] = -h leaves it: it is no sum of
     # lowering chains, so its weights are incomplete and none are listed

@@ -1,10 +1,13 @@
-"""Maps stored as sparse columns: the pruned identity check against a full
-scan, the two ways of building a matrix against each other, and no dense
-view read by any computation."""
+"""Maps stored as sparse integer columns over one denominator: the pruned
+identity check against a full scan, the ways of building a matrix against
+each other, the constructor's checks, and no dense view or Fraction entry
+on the computation paths."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (Matrix, Sl2Triple, derivation_algebra,
@@ -91,8 +94,8 @@ def algebra_and_map(draw):
         columns = {c: dict(col) for c, col in m.columns.items()}
         r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         col = columns.setdefault(c, {})
-        col[r] = col.get(r, F(0)) + draw(entries)
-        return alg, Matrix(n, n, columns)
+        col[r] = col.get(r, 0) + m.den * draw(entries)
+        return alg, Matrix(n, n, columns, m.den)
     if kind == "raising" and levi is not None:
         columns = draw(sparse_columns(n, levi.i_indices, levi.g_indices))
     else:
@@ -115,25 +118,71 @@ def dense_rows(draw):
                          min_size=rows, max_size=rows)), cols
 
 
-@given(dense_rows())
+@given(dense_rows(), st.integers(1, 12))
 @settings(max_examples=80)
-def test_sparse_and_dense_construction_agree(case):
+def test_sparse_and_dense_construction_agree(case, k):
     rows, ncols = case
     nrows = len(rows)
     dense = Matrix.from_rows(rows, ncols)
     columns = {c: {r: row[c] for r, row in enumerate(rows)} for c in range(ncols)}
     sparse = Matrix(nrows, ncols, columns)  # zeros included
+    scaled = Matrix(nrows, ncols, {c: {r: k * x for r, x in col.items()}
+                                   for c, col in columns.items()}, k)
     # compared before either view is built on the other, then after
     for _ in range(2):
-        assert sparse == dense and dense == sparse
-        assert hash(sparse) == hash(dense)
+        assert sparse == dense and dense == sparse and scaled == dense
+        assert hash(sparse) == hash(dense) == hash(scaled)
         assert sparse.is_zero() == dense.is_zero()
         assert [sparse.col(c) for c in range(ncols)] == [
             dense.col(c) for c in range(ncols)]
         assert sparse.flatten() == dense.flatten()
         assert sparse.data == dense.data
-    assert sparse.columns == dense.columns
+    assert sparse.columns == dense.columns == scaled.columns
     assert all(col and all(col.values()) for col in sparse.columns.values())
+    # one stored form: integer entries over the least denominator
+    for m in (sparse, dense, scaled):
+        stored = [x for col in m.columns.values() for x in col.values()]
+        assert all(type(x) is int for x in stored)
+        assert math.gcd(m.den, *stored) == 1
+
+
+@pytest.mark.parametrize("shape, columns, den", [
+    ((2, 2), {5: {7: 1}}, 1),
+    ((2, 2), {1: {2: F(1, 2)}}, 1),
+    ((2, 3), {3: {0: 1}}, 1),
+    ((2, 2), {-1: {0: 1}}, 1),
+    ((2, 2), {0: {-1: 1}}, 1),
+    ((2, 2), {0: {0: 1}}, 0),
+    ((2, 2), {0: {0: 1}}, -2),
+    ((2, 2), {0: {0: 1}}, F(1, 2)),
+], ids=["row-and-column-off", "row-off", "column-off", "negative-column",
+        "negative-row", "den-zero", "den-negative", "den-fraction"])
+def test_the_constructor_rejects_an_entry_off_the_shape_or_a_bad_den(shape, columns, den):
+    # Matrix(2, 2, {5: {7: 1}}) once went through, and .data, charpoly and
+    # split_derivation then failed on it far from the cause
+    with pytest.raises(ValueError):
+        Matrix(*shape, columns, den)
+
+
+def test_the_derivation_path_builds_its_maps_from_integers(monkeypatch):
+    # the kernel rows, the splits and the right multiplications reach the
+    # constructor as integer columns over a denominator, never as Fractions
+    seen = set()
+    init = Matrix.__init__
+
+    def recording(self, rows, cols, columns, den=1):
+        seen.update(type(x) for col in columns.values() for x in col.values())
+        init(self, rows, cols, columns, den)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    for label, alg, levi in standard_catalog():
+        if levi is None:
+            continue
+        alg = alg.rename(label)  # a new object, so no kept kernel
+        assert derivation_algebra(alg).maps
+        assert split_all(alg, levi).splits
+        alg.right_mult(tuple(F(k - 1, k + 2) for k in range(alg.dim)))
+    assert seen == {int}
 
 
 def test_no_computation_reads_a_dense_view(monkeypatch):
