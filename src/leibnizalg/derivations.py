@@ -77,12 +77,14 @@ def is_derivation(alg: Algebra, m: Matrix) -> bool:
 
 def inner_derivation_span(alg: Algebra) -> Subspace:
     """Flattened span of all right multiplications: entry (k, l) of R(e_j)
-    lands at column k·n + l."""
+    lands at column k·n + l.  The rows are read off the integer table, so
+    each is D·R(e_j) and no row is cleared."""
     n = alg.dim
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (l, j), entries in alg.table_items():
+    rows: dict[int, dict[int, int]] = {}
+    for (l, j), entries in alg._ints.items():
+        row = rows.setdefault(j, {})
         for k, coeff in entries:
-            rows.setdefault(j, {})[k * n + l] = coeff
+            row[k * n + l] = coeff
     return Subspace.span(n * n, rows.values())
 
 
@@ -317,7 +319,9 @@ def ideal_endo_blocks(
     (endo(v), 0) leaves zero in the first n columns exactly when endo(v)
     lies in the stacked span, and minus its stacked coordinates in the
     tail.  Images are summed in integers over endo's stored columns, and
-    each tail coordinate goes into its block over one common denominator.
+    each tail coordinate goes into its block over one common denominator;
+    only a block with entries is built, and the zero blocks of one shape
+    are one value.
     """
     n = alg.dim
     if endo.rows != n or endo.cols != n:
@@ -348,8 +352,17 @@ def ideal_endo_blocks(
             if x:
                 i, row = places[u - n]
                 parts[i][j].setdefault(col, {})[row] = f * x
+    zeros: dict[tuple[int, int], Matrix] = {}  # Matrix is immutable, so shared
+
+    def block(rows: int, cols: int, columns: dict) -> Matrix:
+        if columns:
+            return Matrix(rows, cols, columns, common)
+        if (rows, cols) not in zeros:
+            zeros[rows, cols] = Matrix(rows, cols, {})
+        return zeros[rows, cols]
+
     blocks = tuple(
-        tuple(Matrix(ci.dim, cj.dim, parts[i][j], common) for j, cj in enumerate(components))
+        tuple(block(ci.dim, cj.dim, parts[i][j]) for j, cj in enumerate(components))
         for i, ci in enumerate(components))
     scalars = tuple(scalar_of(blocks[i][i]) for i in range(k))
     offdiag = all(

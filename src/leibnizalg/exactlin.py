@@ -2,15 +2,19 @@
 
 Everything here is deterministic and exact, and computes on sparse integer
 rows.  The elimination engine, ``SparseRref``, takes rows with ``int`` or
-``Fraction`` entries, clears denominators in integer arithmetic (an ``int``
-row is only copied), reduces a row in one fraction-free pass and keeps
-each row primitive, which keeps intermediate entries small.  A
-column-occurrence index over its stored rows (Davis, *Direct Methods for
-Sparse Linear Systems*, 2006, ch. 2-3; Gustavson, ACM TOMS 4, 1978) lets a
-new pivot reach only the rows that hold its column, and a row with one
-term pins its unknown to zero before any other row is eliminated
-(singleton presolve), so kernels of large, very sparse constraint systems
-cost what their nonzeros cost; its kernel rows are integer rows too.
+``Fraction`` entries, clears the denominators of a ``Fraction`` row in
+integer arithmetic (an all-``int`` row is taken as it is), reduces a row in
+one fraction-free pass and keeps each row primitive, which keeps
+intermediate entries small.  A column-occurrence index over its stored
+rows (Davis, *Direct Methods for Sparse Linear Systems*, 2006, ch. 2-3;
+Gustavson, ACM TOMS 4, 1978) lets a new pivot reach only the rows that
+hold its column, and a row with one term pins its unknown to zero before
+any other row is eliminated (singleton presolve).  A pin is one entry of
+the set ``pinned``, not a stored row, and the rows held back for
+elimination go in last column first, so each new pivot meets few stored
+rows; kernels of large, very sparse constraint systems cost what their
+nonzeros cost, and its kernel rows are integer rows too.  The engine's
+RREF, ``pivots``, is a view built on read.
 A ``Subspace`` is identified with its canonical RREF rows, the engine's
 primitive integer rows with a positive lead, so equality of subspaces is
 literal equality of those rows; ``holds`` and ``reduce`` share the
@@ -279,8 +283,10 @@ class Matrix:
 def _cleared(frow: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
     """(d, d·frow) for a sparse row, d the lcm of its denominators.
 
-    Each entry is scaled as numerator·(d // denominator), so an ``int``
-    row (denominators 1) is copied with no Fraction arithmetic."""
+    An all-``int`` row (d = 1) comes back as it is, not copied; each entry
+    of another row is scaled as numerator·(d // denominator)."""
+    if all(type(v) is int for v in frow.values()):
+        return 1, frow
     den = math.lcm(*(v.denominator for v in frow.values()))
     return den, {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
 
@@ -297,6 +303,8 @@ def _reduce(rows: Mapping[int, dict[int, int]],
     only the rows at acc's pivots are read, each subtracted once, and L > 0
     is the lcm of their leads.  acc, updated in place if L = 1, keeps zeros."""
     at = [(rows[p], p, t) for p, t in acc.items() if p in rows]
+    if not at:
+        return 1, acc
     lead = math.lcm(*(r[p] for r, p, _ in at))
     if lead > 1:
         acc = {c: lead * v for c, v in acc.items()}
@@ -330,61 +338,79 @@ class SparseRref:
     input rows stream through.
 
     Rows come in with ``int`` or ``Fraction`` entries and are stored as
-    primitive integer rows.  ``holders`` is the column-occurrence index of
-    sparse elimination (T. A. Davis, *Direct Methods for Sparse Linear
-    Systems*, SIAM 2006, ch. 2-3; F. G. Gustavson, "Two fast algorithms for
-    sparse matrices", ACM TOMS 4, 1978): ``holders[c]`` is the set of pivot
+    primitive integer rows: ``_rows`` maps each pivot column to its stored
+    row, and holds only rows with two or more entries.  ``holders`` is the
+    column-occurrence index of sparse elimination (T. A. Davis, *Direct
+    Methods for Sparse Linear Systems*, SIAM 2006, ch. 2-3; F. G.
+    Gustavson, "Two fast algorithms for sparse matrices", ACM TOMS 4,
+    1978): ``holders[c]`` is the set of pivot
     columns whose stored row has an entry at the non-pivot column c, and
     columns no row holds have no key.  A new pivot c is back-substituted
     into the rows of ``holders[c]`` alone, so the cost of a row follows the
     nonzeros it meets, not the rank.
 
-    ``pinned`` holds the pivot columns whose stored row is a unit row
-    {p: ±1}: the rows say x_p = 0.  Such a row never changes again, and
-    reducing by it only deletes column p.  This is the singleton-row
+    ``pinned`` is the set of pivot columns whose RREF row is the unit row
+    {p: 1}: the rows say x_p = 0.  A pin lives only in ``pinned``, never in
+    ``_rows``, so it costs one set entry.  This is the singleton-row
     reduction of sparse presolve (E. D. Andersen and K. D. Andersen,
     "Presolving in linear programming", Math. Programming 71, 1995):
-    ``add_row`` drops pinned columns before it clears denominators, and a
-    new unit pivot c is back-substituted by deleting column c from the
-    rows of ``holders[c]``.  ``extend`` pins the column of a row with one
-    live entry at once, with no arithmetic, and holds each other row until
-    the stream ends, so it is eliminated once every pin of the stream is
-    known.  The shortcuts give the rows the arithmetic would give, up to
+    ``add_row`` drops pinned columns before any arithmetic, a new unit
+    pivot c is back-substituted by deleting column c from the rows of
+    ``holders[c]``, and a stored row reduced to one entry moves to
+    ``pinned``.  ``extend`` pins the column of a row with one live entry at
+    once, by one set insertion when no stored row holds it, and holds each
+    other row until the stream ends, so it is eliminated once every pin of
+    the stream is known.  The held rows are then eliminated in descending
+    order of their first live column: each new pivot lies left of the
+    stored pivots, so few stored rows hold it and back-substitution is
+    cheap.  The shortcuts give the rows the arithmetic would give, up to
     sign, and the RREF does not depend on the order of the rows.
-    ``_store`` is the one place a row is written and keeps both indexes in
-    step.  ``pivots``, whose rows ``Subspace`` keeps as its stored form,
-    and ``pinned`` are what callers read.
+    ``_store`` is the one place a row is written and keeps ``_rows``,
+    ``pinned`` and ``holders`` in step.  Callers read ``pinned`` and
+    ``pivots``, the RREF as one dict (the stored rows and a unit row per
+    pin), built on each read; the engine itself never reads ``pivots``.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
         self.holders: dict[int, set[int]] = {}
         self.pinned: set[int] = set()
 
+    @property
+    def pivots(self) -> dict[int, dict[int, int]]:
+        """The RREF rows by pivot: the stored rows and {p: 1} for each pin,
+        as a new dict on each read."""
+        return {**self._rows, **{p: {p: 1} for p in self.pinned}}
+
     def _store(self, p: int, row: dict[int, int]) -> None:
-        """Write the stored row of pivot p and update the holders of the
-        columns it gains or loses, pinning p if the row is a unit row."""
-        old = self.pivots.get(p, {})
-        self.pivots[p] = row
-        if len(row) == 1:
+        """Write the row of pivot p and update the holders of the columns
+        it gains or loses; a unit row moves p to ``pinned``."""
+        rows, holders = self._rows, self.holders
+        old = rows.pop(p, None)
+        if len(row) > 1:
+            rows[p] = row
+        else:
             self.pinned.add(p)
-        holders = self.holders
+        if old is None:  # a fresh pivot: every other column is gained
+            for c in row:
+                if c != p:
+                    holders.setdefault(c, set()).add(p)
+            return
         for c in old.keys() - row.keys():
             held = holders[c]
             held.remove(p)
             if not held:
                 del holders[c]
-        for c in row.keys() - old.keys() if old else row:
-            if c != p:
-                holders.setdefault(c, set()).add(p)
+        for c in row.keys() - old.keys():
+            holders.setdefault(c, set()).add(p)
 
     def add_row(self, frow: Mapping[int, Fraction | int]) -> None:
         pinned = self.pinned
         frow = {c: v for c, v in frow.items() if v and c not in pinned}
         if not frow:
             return
-        row = _reduce(self.pivots, _cleared(frow)[1])[1]
+        row = _reduce(self._rows, _cleared(frow)[1])[1]
         row = {c: v for c, v in row.items() if v}
         if row:
             self._place(_primitive(row))
@@ -394,9 +420,9 @@ class SparseRref:
         back-substituting it into the rows of ``holders[c]``."""
         c = min(row)
         lead = row[c]
-        pivots = self.pivots
+        rows = self._rows
         for p in tuple(self.holders.get(c, ())):
-            q = pivots[p]
+            q = rows[p]
             if len(row) == 1:  # x_c = 0, so the reduction deletes column c
                 q = {col: v for col, v in q.items() if col != c}
             else:
@@ -407,41 +433,50 @@ class SparseRref:
     def extend(self, frows: Iterable[Mapping[int, Fraction | int]]) -> None:
         """Add the rows: one with a single live entry (nonzero, unpinned,
         at no pivot) pins its column at once; the others wait for the end
-        of the stream."""
-        pinned, pivots = self.pinned, self.pivots
+        of the stream and are then added last column first."""
+        pinned, rows, holders = self.pinned, self._rows, self.holders
         held = []
         for frow in frows:
             live = [c for c, v in frow.items() if v and c not in pinned]
-            if len(live) == 1 and live[0] not in pivots:
-                self._place({live[0]: 1})
+            if len(live) == 1 and live[0] not in rows:
+                if live[0] in holders:
+                    self._place({live[0]: 1})
+                else:
+                    pinned.add(live[0])
             elif live:
                 held.append(frow)
+        # a stable sort; a row whose entries were all pinned since it came
+        # goes last, and add_row drops it
+        held.sort(key=lambda frow: min(
+            (c for c, v in frow.items() if v and c not in pinned), default=-1),
+            reverse=True)
         for frow in held:
             self.add_row(frow)
 
     def _check_columns(self) -> None:
-        # the stored rows span the input rows, so some stored row holds
-        # every column an input row held
-        cols = self.pivots.keys() | self.holders.keys()
-        if cols and (min(cols) < 0 or max(cols) >= self.ncols):
+        # the stored rows span the input rows, so some stored row or pin
+        # holds every column an input row held; no union of the three is
+        # built, as it would hold every unknown once more
+        held = [cols for cols in (self._rows, self.pinned, self.holders) if cols]
+        if held and (min(map(min, held)) < 0 or max(map(max, held)) >= self.ncols):
             raise ValueError("spanning row has a column outside the ambient space")
 
     def kernel_rows(self) -> list[dict[int, int]]:
         """Basis of the solution set of (rows)·x = 0 as sparse integer rows,
         one per free column f: L at f and -v·L/lead at the pivot of each
         stored row with entry v at f, L the lcm of those rows' leads.  The
-        rows holding f are ``holders[f]``; a unit row holds no free column."""
+        rows holding f are ``holders[f]``; a pin holds no free column."""
         self._check_columns()
-        pivots, holders = self.pivots, self.holders
+        rows, holders, pinned = self._rows, self.holders, self.pinned
         kernel = []
         for f in range(self.ncols):
-            if f in pivots:
+            if f in rows or f in pinned:
                 continue
             held = sorted(holders.get(f, ()))
-            lead = math.lcm(*(pivots[c][c] for c in held))
+            lead = math.lcm(*(rows[c][c] for c in held))
             row = {f: lead}
             for c in held:
-                p = pivots[c]
+                p = rows[c]
                 row[c] = -p[f] * (lead // p[c])
             kernel.append(row)
         return kernel

@@ -527,6 +527,40 @@ def test_ideal_endo_blocks_match_the_reference_off_the_diagonal(triple):
         outcome(reference_endo_blocks, alg, endo, twice)
 
 
+def test_ideal_endo_blocks_builds_only_the_blocks_with_entries(monkeypatch):
+    # pair m = 3's second triple splits the ideal into 4 doublets, so each
+    # report has 16 blocks of shape 2x2 and most are zero: a call builds a
+    # Matrix for each block with entries and one zero block, shared by the
+    # others (7 splits built 112 blocks when every block was built)
+    alg, levi = semisimple_pair(3)
+    t = Sl2Triple.from_indices(alg.dim, levi.sl2_triples[1])
+    comps = irreducible_decomposition_sl2(alg, squares_ideal(alg), t).components
+    splits = split_all(alg, levi).splits
+    built = 0
+    init = Matrix.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    reports, total = [], 0
+    for sp in splits:
+        built = 0
+        rep = ideal_endo_blocks(alg, sp.ideal_endo, comps)
+        blocks = [b for row in rep.blocks for b in row]
+        zero = [b for b in blocks if b.is_zero()]
+        assert len(blocks) == 16 and zero
+        assert built == len(blocks) - len(zero) + 1
+        assert all(b is zero[0] for b in zero)
+        reports.append(rep)
+        total += built
+    monkeypatch.undo()
+    assert len(splits) == 7 and total <= 20
+    assert reports == [reference_endo_blocks(alg, sp.ideal_endo, comps) for sp in splits]
+
+
 def test_ideal_endo_blocks_rejects_dependent_components():
     alg, levi = semisimple_pair(1)
     comps = pair_components(alg, levi)
@@ -823,12 +857,13 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
             assert eng.pivots.keys() == held.keys()
     # an elimination step is a stored row read by the reduction of a new
     # row, or an _axpy back-substitution of a new pivot into a stored row.
-    # The steps grow like dim**2.01 from m = 48 to m = 96 (481 + 3 529 =
-    # 4 010 to 961 + 13 969 = 14 930); dim**2.5 leaves room for that and
-    # fails a back-substitution or fill-in that grows like dim**3.  Pinned
-    # columns are dropped before the reduction and a unit pivot deletes its
-    # column with no _axpy: without pinned columns m = 96 took 81 766
-    # _axpy calls, one per stored row read or rewritten
+    # The steps grow like dim**1.78 from m = 48 to m = 96 (770 + 1 129 =
+    # 1 899 to 1 538 + 4 561 = 6 099; 4 010 to 14 930, dim**2.01, when the
+    # held rows were eliminated in arrival order); dim**2.5 leaves room for
+    # that and fails a back-substitution or fill-in that grows like
+    # dim**3.  Pinned columns are dropped before the reduction and a unit
+    # pivot deletes its column with no _axpy: without pinned columns m = 96
+    # took 81 766 _axpy calls, one per stored row read or rewritten
     reduce, axpy, calls = exactlin._reduce, exactlin._axpy, 0
 
     def counted_reduce(rows, acc):
@@ -852,6 +887,31 @@ def test_elimination_cost_follows_the_nonzeros(monkeypatch):
     (dim1, count1), (dim2, count2) = counts.items()
     assert count2 / count1 <= (dim2 / dim1) ** 2.5
     assert count2 < 20_000
+
+
+def test_pins_and_last_column_first_keep_the_kernel_cheap(monkeypatch):
+    # at simple m = 96 (10 000 unknowns) extend pins a column that no
+    # stored row holds with no _store, and eliminates its held rows last
+    # column first, so a new pivot meets few stored rows: 4 561 _axpy and
+    # 4 856 _store calls, against 13 969 and 23 969 when every pin was a
+    # stored row and the held rows went in arrival order
+    calls = {"_axpy": 0, "_store": 0}
+    axpy, store = exactlin._axpy, exactlin.SparseRref._store
+
+    def counted_axpy(*args):
+        calls["_axpy"] += 1
+        return axpy(*args)
+
+    def counted_store(eng, p, row):
+        calls["_store"] += 1
+        store(eng, p, row)
+
+    monkeypatch.setattr(exactlin, "_axpy", counted_axpy)
+    monkeypatch.setattr(exactlin.SparseRref, "_store", counted_store)
+    alg, _ = simple_sl2_leibniz(96)
+    derivation_algebra.__wrapped__(alg)
+    assert calls["_axpy"] <= 5_000
+    assert calls["_store"] <= 6_000
 
 
 def test_one_term_rows_pin_before_any_row_is_eliminated(monkeypatch):

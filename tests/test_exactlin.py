@@ -168,7 +168,10 @@ def test_kernel_of_constraints_rejects_columns_outside_the_unknowns(rows):
 def assert_indexes(eng: SparseRref):
     """holders[c] is exactly the set of stored rows with an entry at the
     non-pivot column c, and no other column has a key; pinned is exactly
-    the set of pivots whose stored row is a unit row."""
+    the set of pivots whose RREF row is a unit row.  A pin lives only in
+    pinned: the engine's store holds rows of two or more entries alone."""
+    assert not eng.pinned & eng._rows.keys()
+    assert all(len(row) >= 2 for row in eng._rows.values())
     expected: dict[int, set[int]] = {}
     for p, row in eng.pivots.items():
         for c in row:

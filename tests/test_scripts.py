@@ -1,12 +1,15 @@
 """Smoke tests for the utilities in scripts/, run as a user runs them."""
 
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from leibnizalg import dump_algebra_json, load_algebra_json
+from leibnizalg import derivation_algebra, dump_algebra_json, load_algebra_json
+from leibnizalg.catalog import simple_sl2_leibniz
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +92,21 @@ def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "2 failed" in done.stdout.splitlines()[-1]
+
+
+def test_bench_times_a_rung_in_a_child_and_writes_its_file(tmp_path):
+    out = run_script("bench.py", "smoke", "--rung", "simple:8", "--k", "1",
+                     "--out", str(tmp_path))
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    assert report.keys() == {"label", "python", "cpus", "python_c_pass_s", "k", "rungs"}
+    assert report["label"] == "smoke" and report["k"] == 1
+    assert report["python"] == platform.python_version()
+    assert report["python_c_pass_s"] > 0
+    [rung] = report["rungs"]
+    assert rung.keys() == {"rung", "dim", "unknowns", "der_dim", "cpu_s",
+                           "cpu_s_runs", "peak_rss_mb"}
+    assert (rung["rung"], rung["dim"], rung["unknowns"]) == ("simple:8", 12, 144)
+    assert rung["der_dim"] == derivation_algebra(simple_sl2_leibniz(8)[0]).dim
+    assert len(rung["cpu_s_runs"]) == 1 and rung["cpu_s"] == rung["cpu_s_runs"][0] >= 0
+    assert rung["peak_rss_mb"] > 0
+    assert json.loads(out) == rung
