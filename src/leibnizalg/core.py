@@ -11,8 +11,9 @@ squares its special role: an abelian two-sided ideal annihilated by left
 multiplication, with a Lie algebra as quotient.
 
 Every contraction of the structure constants reads the algebra's one
-integer table, and ``_product`` returns D times a product, so the table's
-layout and its scale D live in this module alone.
+integer table, and ``_product`` returns D times a product; the table, its
+indexes and its scale D are built here, and ``derivations``, ``radical``
+and ``sl2`` read parts of them too.
 
 This module holds what every CLI command runs: the table, the declared
 split and its check, the identity check, the squares ideal and its
@@ -28,7 +29,6 @@ import functools
 import json
 import math
 import re
-from collections import defaultdict
 from fractions import Fraction
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
@@ -572,9 +572,9 @@ def identity_failures(alg: Algebra, m: Matrix, left: bool,
     - [e_i, m(e_j)]; left=False drops the last term and checks
     m([x,y]) = [m(x), y] alone.
 
-    m's integer columns, den·m, are pushed through the integer table as
-    they are stored (see ``_failures``); the residual is divided by D·den
-    at the end."""
+    m's integer columns, den·m, are pushed through the integer table into
+    one flat accumulator as they are stored (see ``_failures``); the
+    residual is divided by D·den at the end."""
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise ValueError("matrix shape does not match the algebra dimension")
@@ -590,38 +590,37 @@ def _failures(alg: Algebra, images: Iterable[tuple[int, Iterable[tuple[int, int]
     have the integer entries image, given as (c, image) pairs of (row,
     entry) pairs; the residual is divided by D·den.
 
-    Push form, with a sparse accumulator per pair (Gustavson, ACM TOMS 4,
+    Push form, with one flat sparse accumulator (Gustavson, ACM TOMS 4,
     1978): each term, an entry m_(l,c) times a table factor, is added once
-    into the residual of the one pair it belongs to, keyed i·n + j and
-    opened by the first term that reaches it.  m([e_i, e_j]) goes to each
-    pair whose product holds c (``alg._holding``), [m(e_c), e_j] to
-    (c, j) for each [e_l, e_j] in row l of the table, and, when left is
-    set, [e_i, m(e_c)] to (i, c) for each [e_i, e_l] in column l.  A pair
-    no term reaches has zero residual, so the nonzero residuals, sorted,
-    are those of a scan over all pairs, in its order."""
+    into coordinate t of the residual of the one pair (i, j) it belongs
+    to, keyed (i·n + j)·n + t.  m([e_i, e_j]) goes to each pair whose
+    product holds c (``alg._holding``), [m(e_c), e_j] to (c, j) for each
+    [e_l, e_j] in row l of the table, and, when left is set, [e_i, m(e_c)]
+    to (i, c) for each [e_i, e_l] in column l.  A pair no term reaches has
+    zero residual, so the pairs with a nonzero coordinate, sorted, are
+    those of a scan over all pairs, in its order."""
     n = alg.dim
     by_left, by_right, holding = alg._by_left, alg._by_right, alg._holding
-    acc: dict[int, dict[int, int]] = defaultdict(dict)
+    acc: dict[int, int] = {}
     for c, image in images:
         for pair, x in holding.get(c, ()):
-            row = acc[pair]
+            base = pair * n
             for t, y in image:
-                row[t] = row.get(t, 0) + x * y
+                acc[base + t] = acc.get(base + t, 0) + x * y
         for l, x in image:
             for j, entries in by_left.get(l, ()):
-                row = acc[c * n + j]
+                base = (c * n + j) * n
                 for t, y in entries:
-                    row[t] = row.get(t, 0) - x * y
+                    acc[base + t] = acc.get(base + t, 0) - x * y
             if left:
                 for i, entries in by_right.get(l, ()):
-                    row = acc[i * n + c]
+                    base = (i * n + c) * n
                     for t, y in entries:
-                        row[t] = row.get(t, 0) - x * y
+                        acc[base + t] = acc.get(base + t, 0) - x * y
     scale = alg._den * den
-    for pair in sorted(pair for pair, row in acc.items() if any(row.values())):
+    for pair in sorted({key // n for key, v in acc.items() if v}):
         i, j = divmod(pair, n)
-        row = acc[pair]
-        yield i, j, tuple(Fraction(row.get(t, 0), scale) for t in range(n))
+        yield i, j, tuple(Fraction(acc.get(pair * n + t, 0), scale) for t in range(n))
 
 
 def kernel_maps(span: Subspace, n: int) -> tuple[Matrix, ...]:
@@ -699,6 +698,9 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
     _require(isinstance(basis, list) and all(isinstance(s, str) for s in basis),
              "basis must be a list of strings")
     _require(len(basis) == dim, "basis length must equal dim")
+
+    def is_index(x: object) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < dim
     raw_products = doc["products"]
     _require(isinstance(raw_products, list), "products must be a list")
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
@@ -707,9 +709,7 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
         _require(set(entry) == {"left", "right", "result"},
                  "product entries need exactly left, right, result")
         i, j = entry["left"], entry["right"]
-        for v in (i, j):
-            _require(isinstance(v, int) and not isinstance(v, bool)
-                     and 0 <= v < dim, "product indices must be basis indices")
+        _require(is_index(i) and is_index(j), "product indices must be basis indices")
         _require((i, j) not in products, f"duplicate product entry ({i}, {j})")
         result = entry["result"]
         _require(isinstance(result, list), "result must be a list")
@@ -719,8 +719,7 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
             _require(isinstance(term, dict) and set(term) == {"k", "c"},
                      "result terms need exactly k and c")
             k = term["k"]
-            _require(isinstance(k, int) and not isinstance(k, bool)
-                     and 0 <= k < dim, "result index must be a basis index")
+            _require(is_index(k), "result index must be a basis index")
             _require(k not in seen_k, f"duplicate result index {k}")
             seen_k.add(k)
             _require(isinstance(term["c"], str), "coefficients must be strings")
@@ -742,18 +741,14 @@ def algebra_from_json_dict(doc: object) -> tuple[Algebra, LeviDatum | None]:
         _require("g" in block and "i" in block, "levi needs g and i index lists")
         for key in ("g", "i"):
             val = block[key]
-            _require(isinstance(val, list)
-                     and all(isinstance(x, int) and not isinstance(x, bool)
-                             and 0 <= x < dim for x in val),
+            _require(isinstance(val, list) and all(map(is_index, val)),
                      f"levi {key} must be a list of basis indices")
         triples = []
         if "sl2_triples" in block:
             raw = block["sl2_triples"]
             _require(isinstance(raw, list), "sl2_triples must be a list")
             for t in raw:
-                _require(isinstance(t, list) and len(t) == 3
-                         and all(isinstance(x, int) and not isinstance(x, bool)
-                                 and 0 <= x < dim for x in t),
+                _require(isinstance(t, list) and len(t) == 3 and all(map(is_index, t)),
                          "each sl2 triple must be three basis indices")
                 triples.append(tuple(t))
         levi = LeviDatum(tuple(block["g"]), tuple(block["i"]), tuple(triples))

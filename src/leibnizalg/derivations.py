@@ -210,7 +210,7 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
     passes through unchanged, and must satisfy the derivation identity on
     the complement.  The three parts sum back to the input exactly or the
     function raises.  Every step reads the maps' sparse integer columns,
-    and only ``inner_element`` is built as Fractions.
+    and R_a is ``alg.right_mult`` of ``inner_element``.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
@@ -228,13 +228,10 @@ def split_derivation(alg: Algebra, levi: LeviDatum, m: Matrix) -> DerivationSpli
         raise NoInnerMatch(
             "no right multiplication induces this map on the complement")
     a = [ZERO] * n
-    inner: dict = {}  # s·D·m.den·R_a
     for t, g in enumerate(g_list):
-        if x := -acc.get(nn + len(g_list) - 1 - t, 0):
-            a[g] = Fraction(x, s * m.den)
-            for c, entries in alg._by_right.get(g, ()):
-                _accumulate(inner.setdefault(c, {}), x, entries)
-    right = Matrix(n, n, inner, s * alg._den * m.den)
+        if x := acc.get(nn + len(g_list) - 1 - t, 0):
+            a[g] = Fraction(-x, s * m.den)
+    right = alg.right_mult(a)
     raising_map = Matrix(n, n, raising, m.den)
     # with no lowering block, d less its raising corner is its diagonal part
     endo = Matrix.combination(n, n, [(1, m), (-1, raising_map), (-1, right)])
@@ -401,19 +398,16 @@ def raising_map_report(alg: Algebra, levi: LeviDatum, raising: Matrix) -> Raisin
 
 @value_type
 class SplitSurvey:
-    """Splits of every basis derivation plus the lumped raising image."""
+    """The derivation basis and the split of each of its maps, in order."""
 
     basis: DerivationBasis
     splits: tuple[DerivationSplit, ...]
-    raising_total: Subspace
 
 
 def split_all(alg: Algebra, levi: LeviDatum) -> SplitSurvey:
     """Split every map of the derivation basis, in order; one elimination
-    serves the inner match of them all (``_inner_match_span``)."""
+    serves the inner match of them all (``_inner_match_span``), and
+    ``raising_map_report`` reads each split's raising image."""
     _require_levi(levi)
     der = derivation_algebra(alg)
-    splits = tuple(split_derivation(alg, levi, m) for m in der.maps)
-    # a raising corner has complement columns only
-    vectors = [col for s in splits for col in s.raising_map.columns.values()]
-    return SplitSurvey(der, splits, Subspace.span(alg.dim, vectors))
+    return SplitSurvey(der, tuple(split_derivation(alg, levi, m) for m in der.maps))

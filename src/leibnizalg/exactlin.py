@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -157,8 +158,10 @@ class Matrix:
                  columns: Mapping[int, Mapping[int, Fraction | int]], den: int = 1):
         """The rows×cols matrix with entry (r, c) = columns[c][r] / den, from
         int or Fraction entries; absent keys and zero values are zero
-        entries.  ValueError for a nonzero entry outside rows×cols or a
-        den that is no positive int."""
+        entries.  ValueError for a negative or non-int shape, a den that is
+        no positive int, or a nonzero entry off the shape or not rational."""
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"shape {rows!r}x{cols!r} is not two non-negative ints")
         if type(den) is not int or den <= 0:
             raise ValueError(f"denominator {den!r} is not a positive int")
         kept = {c: nonzero for c, col in columns.items()
@@ -169,10 +172,9 @@ class Matrix:
                 raise ValueError(f"entry outside the shape {rows}x{cols}")
             values = [x for col in kept.values() for x in col.values()]
             if not set(map(type, values)) <= {int}:
-                lcm = math.lcm(*(x.denominator for x in values))
-                kept = {c: {r: x.numerator * (lcm // x.denominator) for r, x in col.items()}
-                        for c, col in kept.items()}
-                den, values = den * lcm, [x for col in kept.values() for x in col.values()]
+                d, ints = _cleared({(r, c): x for c, col in kept.items() for r, x in col.items()})
+                kept = {c: {r: ints[r, c] for r in col} for c, col in kept.items()}
+                den, values = den * d, list(ints.values())
             if (g := math.gcd(den, *values)) > 1:
                 kept = {c: {r: x // g for r, x in col.items()} for c, col in kept.items()}
                 den //= g
@@ -280,13 +282,18 @@ class Matrix:
 
 # ------------------------------------------------- sparse elimination engine
 
-def _cleared(frow: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
-    """(d, d·frow) for a sparse row, d the lcm of its denominators.
+def _cleared(frow: Mapping[object, Fraction | int]) -> tuple[int, dict]:
+    """(d, d·frow) for a sparse row, keyed by column (``Matrix`` keys its
+    entries by (row, column)), d the lcm of its denominators.
 
     An all-``int`` row (d = 1) comes back as it is, not copied; each entry
-    of another row is scaled as numerator·(d // denominator)."""
+    of another row is scaled as numerator·(d // denominator), and
+    ValueError names one that is not rational."""
     if all(type(v) is int for v in frow.values()):
         return 1, frow
+    for c, v in frow.items():
+        if not isinstance(v, numbers.Rational):
+            raise ValueError(f"entry {v!r} at {c} is not rational")
     den = math.lcm(*(v.denominator for v in frow.values()))
     return den, {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
 

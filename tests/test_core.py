@@ -261,35 +261,45 @@ def test_leibniz_check_residuals_after_one_changed_coefficient():
 
 
 def test_identity_checks_visit_pairs_in_proportion_to_the_table(monkeypatch):
-    # The identity check opens a residual for each pair that some term
-    # reaches; its accumulator, a defaultdict, is replaced by one that
-    # counts the openings.  On simple m = 48, 96 and 192 (150, 294 and 582
-    # table entries), leibniz_check opens 450, 882 and 1746 pairs over all
-    # right multiplications, and the identity on the ideal opens 144, 288
-    # and 576.  A scan of every pair that a nonzero column could reach
-    # visited 2695, 9991 and 38 407 for the identity, which grows like
-    # dim**2 while the table grows like dim.
-    visits = 0
+    # The identity check adds each term once into the pair it reaches, so
+    # its work is the index entries it walks: every entry met in a list of
+    # the integer table's three indexes is counted, and so is every lookup
+    # in the integer table, which a scan of the pairs would make.  On
+    # simple m = 48, 96 and 192 (150, 294 and 582 table entries),
+    # leibniz_check walks 1326, 2622 and 5214 entries over all right
+    # multiplications (at most 8.96 per table entry), and the identity on
+    # the ideal walks 288, 576 and 1152 (at most 1.98); neither looks the
+    # table up.  A scan of every basis pair grows like dim**2 while the
+    # table grows like dim.
+    walked = 0
 
-    class Residuals(dict):
-        def __missing__(self, pair):
-            nonlocal visits
-            visits += 1
-            row = self[pair] = {}
-            return row
+    class Entries(list):  # one row or column of an index
+        def __iter__(self):
+            nonlocal walked
+            for entry in list.__iter__(self):
+                walked += 1
+                yield entry
 
-    monkeypatch.setattr(core, "defaultdict", lambda factory: Residuals())
+    class Table(dict):
+        def get(self, key, default=None):
+            nonlocal walked
+            walked += 1
+            return dict.get(self, key, default)
+
+    index = core._index
+    monkeypatch.setattr(core, "_index", lambda table, n: tuple(
+        {k: Entries(entries) for k, entries in by.items()} for by in index(table, n)))
     for m in (48, 96, 192):
         alg, levi = simple_sl2_leibniz(m)
+        alg._ints = Table(alg._ints)
         entries = len(alg.table_items())
-        start = visits
+        start = walked
         assert leibniz_check.__wrapped__(alg) == ()
-        checked = visits - start
-        assert 0 < checked <= 3 * entries
+        assert 0 < walked - start <= 9 * entries
         identity = Matrix(alg.dim, alg.dim, {c: {c: F(1)} for c in levi.i_indices})
-        start = visits
+        start = walked
         assert next(core.identity_failures(alg, identity, left=True), None) is None
-        assert 0 < visits - start <= entries
+        assert 0 < walked - start <= 2 * entries
 
 
 def test_verification_reads_follow_the_table(monkeypatch):

@@ -376,9 +376,9 @@ def test_split_all_raises_for_the_first_failing_map(monkeypatch):
     assert_same_splits(splits, [reference_split(alg, levi, m) for m in good[:2]])
 
 
-def test_split_all_builds_two_engines_whatever_dim_der(monkeypatch):
-    # one elimination serves the inner match of every map and one spans the
-    # raising images; the derivation kernel's engines are not counted
+def test_split_all_builds_one_engine_whatever_dim_der(monkeypatch):
+    # one elimination serves the inner match of every map; the derivation
+    # kernel's engines are not counted
     built = []
     init = exactlin.SparseRref.__init__
 
@@ -393,7 +393,7 @@ def test_split_all_builds_two_engines_whatever_dim_der(monkeypatch):
         dims.append(derivation_algebra(alg).dim)
         built.clear()
         split_all(alg, levi)
-        assert len(built) == 2, alg
+        assert len(built) == 1, alg
     assert dims[0] == 8 and len(set(dims)) > 1
 
 
@@ -946,36 +946,46 @@ def test_one_term_rows_pin_before_any_row_is_eliminated(monkeypatch):
 
 
 def test_split_cost_follows_the_nonzeros(monkeypatch):
-    # the identity check behind every split opens a residual only for the
-    # pairs that a term reaches; its accumulator, a defaultdict, is replaced
-    # by one that counts the openings.  Simple m = 48 and m = 96 open 288
-    # and 576 pairs (10 816 and 40 000 when every basis pair was scanned);
-    # dim**1.5 leaves room for that and fails a scan that grows like
-    # dim**2.  No dense view is ever built.
-    visits, dense = 0, 0
+    # the identity checks and R_a behind every split walk only the index
+    # entries that a term of the map reaches; every entry met in a list of
+    # the integer table's three indexes is counted, and so is every lookup
+    # in the integer table, which a scan of the pairs would make.  Simple
+    # m = 48 and m = 96 walk 876 and 1740 entries (a scan of every basis
+    # pair visited 10 816 and 40 000 pairs); dim**1.5 leaves room for that
+    # and fails a scan that grows like dim**2.  No dense view is ever built.
+    walked, dense = 0, 0
     view = exactlin.Matrix.data
 
-    class Residuals(dict):
-        def __missing__(self, pair):
-            nonlocal visits
-            visits += 1
-            row = self[pair] = {}
-            return row
+    class Entries(list):  # one row or column of an index
+        def __iter__(self):
+            nonlocal walked
+            for entry in list.__iter__(self):
+                walked += 1
+                yield entry
+
+    class Table(dict):
+        def get(self, key, default=None):
+            nonlocal walked
+            walked += 1
+            return dict.get(self, key, default)
 
     def counted_view(m):
         nonlocal dense
         dense += 1
         return view.fget(m)
 
-    monkeypatch.setattr(core, "defaultdict", lambda factory: Residuals())
+    index = core._index
+    monkeypatch.setattr(core, "_index", lambda table, n: tuple(
+        {k: Entries(entries) for k, entries in by.items()} for by in index(table, n)))
     monkeypatch.setattr(exactlin.Matrix, "data", property(counted_view))
     counts = {}
     for m in (48, 96):
         alg, levi = simple_sl2_leibniz(m)
+        alg._ints = Table(alg._ints)
         derivation_algebra(alg)  # the kernel's rows are not counted
-        start = visits
+        start = walked
         split_all(alg, levi)
-        counts[alg.dim] = visits - start
+        counts[alg.dim] = walked - start
     (dim1, count1), (dim2, count2) = counts.items()
     assert count2 / count1 <= (dim2 / dim1) ** 1.5
     assert count2 < 5_000

@@ -165,6 +165,18 @@ def test_kernel_of_constraints_rejects_columns_outside_the_unknowns(rows):
         kernel_of_constraints(rows, 3)
 
 
+@pytest.mark.parametrize("row, named", [
+    ({0: 0.5, 1: 1}, "entry 0.5 at 0 is not rational"),
+    ({0: F(1, 2), 1: "1"}, "entry '1' at 1 is not rational"),
+], ids=["float", "str"])
+def test_kernel_of_constraints_names_an_entry_that_is_not_rational(row, named):
+    # both once raised AttributeError on the entry's missing denominator
+    with pytest.raises(ValueError, match=named):
+        kernel_of_constraints([row], 2)
+    # a one-entry row only pins its column, whatever its entry: x_0 = 0
+    assert kernel_of_constraints([{0: 0.5}], 2).rows == {1: {1: 1}}
+
+
 def assert_indexes(eng: SparseRref):
     """holders[c] is exactly the set of stored rows with an entry at the
     non-pivot column c, and no other column has a key; pinned is exactly

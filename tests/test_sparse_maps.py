@@ -155,13 +155,24 @@ def test_sparse_and_dense_construction_agree(case, k):
     ((2, 2), {0: {0: 1}}, 0),
     ((2, 2), {0: {0: 1}}, -2),
     ((2, 2), {0: {0: 1}}, F(1, 2)),
+    ((2, -3), {}, 1),
+    ((2.0, 2), {}, 1),
+    ((2, 2), {0: {0: 0.5}}, 1),
+    ((2, 2), {0: {0: "1"}}, 1),
 ], ids=["row-and-column-off", "row-off", "column-off", "negative-column",
-        "negative-row", "den-zero", "den-negative", "den-fraction"])
+        "negative-row", "den-zero", "den-negative", "den-fraction",
+        "shape-negative", "shape-float", "entry-float", "entry-string"])
 def test_the_constructor_rejects_an_entry_off_the_shape_or_a_bad_den(shape, columns, den):
     # Matrix(2, 2, {5: {7: 1}}) once went through, and .data, charpoly and
-    # split_derivation then failed on it far from the cause
+    # split_derivation then failed on it far from the cause; Matrix(2, -3,
+    # {}) went through too, and a float or str entry raised AttributeError
     with pytest.raises(ValueError):
         Matrix(*shape, columns, den)
+
+
+def test_the_constructor_names_an_entry_that_is_not_rational():
+    with pytest.raises(ValueError, match=r"entry 0\.5 at \(1, 0\) is not rational"):
+        Matrix(2, 2, {0: {0: F(1, 2), 1: 0.5}})
 
 
 def test_the_derivation_path_builds_its_maps_from_integers(monkeypatch):

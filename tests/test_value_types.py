@@ -32,8 +32,7 @@ TYPES = {
     derivations.EndoBlockReport: (("blocks", "scalars", "offdiag_all_zero"),
                                   ((), (F(1), None), True)),
     derivations.RaisingReport: (("image_span", "classification"), (SPACE, "other")),
-    derivations.SplitSurvey: (("basis", "splits", "raising_total"),
-                              ("basis", (), SPACE)),
+    derivations.SplitSurvey: (("basis", "splits"), ("basis", ())),
     sl2.WeightSpaces: (("pairs", "complete"), (((F(-1), SPACE),), True)),
     sl2.HighestWeightVector: (("weight", "vector"), (F(2), (F(1), F(0)))),
     sl2.ModuleDecomposition: (("components", "highest_weights"), ((SPACE,), (0,))),
